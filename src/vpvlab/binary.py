@@ -8,12 +8,10 @@ distinct-to-unrestricted product transforms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import determinants
-from .lattice import PartitionGrid, count_partitions, DISTINCT
+from .lattice import PartitionGrid, count_grid, count_partitions, DISTINCT
 from .series import Caps, EXACT, Series, SeriesError, geometric_factor, unit_binomial
 
 
@@ -169,10 +167,8 @@ def beta2_grid(caps: Caps) -> PartitionGrid:
         if column != {e[0]: c for e, c in ak.terms.items()}:
             raise AssertionError(f"determinant route disagrees at t^{k}")
     parts = [(1, p) for p in _powers_upto(cap_t)]
-    for j, k in itertools.product(range(cap_q + 1), range(cap_t + 1)):
-        oracle = count_partitions((j, k), parts)
-        got = series.terms.get((j, k), Fraction(0))
-        if oracle != got:
+    for (j, k), oracle in count_grid(caps, parts).items():
+        if oracle != series.terms.get((j, k), 0):
             raise AssertionError(f"oracle disagrees at ({j},{k})")
     return PartitionGrid.from_series(series, caps)
 

@@ -9,6 +9,8 @@ not gate the suite; the corrected forms carry the primary ids.
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,7 +24,7 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
                       ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE,
                       ORDER_UPPER_TRIANGLE_STRICT,
-                      count_partitions, count_exactly_k, product_series,
+                      count_grid, product_series,
                       pyramid_radial_series, quadrant_radial_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, Series, SeriesError, first_mismatch,
@@ -110,18 +112,8 @@ def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Se
             raise SeriesError("oracle route needs distinct part monomials")
         seen.add(expo)
         parts.append(expo)
-    import itertools
-    terms = {}
-    for expo in itertools.product(*(range(c + 1) for c in caps.limits)):
-        if caps.total is not None and sum(expo) > caps.total:
-            continue
-        if mode == "exactly_k":
-            value = count_exactly_k(expo, parts, k)
-        else:
-            value = count_partitions(expo, parts, mode)
-        if value:
-            terms[expo] = Fraction(value)
-    return Series(spec.names, caps, EXACT, terms)
+    # one DP over the caps box; Series keeps the nonzero cells the caps admit
+    return Series(spec.names, caps, EXACT, count_grid(caps, parts, mode, k))
 
 
 def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = None) -> IdentityCheckReport:
@@ -228,7 +220,6 @@ def _frac_tree(num, den):
 
 def _subset_closed_form(leading, driver="z", merged=None):
     """Inclusion-exclusion numerator/denominator over subsets of leading vars."""
-    import itertools
     numer, denom = [], []
     for r in range(len(leading) + 1):
         for subset in itertools.combinations(leading, r):
@@ -345,13 +336,11 @@ def _diagonal_entries():
 
     def aggregated(n, cap):
         def build(caps: Caps) -> Series:
-            import itertools
-            from math import gcd
             out = Series.one(("z",), caps, APPROX)
             weights = {}
             for vec in itertools.product(range(1, caps.limits[0] + 1), repeat=n):
                 k = sum(vec)
-                if k <= caps.limits[0] and gcd(*vec) == 1:
+                if k <= caps.limits[0] and math.gcd(*vec) == 1:
                     w = 1.0
                     for v in vec:
                         w *= float(v) ** (-1.0 / n)
@@ -570,8 +559,7 @@ def _entry_1337_lhs(caps: Caps) -> Series:
     for a in range(1, bound + 1):
         for b in range(1, bound + 1):
             for c in range(1, bound + 1):
-                from math import gcd
-                if gcd(gcd(a, b), c) != 1 or c < a + b:
+                if math.gcd(math.gcd(a, b), c) != 1 or c < a + b:
                     continue
                 value *= (1.0 - z ** (c - a - b)) ** (c / (a * b))
     return Series.constant(value, ("z",), caps, APPROX)
@@ -1224,35 +1212,25 @@ def _upper_grid_entries():
     """Finite upper-region products of orders 2..5 against the oracle."""
     entries = []
 
+    def oracle_rhs(parts, oracle_mode):
+        def oracle(caps_: Caps) -> Series:
+            return Series(("x", "y"), caps_, EXACT,
+                          count_grid(caps_, parts, oracle_mode))
+        return oracle
+
     def make(eq, order, sign, caps, oracle_mode):
+        parts = [(j, k) for k in range(2, order + 1)
+                 for j in range(1, k) if math.gcd(j, k) == 1]
+
         def build(caps_: Caps) -> Series:
-            from math import gcd
             out = Series.one(("x", "y"), caps_)
-            for k in range(2, order + 1):
-                for j in range(1, k):
-                    if gcd(j, k) != 1:
-                        continue
-                    out = out * unit_binomial((j, k), ("x", "y"), caps_,
-                                              sign=sign)
+            for mono in parts:
+                out = out * unit_binomial(mono, ("x", "y"), caps_, sign=sign)
             return out
 
-        def oracle(caps_: Caps) -> Series:
-            import itertools
-            from math import gcd
-            parts = [(j, k) for k in range(2, order + 1)
-                     for j in range(1, k) if gcd(j, k) == 1]
-            terms = {}
-            for expo in itertools.product(range(caps_.limits[0] + 1),
-                                          range(caps_.limits[1] + 1)):
-                value = count_partitions(expo, parts, oracle_mode)
-                if value:
-                    terms[expo] = Fraction(value)
-            return Series(("x", "y"), caps_, EXACT, terms)
-
-        rhs = oracle if oracle_mode is not None else None
         return IdentityEntry(
             id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
-            rhs=rhs if rhs is not None else build,
+            rhs=oracle_rhs(parts, oracle_mode),
             tex_anchor=r"\prod_{k=2}^{%d} \prod (1%sx^j y^k)" % (
                 order, "+" if sign > 0 else "-"))
 
@@ -1267,11 +1245,10 @@ def _upper_grid_entries():
 
     # weighted order-5 product: region route vs hand-enumerated factor list
     def weighted_lhs(caps_: Caps) -> Series:
-        from math import gcd
         out = Series.one(("x", "y"), caps_)
         for k in range(2, 6):
             for j in range(1, k):
-                if gcd(j, k) == 1:
+                if math.gcd(j, k) == 1:
                     out = out * unit_binomial_pow((j, k), Fraction(1, k),
                                                   ("x", "y"), caps_, EXACT,
                                                   sign=-1)
@@ -1296,30 +1273,20 @@ def _upper_grid_entries():
         note="region route vs literal factor list"))
 
     def make_av(eq, order, sign, caps, oracle_mode):
+        parts = [(j, k) for k in range(2, order + 1) for j in range(1, k)]
+
         def build(caps_: Caps) -> Series:
             out = Series.one(("x", "y"), caps_)
-            for k in range(2, order + 1):
-                for j in range(1, k):
-                    if sign == 0:
-                        out = out * geometric_factor((j, k), ("x", "y"), caps_)
-                    else:
-                        out = out * unit_binomial((j, k), ("x", "y"), caps_,
-                                                  sign=sign)
+            for mono in parts:
+                if sign == 0:
+                    out = out * geometric_factor(mono, ("x", "y"), caps_)
+                else:
+                    out = out * unit_binomial(mono, ("x", "y"), caps_, sign=sign)
             return out
 
-        def oracle(caps_: Caps) -> Series:
-            import itertools
-            parts = [(j, k) for k in range(2, order + 1) for j in range(1, k)]
-            terms = {}
-            for expo in itertools.product(range(caps_.limits[0] + 1),
-                                          range(caps_.limits[1] + 1)):
-                value = count_partitions(expo, parts, oracle_mode)
-                if value:
-                    terms[expo] = Fraction(value)
-            return Series(("x", "y"), caps_, EXACT, terms)
-
         return IdentityEntry(
-            id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build, rhs=oracle,
+            id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
+            rhs=oracle_rhs(parts, oracle_mode),
             tex_anchor="upper all-vectors product")
 
     entries.append(make_av("8.14", 4, 1, (10, 20), DISTINCT))

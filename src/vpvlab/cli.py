@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import json
 import os
 import sys
@@ -25,6 +26,17 @@ def _parse_caps(text: str):
         return tuple(int(part) for part in text.split(","))
     except ValueError as err:
         raise SeriesError(f"bad caps {text!r}") from err
+
+
+@contextlib.contextmanager
+def _spec_errors():
+    """Turn a malformed --spec document into bad input (exit 2), not a crash."""
+    try:
+        yield
+    except KeyError as err:
+        raise SeriesError(f"spec is missing key {err}") from err
+    except (AttributeError, TypeError, ValueError) as err:  # RegionError too
+        raise SeriesError(f"bad spec: {err}") from err
 
 
 def _default_jobs(args) -> int:
@@ -160,7 +172,8 @@ def cmd_grid(args) -> int:
     if args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        spec = ProductSpec.from_json(doc)
+        with _spec_errors():
+            spec = ProductSpec.from_json(doc)
         if caps is None:
             print("error: --caps required for a custom spec", file=sys.stderr)
             return EXIT_CONFIG
@@ -206,16 +219,18 @@ def cmd_expand(args) -> int:
     elif args.spec:
         with open(args.spec, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-        if caps is None and "caps" in doc:
-            caps = Caps.of(doc["caps"])
+        with _spec_errors():
+            if caps is None and "caps" in doc:
+                caps = Caps.of(doc["caps"])
+            lhs = doc.get("lhs", doc)
+            spec = ProductSpec.from_json(lhs) if "region" in lhs else None
+            names = tuple(doc["vars"]) if spec is None else None
         if caps is None:
             print("error: no caps given", file=sys.stderr)
             return EXIT_CONFIG
-        if "region" in doc.get("lhs", doc):
-            spec = ProductSpec.from_json(doc.get("lhs", doc))
+        if spec is not None:
             series = product_series(spec, caps, mode)
         else:
-            names = tuple(doc["vars"])
             series = build_closed_form(doc["rhs"] if "rhs" in doc else doc,
                                        names, caps, mode)
     else:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 from .series import (APPROX, EXACT, Caps, Series, SeriesError, geometric_factor,
                      unit_binomial_pow)
@@ -164,75 +164,75 @@ def enumerate_region(region: LatticeRegion, bounds) -> list:
 UNRESTRICTED = "unrestricted"
 DISTINCT = "distinct"
 DISTINCT_PARITY_DIFF = "distinct_parity_diff"
+EXACTLY_K = "exactly_k"      # at most k parts; see count_grid
 
 
-def _box(target):
-    return itertools.product(*(range(t + 1) for t in target))
+def _box_dp(limits, parts, sign=1, reverse=False) -> list:
+    """The counting recurrence over a box, flattened in lex order.
 
-
-def count_partitions(target, parts, mode=UNRESTRICTED, k: int | None = None) -> int:
-    """Count vector partitions of `target` into the given nonzero parts.
-
-    Modes: `unrestricted` (multisets), `distinct` (subsets),
-    `distinct_parity_diff` (even-size minus odd-size subsets), and
-    `exactly_k` via ``mode=('exactly', k)`` or the `k` argument, which counts
-    multisets of size k drawn from parts plus the zero vector, i.e. at most k
-    nonzero parts (the convention the partition grids use, where the
-    zero-vector target has one partition for every k).
+    Each part is folded in by one sweep over the cells it fits under:
+    ascending for multisets, descending (so each part is used at most once)
+    for subsets, with `sign` -1 weighting subsets by (-1)^size.
     """
-    target = tuple(int(t) for t in target)
+    strides = [1] * len(limits)
+    for i in range(len(limits) - 2, -1, -1):
+        strides[i] = strides[i + 1] * (limits[i + 1] + 1)
+    dp = [0] * prod(t + 1 for t in limits)
+    dp[0] = 1
+    for part in parts:
+        shift = sum(p * s for p, s in zip(part, strides))
+        cells = [0]
+        for lo, hi, s in zip(part, limits, strides):
+            cells = [c + j * s for c in cells for j in range(lo, hi + 1)]
+        if reverse:
+            cells.reverse()
+        for i in cells:
+            dp[i] += sign * dp[i - shift]
+    return dp
+
+
+def count_grid(box, parts, mode=UNRESTRICTED, k: int | None = None) -> dict:
+    """Count vector partitions into the given nonzero parts at every cell of a box.
+
+    One dynamic program over the box (a limits tuple or a `Caps`, whose total
+    cap is ignored) returns ``{exponent tuple: int}`` for every cell, in lex
+    order. Modes: `unrestricted` (multisets), `distinct` (subsets),
+    `distinct_parity_diff` (even-size minus odd-size subsets), and
+    `exactly_k` via ``mode=('exactly', k)`` or ``mode='exactly_k'`` with the
+    `k` argument, which counts multisets of size k drawn from parts plus the
+    zero vector, i.e. at most k nonzero parts (the convention the partition
+    grids use, where the zero-vector target has one partition for every k).
+    Pure integer arithmetic, so the oracle is independent of the series kernel.
+    """
+    limits = tuple(int(t) for t in getattr(box, "limits", box))
     if isinstance(mode, tuple):
         mode, k = mode
     parts = [tuple(p) for p in parts
-             if all(c >= 0 for c in p) and any(c > 0 for c in p)
-             and all(c <= t for c, t in zip(p, target))]
-    parts.sort()
-    if mode == "exactly" or mode == "exactly_k":
+             if all(c >= 0 for c in p) and any(c > 0 for c in p)]
+    if mode in ("exactly", EXACTLY_K):
         if k is None:
             raise ValueError("exactly-k mode needs k")
-        return count_exactly_k(target, parts, k)
-    dp = {e: 0 for e in _box(target)}
-    dp[(0,) * len(target)] = 1
-    if mode == UNRESTRICTED:
-        for part in parts:
-            for expo in sorted(dp):
-                prev = tuple(e - p for e, p in zip(expo, part))
-                if all(c >= 0 for c in prev) and dp[prev]:
-                    dp[expo] += dp[prev]
+        # at most k parts: multisets counted on a trailing part-count axis
+        flat = _box_dp(limits + (k,), [p + (1,) for p in parts])
+        counts = [sum(flat[i:i + k + 1]) for i in range(0, len(flat), k + 1)]
+    elif mode == UNRESTRICTED:
+        counts = _box_dp(limits, parts)
     elif mode in (DISTINCT, DISTINCT_PARITY_DIFF):
-        sign = 1 if mode == DISTINCT else -1
-        for part in parts:
-            for expo in sorted(dp, reverse=True):
-                prev = tuple(e - p for e, p in zip(expo, part))
-                if all(c >= 0 for c in prev) and dp[prev]:
-                    dp[expo] += sign * dp[prev]
+        counts = _box_dp(limits, parts, 1 if mode == DISTINCT else -1, reverse=True)
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    return dp[target]
+    return dict(zip(itertools.product(*(range(t + 1) for t in limits)), counts))
+
+
+def count_partitions(target, parts, mode=UNRESTRICTED, k: int | None = None) -> int:
+    """Count vector partitions of `target`: the target cell of `count_grid`."""
+    target = tuple(int(t) for t in target)
+    return count_grid(target, parts, mode, k)[target]
 
 
 def count_exactly_k(target, parts, k: int) -> int:
     """Multisets of size <= k of nonzero parts summing to target."""
-    target = tuple(int(t) for t in target)
-    parts = [tuple(p) for p in parts
-             if all(c >= 0 for c in p) and any(c > 0 for c in p)
-             and all(c <= t for c, t in zip(p, target))]
-    parts.sort()
-    zero = (0,) * len(target)
-    box = sorted(_box(target))
-    # dp[t] = list over part-count 0..k
-    dp = {e: [0] * (k + 1) for e in box}
-    dp[zero][0] = 1
-    for part in parts:
-        for expo in box:
-            prev = tuple(e - p for e, p in zip(expo, part))
-            if any(x < 0 for x in prev):
-                continue
-            cell, prev_cell = dp[expo], dp[prev]
-            for c in range(1, k + 1):
-                if prev_cell[c - 1]:
-                    cell[c] += prev_cell[c - 1]
-    return sum(dp[target])
+    return count_partitions(target, parts, EXACTLY_K, k)
 
 
 # -- weights and product specs ---------------------------------------------------

@@ -156,6 +156,29 @@ class TestGridCommand:
         assert doc["axes"] == ["y", "z"]
         assert {"e": [1, 1], "v": "2"} in doc["cells"]
 
+    def test_spec_with_unknown_order_is_config_error(self, tmp_path, capsys):
+        spec = {"region": {"arity": 2, "order": "bogus"},
+                "weight": {"sign": -1, "direction": -1, "powers": ["0", "0"]},
+                "mapping": [0, 1], "vars": ["y", "z"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(["grid", "--spec", str(path), "--caps", "3,3"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "bogus" in err
+
+    def test_spec_without_region_is_config_error(self, tmp_path, capsys):
+        spec = {"weight": {"sign": -1, "direction": -1, "powers": ["0", "0"]},
+                "mapping": [0, 1], "vars": ["y", "z"]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(["grid", "--spec", str(path), "--caps", "3,3"],
+                                 capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "region" in err
+
 
 class TestExpandCommand:
     def test_entry_rhs(self, capsys):
@@ -206,6 +229,20 @@ class TestExpandCommand:
     def test_missing_input_is_config_error(self, capsys):
         code, _, _ = run_cli(["expand"], capsys)
         assert code == 2
+
+    def test_malformed_specs_are_config_errors(self, tmp_path, capsys):
+        region = {"arity": 2, "order": "bogus"}
+        docs = [{"lhs": {"region": region, "mapping": [0, 1], "vars": ["y", "z"],
+                         "weight": {"powers": ["0", "0"]}}, "caps": [3, 3]},
+                {"caps": [3], "rhs": {"op": "const", "value": "1"}},
+                {"vars": ["z"], "caps": ["x"], "rhs": {"op": "const", "value": "1"}},
+                [1, 2]]
+        for i, doc in enumerate(docs):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
+            assert code == 2, doc
+            assert out == "" and err.startswith("error:"), doc
 
 
 class TestInstalledEntryPoint:

@@ -2,12 +2,14 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF,
+from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
+                            UNRESTRICTED,
                             LatticeRegion, LocalFactorFamily, PartitionGrid,
                             ProductSpec, RegionError, WeightExpr,
                             ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE_STRICT,
-                            coprime_geometric_value, count_exactly_k,
+                            coprime_geometric_value, count_exactly_k, count_grid,
                             count_partitions, enumerate_region, euler_phi,
                             grid, moebius, product_series,
                             pyramid_radial_series, quadrant_radial_series,
@@ -94,6 +96,74 @@ class TestCountPartitions:
         assert count_exactly_k((7, 2), ALL_PARTS_8, 3) == 40
         assert count_exactly_k((2, 7), ALL_PARTS_8, 3) == 40
         assert count_exactly_k((8, 2), ALL_PARTS_8, 3) == 50
+
+
+def brute_count(target, parts, mode, k=None):
+    """Partitions of `target` by direct recursive enumeration, no DP.
+
+    Walks the nonzero, non-negative parts in turn and tries every
+    multiplicity that still fits (0 or 1 for the subset modes); the
+    at-most-k mode also stops once k parts are used.
+    """
+    parts = [tuple(p) for p in parts if any(p) and min(p) >= 0]
+
+    def walk(i, rest, size):
+        if i == len(parts):
+            if any(rest):
+                return 0
+            return (-1) ** size if mode == DISTINCT_PARITY_DIFF else 1
+        total, used = 0, 0
+        while min(rest, default=0) >= 0:
+            if mode == EXACTLY_K and size + used > k:
+                break
+            total += walk(i + 1, rest, size + used)
+            if mode in (DISTINCT, DISTINCT_PARITY_DIFF) and used == 1:
+                break
+            used += 1
+            rest = tuple(r - p for r, p in zip(rest, parts[i]))
+        return total
+
+    return walk(0, tuple(target), 0)
+
+
+@st.composite
+def boxes_with_parts(draw):
+    dim = draw(st.integers(min_value=1, max_value=3))
+    box = tuple(draw(st.integers(min_value=0, max_value=4)) for _ in range(dim))
+    part = st.tuples(*[st.integers(min_value=-1, max_value=4)] * dim)
+    return box, draw(st.lists(part, max_size=5))
+
+
+ORACLE_MODES = [(UNRESTRICTED, None), (DISTINCT, None),
+                (DISTINCT_PARITY_DIFF, None),
+                (EXACTLY_K, 1), (EXACTLY_K, 2), (EXACTLY_K, 3)]
+
+
+class TestCountGrid:
+    @pytest.mark.parametrize("mode,k", ORACLE_MODES)
+    @settings(max_examples=40, deadline=None)
+    @given(case=boxes_with_parts())
+    def test_matches_enumeration_at_every_cell(self, mode, k, case):
+        box, parts = case
+        counts = count_grid(box, parts, mode, k)
+        cells = list(itertools.product(*(range(b + 1) for b in box)))
+        assert list(counts) == cells
+        for cell in cells:
+            assert counts[cell] == brute_count(cell, parts, mode, k), cell
+            assert counts[cell] == count_partitions(cell, parts, mode, k), cell
+        # a Caps box is its limits box; a total cap does not trim the grid
+        assert count_grid(Caps.of(box, total=0), parts, mode, k) == counts
+
+    def test_tuple_mode_and_single_cell_views(self):
+        grid3 = count_grid((8, 8), ALL_PARTS_8, ("exactly", 3))
+        assert grid3[(3, 3)] == 19
+        assert grid3[(7, 2)] == count_exactly_k((7, 2), ALL_PARTS_8, 3) == 40
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError):
+            count_grid((2, 2), ALL_PARTS_8, "bogus")
+        with pytest.raises(ValueError):
+            count_grid((2, 2), ALL_PARTS_8, EXACTLY_K)
 
 
 class TestProductSeries:
