@@ -69,11 +69,16 @@ def _reports_csv(reports) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.mode and not args.all:
+        print("error: --mode needs --all", file=sys.stderr)
+        return EXIT_CONFIG
     entries = catalog_mod.catalog()
     custom = None
     if args.custom:
         with open(args.custom, "r", encoding="utf-8") as handle:
-            custom = catalog_mod.entry_from_json(json.load(handle))
+            doc = json.load(handle)
+        with _spec_errors():
+            custom = catalog_mod.entry_from_json(doc)
         selected = [custom]
     elif args.all:
         selected = [e for e in entries if e.expected == "pass"]
@@ -236,7 +241,7 @@ def cmd_expand(args) -> int:
     else:
         print("error: expand needs --entry or --spec", file=sys.stderr)
         return EXIT_CONFIG
-    payload = series.dumps(indent=2 if args.format != "csv" else None) + "\n"
+    payload = series.dumps(indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -270,10 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--spec", help="custom ProductSpec JSON file")
     p_grid.add_argument("--caps", help="caps, e.g. 8,8")
     p_grid.add_argument("--mode", choices=[EXACT, APPROX])
-    p_grid.add_argument("--format", choices=["json", "csv", "text"],
-                        default="csv")
+    p_grid.add_argument("--format", choices=["json", "csv"], default="csv")
     p_grid.add_argument("--out")
-    p_grid.add_argument("--jobs", type=int, default=None)
     p_grid.set_defaults(func=cmd_grid)
 
     p_expand = sub.add_parser("expand", help="expand a product or closed form")
@@ -282,10 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--spec", help="JSON document to expand")
     p_expand.add_argument("--caps")
     p_expand.add_argument("--mode", choices=[EXACT, APPROX])
-    p_expand.add_argument("--format", choices=["json", "csv", "text"],
-                          default="json")
+    p_expand.add_argument("--format", choices=["json", "text"], default="json")
     p_expand.add_argument("--out")
-    p_expand.add_argument("--jobs", type=int, default=None)
     p_expand.set_defaults(func=cmd_expand)
     return parser
 

@@ -162,6 +162,8 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
             return _partial_sum(node, names, caps, mode)
     except ExprError:
         raise
+    except KeyError as err:
+        raise ExprError(f"missing field {err}", _path + "." + op) from err
     except SeriesError as err:
         raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)

@@ -154,9 +154,29 @@ def enumerate_region(region: LatticeRegion, bounds) -> list:
         raise RegionError("bounds arity mismatch")
     axes = [_component_values(lo, hi, region.base_powers)
             for lo, hi in zip(region.lower, bounds)]
-    out = [vec for vec in itertools.product(*axes) if region.contains(vec)]
+    out = [vec for vec in _ordered_points(region.order, axes)
+           if region.contains(vec)]
     out.sort()
     return out
+
+
+def _ordered_points(order: str, axes):
+    """The points of the box `axes` that meet an ordering constraint."""
+    if order == ORDER_NONE:
+        return itertools.product(*axes)
+    if order == ORDER_STRICT_CHAIN:
+        points = [()]
+        for axis in axes:
+            points = [p + (v,) for p in points for v in axis if not p or v > p[-1]]
+        return points
+    # every other ordering bounds the leading components by the last one
+    strict = order in (ORDER_ALL_BELOW_LAST_STRICT, ORDER_UPPER_TRIANGLE_STRICT)
+    points = []
+    for last in axes[-1]:
+        top = last - 1 if strict else last
+        clipped = [[v for v in axis if v <= top] for axis in axes[:-1]]
+        points.extend(p + (last,) for p in itertools.product(*clipped))
+    return points
 
 
 # -- counting oracles -----------------------------------------------------------

@@ -63,6 +63,58 @@ def _as_coeff(value, mode: str) -> Coeff:
     return float(value)
 
 
+# Slot layouts of the packed exact product, keyed by (limits, total cap).
+_LAYOUTS: dict = {}
+
+
+def _layout(caps: Caps):
+    """Slot count and rows of admitted cells of the packed layout for the caps.
+
+    Variable i has radix 2*cap_i + 1 and the last variable varies fastest, so
+    adding the exponents of two admitted cells never carries into the next
+    variable: every cell of a product has a slot of its own.  A row is the
+    run of admitted cells that share all exponents but the last; `rows` maps
+    those exponents to the slot of the row's first cell and its length.
+    """
+    key = (caps.limits, caps.total)
+    layout = _LAYOUTS.get(key)
+    if layout is None:
+        weights, size = (), 1
+        for cap in reversed(caps.limits):
+            weights = (size,) + weights
+            size *= 2 * cap + 1
+        *lead, last = caps.limits
+        prefixes = [()]
+        for cap in lead:
+            prefixes = [p + (e,) for p in prefixes for e in range(cap + 1)]
+        rows = {}
+        for p in prefixes:
+            count = last + 1 if caps.total is None \
+                else min(last, caps.total - sum(p)) + 1
+            if count > 0:
+                rows[p] = (sum(e * w for e, w in zip(p, weights)), count)
+        layout = _LAYOUTS[key] = (size, rows)
+    return layout
+
+
+def _scaled(terms: Mapping[Expo, Fraction]):
+    """The lcm of the denominators, and each coefficient times it."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+
+
+def _pack(terms, nums, rows, size: int, kb: int) -> int:
+    """The integer with `nums[i]` in the `kb`-byte slot of the i-th term."""
+    pos, neg = bytearray(size * kb), bytearray(size * kb)
+    for expo, n in zip(terms, nums):
+        at = (rows[expo[:-1]][0] + expo[-1]) * kb
+        if n > 0:
+            pos[at:at + kb] = n.to_bytes(kb, "little")
+        else:
+            neg[at:at + kb] = (-n).to_bytes(kb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
 class Series:
     """Truncated multivariate formal power series with sparse storage."""
 
@@ -227,6 +279,9 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
+        if self.mode == EXACT:
+            return self._packed_mul(other)
+        # floats cannot be packed exactly: approx products stay term by term
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -249,6 +304,44 @@ class Series:
         return Series(self.names, self.caps, self.mode, out, _trusted=True)
 
     __rmul__ = __mul__
+
+    def _packed_mul(self, other: "Series") -> "Series":
+        """Exact product by Kronecker substitution: one big-integer multiply.
+
+        Each operand is scaled to integers by the lcm of its denominators and
+        packed, one `kb`-byte slot per cell of the caps layout, into a single
+        int.  Slots are wide enough for any coefficient of the product plus a
+        sign bit, so adding half a slot's range to every slot turns the signed
+        product into plain bytes, and each admitted cell is read back from
+        its slot; rows of zero slots are skipped whole.
+        """
+        if not self.terms or not other.terms:
+            return Series.zero(self.names, self.caps, self.mode)
+        size, rows = _layout(self.caps)
+        da, na = _scaled(self.terms)
+        db, nb = _scaled(other.terms)
+        kb = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
+              + min(len(na), len(nb)).bit_length() + 8) // 8
+        a = _pack(self.terms, na, rows, size, kb)
+        b = _pack(other.terms, nb, rows, size, kb)
+        half = 1 << (8 * kb - 1)
+        zero = bytes(kb - 1) + b"\x80"  # a slot holding 0
+        data = (a * b + int.from_bytes(zero * size, "little")).to_bytes(
+            size * kb, "little")
+        den = da * db
+        from_bytes = int.from_bytes
+        out: dict[Expo, Coeff] = {}
+        for prefix, (slot, count) in rows.items():
+            at = slot * kb
+            # `count` slots of zeros tile the row only if every slot is zero
+            if data.count(zero, at, at + count * kb) == count:
+                continue
+            for e in range(count):
+                value = from_bytes(data[at:at + kb], "little") - half
+                if value:
+                    out[prefix + (e,)] = Fraction(value, den)
+                at += kb
+        return Series(self.names, self.caps, self.mode, out, _trusted=True)
 
     def scale(self, scalar) -> "Series":
         scalar = _as_coeff(scalar, self.mode)

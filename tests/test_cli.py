@@ -93,6 +93,20 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out.strip())["verdict"] == "pass"
 
+    def test_malformed_custom_documents_are_config_errors(self, tmp_path, capsys):
+        for i, doc in enumerate([{"id": "x"}, [1, 2]]):
+            path = tmp_path / f"bad{i}.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(["verify", "--custom", str(path)], capsys)
+            assert code == 2, doc
+            assert out == "" and err.startswith("error:"), doc
+
+    def test_mode_without_all_is_config_error(self, capsys):
+        code, out, err = run_cli(["verify", "--id", "13.02", "--mode", "exact"],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err == "error: --mode needs --all\n"
+
     def test_parallel_matches_sequential(self, tmp_path, capsys):
         ids = ["13.02", "13.03", "13.24", "14.02", "14.05", "16.57b"]
         args = ["verify"] + [x for i in ids for x in ("--id", i)]
@@ -243,6 +257,32 @@ class TestExpandCommand:
             code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
             assert code == 2, doc
             assert out == "" and err.startswith("error:"), doc
+
+
+    def test_closed_form_missing_field_is_config_error(self, tmp_path, capsys):
+        trees = [{"op": "const"},
+                 {"op": "mul", "args": [{"op": "const", "value": "1"},
+                                        {"op": "unit_binomial", "sign": -1}]}]
+        for i, tree in enumerate(trees):
+            path = tmp_path / f"tree{i}.json"
+            path.write_text(json.dumps({"vars": ["z"], "caps": [3], "rhs": tree}))
+            code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
+            assert code == 2, tree
+            assert out == "" and err.startswith("error: missing field"), tree
+
+
+class TestRemovedOptions:
+    @pytest.mark.parametrize("args", [
+        ["grid", "spade2", "--caps", "2,2", "--jobs", "2"],
+        ["grid", "spade2", "--caps", "2,2", "--format", "text"],
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--jobs", "2"],
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--format", "csv"],
+    ])
+    def test_rejected_as_usage_errors(self, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestInstalledEntryPoint:

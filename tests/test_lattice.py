@@ -8,7 +8,9 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             UNRESTRICTED,
                             LatticeRegion, LocalFactorFamily, PartitionGrid,
                             ProductSpec, RegionError, WeightExpr,
-                            ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE_STRICT,
+                            ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
+                            ORDER_NONE, ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE,
+                            ORDER_UPPER_TRIANGLE_STRICT,
                             coprime_geometric_value, count_exactly_k, count_grid,
                             count_partitions, enumerate_region, euler_phi,
                             grid, moebius, product_series,
@@ -41,6 +43,22 @@ class TestNumberTheoryHelpers:
         assert float(coprime_geometric_value(q, 6)) == pytest.approx(direct6, abs=1e-12)
 
 
+ORDERS = (ORDER_NONE, ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
+          ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE, ORDER_UPPER_TRIANGLE_STRICT)
+
+
+@st.composite
+def regions_with_bounds(draw):
+    order = draw(st.sampled_from(ORDERS))
+    arity = 2 if order.startswith("upper") else draw(st.integers(2, 4))
+    region = LatticeRegion(
+        arity=arity, order=order,
+        lower=tuple(draw(st.integers(0, 1)) for _ in range(arity)),
+        coprime=draw(st.booleans()),
+        base_powers=draw(st.sampled_from([None, None, 2, 3])))
+    return region, tuple(draw(st.integers(0, 5)) for _ in range(arity))
+
+
 class TestEnumerateRegion:
     def test_upper_vpv_order5(self):
         region = LatticeRegion(arity=2, lower=(1, 1), coprime=True,
@@ -64,6 +82,15 @@ class TestEnumerateRegion:
     def test_origin_never_included(self):
         region = LatticeRegion(arity=2, lower=(0, 0))
         assert (0, 0) not in enumerate_region(region, (2, 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=regions_with_bounds())
+    def test_matches_filtered_box(self, case):
+        region, bounds = case
+        box = itertools.product(*(range(lo, b + 1)
+                                  for lo, b in zip(region.lower, bounds)))
+        assert enumerate_region(region, bounds) == \
+            [vec for vec in box if region.contains(vec)]
 
 
 class TestCountPartitions:

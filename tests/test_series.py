@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, first_mismatch,
                            geometric_factor, max_rel_error, polylog, to_approx,
@@ -359,3 +360,68 @@ class TestModeAgreement:
         b = Series.from_terms([((1, 0), 1), ((2, 0), 7)], ("y", "z"), caps)
         expo, ca, cb = first_mismatch(a, b)
         assert expo == (2, 0) and ca == 5 and cb == 7
+
+
+def naive_mul(a, b):
+    """Reference exact product: every pair of terms, kept if the caps admit it."""
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            expo = tuple(x + y for x, y in zip(ea, eb))
+            if a.caps.admits(expo):
+                out[expo] = out.get(expo, 0) + ca * cb
+    return {e: c for e, c in out.items() if c != 0}
+
+
+NUMERATORS = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 2 ** 40 + 1])
+
+
+@st.composite
+def caps_and_names(draw):
+    arity = draw(st.integers(1, 5))
+    limits = tuple(draw(st.integers(0, 6)) for _ in range(arity))
+    total = draw(st.none() | st.integers(0, sum(limits)))
+    return Caps.of(limits, total), tuple("vwxyz"[:arity])
+
+
+@st.composite
+def operand_pairs(draw):
+    caps, names = draw(caps_and_names())
+    expo = st.tuples(*(st.integers(0, c) for c in caps.limits))
+    coeff = st.builds(Fraction, NUMERATORS, DENOMINATORS)
+    terms = st.dictionaries(expo, coeff, max_size=draw(st.sampled_from([0, 1, 8])))
+    return (Series(names, caps, EXACT, draw(terms)),
+            Series(names, caps, EXACT, draw(terms)))
+
+
+class TestPackedProduct:
+    """The exact product against the term-by-term reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=operand_pairs())
+    def test_matches_reference(self, pair):
+        a, b = pair
+        product = a * b
+        assert product.terms == naive_mul(a, b)
+        assert all(type(c) is Fraction for c in product.terms.values())
+        assert (b * a).terms == product.terms
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=caps_and_names(), data=st.data())
+    def test_cancelling_product(self, shape, data):
+        # (1 - X) times r * sum of X^k cancels in every cell but the constant
+        caps, names = shape
+        mono = data.draw(st.tuples(*(st.integers(0, c) for c in caps.limits))
+                         .filter(any))
+        r = data.draw(st.builds(Fraction, NUMERATORS.filter(bool), DENOMINATORS))
+        a = unit_binomial(mono, names, caps, EXACT, sign=-1)
+        b = geometric_factor(mono, names, caps).scale(r)
+        assert (a * b).terms == naive_mul(a, b) == {(0,) * len(names): r}
+
+    def test_truncated_to_zero(self):
+        caps = Caps.of([3, 2], total=4)
+        x = Series.monomial((3, 0), ("y", "z"), caps, coeff=Fraction(-5, 3))
+        y = Series.monomial((1, 1), ("y", "z"), caps, coeff=7)
+        assert (x * y).is_zero()
+        assert (x * Series.zero(("y", "z"), caps)).is_zero()
