@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import determinants
 from .lattice import PartitionGrid, count_grid, count_partitions, DISTINCT
-from .series import Caps, EXACT, Series, SeriesError, geometric_factor, unit_binomial
+from .series import Caps, EXACT, Series, SeriesError, binomial_product
 
 
 FULL_QUADRANT = "full_quadrant"
@@ -37,7 +37,7 @@ class BinaryGridSpec:
             raise SeriesError("quadrant/diagonal flavors are 2D")
 
 
-def _powers_upto(cap: int, base: int = 2):
+def powers_upto(cap: int, base: int = 2):
     out, p = [], 1
     while p <= cap:
         out.append(p)
@@ -55,27 +55,18 @@ def binary_count(n: int) -> int:
     if n < 0:
         raise SeriesError("n must be >= 0")
     caps = Caps.of([n])
-    names = ("q",)
-    one_way = Series.one(names, caps)
-    for p in _powers_upto(n):
-        one_way = one_way * geometric_factor((p,), names, caps)
-    other = Series.one(names, caps)
-    for k, p in enumerate(_powers_upto(n)):
-        factor = unit_binomial((p,), names, caps, sign=1)
-        for _ in range(k + 1):
-            other = other * factor
+    one_way = binary_count_series(n)
+    other = binomial_product(
+        (((p,), 1, k + 1, 1) for k, p in enumerate(powers_upto(n))),
+        ("q",), caps)
     if one_way != other:
         raise AssertionError("binary partition routes disagree")
     return int(one_way.coefficient((n,)))
 
 
 def binary_count_series(cap: int) -> Series:
-    caps = Caps.of([cap])
-    names = ("q",)
-    out = Series.one(names, caps)
-    for p in _powers_upto(cap):
-        out = out * geometric_factor((p,), names, caps)
-    return out
+    return binomial_product((((p,), 1, -1, -1) for p in powers_upto(cap)),
+                            ("q",), Caps.of([cap]))
 
 
 def repunits(base: int, limit: int):
@@ -132,22 +123,17 @@ def b_indicator_series(caps: Caps, base: int = 2) -> Series:
 
 def beta2_product_series(caps: Caps) -> Series:
     """prod over k >= 0 of 1/(1 - q t^(2^k)) truncated to caps (q, t)."""
-    names = ("q", "t")
-    out = Series.one(names, caps)
-    for p in _powers_upto(caps.limits[1]):
-        out = out * geometric_factor((1, p), names, caps)
-    return out
+    return binomial_product((((1, p), 1, -1, -1) for p in powers_upto(caps.limits[1])),
+                            ("q", "t"), caps)
 
 
 def beta2_distinct_series(caps: Caps) -> Series:
     """prod over 0 <= j <= k of (1 + q^(2^j) t^(2^k))."""
-    names = ("q", "t")
-    out = Series.one(names, caps)
-    for k, pt in enumerate(_powers_upto(caps.limits[1])):
-        for j, pq in enumerate(_powers_upto(caps.limits[0])):
-            if j <= k:
-                out = out * unit_binomial((pq, pt), names, caps, sign=1)
-    return out
+    return binomial_product(
+        (((pq, pt), 1, 1, 1)
+         for k, pt in enumerate(powers_upto(caps.limits[1]))
+         for j, pq in enumerate(powers_upto(caps.limits[0])) if j <= k),
+        ("q", "t"), caps)
 
 
 def beta2_grid(caps: Caps) -> PartitionGrid:
@@ -166,7 +152,7 @@ def beta2_grid(caps: Caps) -> PartitionGrid:
         column = {e[0]: c for e, c in series.terms.items() if e[1] == k}
         if column != {e[0]: c for e, c in ak.terms.items()}:
             raise AssertionError(f"determinant route disagrees at t^{k}")
-    parts = [(1, p) for p in _powers_upto(cap_t)]
+    parts = [(1, p) for p in powers_upto(cap_t)]
     for (j, k), oracle in count_grid(caps, parts).items():
         if oracle != series.terms.get((j, k), 0):
             raise AssertionError(f"oracle disagrees at ({j},{k})")
@@ -176,30 +162,11 @@ def beta2_grid(caps: Caps) -> PartitionGrid:
 def beta2_oracle(j: int, k: int, distinct_route: bool = False) -> int:
     """beta_2(j,k) by direct enumeration over either part system."""
     if distinct_route:
-        parts = [(a, b) for a in _powers_upto(j or 1) for b in _powers_upto(k or 1)
+        parts = [(a, b) for a in powers_upto(j or 1) for b in powers_upto(k or 1)
                  if a <= b]
         return count_partitions((j, k), parts, DISTINCT)
-    parts = [(1, p) for p in _powers_upto(k or 1)]
+    parts = [(1, p) for p in powers_upto(k or 1)]
     return count_partitions((j, k), parts)
-
-
-def _distinct_product(caps: Caps, names, exponents) -> Series:
-    """prod (1 + X)^e over (monomial, e) pairs."""
-    out = Series.one(names, caps)
-    for mono, e in exponents:
-        factor = unit_binomial(mono, names, caps, sign=1)
-        for _ in range(e):
-            out = out * factor
-    return out
-
-
-def _inverse_product(caps: Caps, names, exponents) -> Series:
-    out = Series.one(names, caps)
-    for mono, e in exponents:
-        factor = geometric_factor(mono, names, caps)
-        for _ in range(e):
-            out = out * factor
-    return out
 
 
 def binary_transform_pair(spec: BinaryGridSpec, caps: Caps):
@@ -215,90 +182,72 @@ def binary_transform_pair(spec: BinaryGridSpec, caps: Caps):
     base = spec.base
     if spec.flavor == FULL_QUADRANT:
         names = ("y", "z")
-        ypows = _powers_upto(caps.limits[0], base)
-        zpows = _powers_upto(caps.limits[1], base)
-        distinct = _distinct_product(
-            caps, names, [((a, b), 1) for a in ypows for b in zpows])
-        rhs = geometric_factor((1, 1), names, caps)
-        for p in ypows[1:]:
-            rhs = rhs * geometric_factor((p, 1), names, caps)
-        for p in zpows[1:]:
-            rhs = rhs * geometric_factor((1, p), names, caps)
+        ypows = powers_upto(caps.limits[0], base)
+        zpows = powers_upto(caps.limits[1], base)
+        distinct = binomial_product(
+            (((a, b), 1, 1, 1) for a in ypows for b in zpows), names, caps)
+        rhs = binomial_product(
+            [((1, 1), 1, -1, -1)] + [((p, 1), 1, -1, -1) for p in ypows[1:]]
+            + [((1, p), 1, -1, -1) for p in zpows[1:]], names, caps)
         return distinct, rhs
     if spec.flavor == LOWER_DIAGONAL:
         names = ("x", "y")
-        xpows = _powers_upto(caps.limits[0], base)
-        ypows = _powers_upto(caps.limits[1], base)
-        distinct = _distinct_product(
-            caps, names,
-            [((a, b), 1) for i, a in enumerate(xpows)
-             for k, b in enumerate(ypows) if i <= k])
-        rhs = Series.one(names, caps)
-        for p in ypows:
-            rhs = rhs * geometric_factor((1, p), names, caps)
+        xpows = powers_upto(caps.limits[0], base)
+        ypows = powers_upto(caps.limits[1], base)
+        distinct = binomial_product(
+            (((a, b), 1, 1, 1) for i, a in enumerate(xpows)
+             for k, b in enumerate(ypows) if i <= k), names, caps)
+        rhs = binomial_product((((1, p), 1, -1, -1) for p in ypows), names, caps)
         return distinct, rhs
     # PYRAMID_3D
     names = ("x", "y", "z")
-    xpows = _powers_upto(caps.limits[0], base)
-    ypows = _powers_upto(caps.limits[1], base)
-    zpows = _powers_upto(caps.limits[2], base)
-    lhs_parts = [((a, b, c), 1)
-                 for i, a in enumerate(xpows)
-                 for j, b in enumerate(ypows)
-                 for k, c in enumerate(zpows)
-                 if i <= j and k <= j]
-    distinct = _distinct_product(caps, names, lhs_parts)
-    rhs = geometric_factor((1, 1, 1), names, caps)
-    for j, b in enumerate(ypows):
-        if j == 0:
-            continue
-        for i, a in enumerate(xpows):
-            if i <= j and a <= caps.limits[0]:
-                rhs = rhs * geometric_factor((a, b, 1), names, caps)
-        for k, c in enumerate(zpows):
-            if 1 <= k <= j and c <= caps.limits[2]:
-                rhs = rhs * geometric_factor((1, b, c), names, caps)
+    xpows = powers_upto(caps.limits[0], base)
+    ypows = powers_upto(caps.limits[1], base)
+    zpows = powers_upto(caps.limits[2], base)
+    distinct = binomial_product(
+        (((a, b, c), 1, 1, 1)
+         for i, a in enumerate(xpows)
+         for j, b in enumerate(ypows)
+         for k, c in enumerate(zpows)
+         if i <= j and k <= j), names, caps)
+    rhs_parts = [(1, 1, 1)]
+    for j, b in enumerate(ypows[1:], 1):
+        rhs_parts += [(a, b, 1) for a in xpows[:j + 1]]
+        rhs_parts += [(1, b, c) for c in zpows[1:j + 1]]
+    rhs = binomial_product(((m, 1, -1, -1) for m in rhs_parts), names, caps)
     return distinct, rhs
 
 
 def unrestricted_b2_series(caps: Caps) -> Series:
     """B_2(y,z) = prod 1/(1 - y^(2^m) z^(2^n))."""
-    names = ("y", "z")
-    out = Series.one(names, caps)
-    for a in _powers_upto(caps.limits[0]):
-        for b in _powers_upto(caps.limits[1]):
-            out = out * geometric_factor((a, b), names, caps)
-    return out
+    return binomial_product(
+        (((a, b), 1, -1, -1) for a in powers_upto(caps.limits[0])
+         for b in powers_upto(caps.limits[1])), ("y", "z"), caps)
 
 
 def distinct_b2_series(caps: Caps) -> Series:
     """bold B_2(y,z) = prod (1 + y^(2^m) z^(2^n))."""
-    names = ("y", "z")
-    out = Series.one(names, caps)
-    for a in _powers_upto(caps.limits[0]):
-        for b in _powers_upto(caps.limits[1]):
-            out = out * unit_binomial((a, b), names, caps, sign=1)
-    return out
+    return binomial_product(
+        (((a, b), 1, 1, 1) for a in powers_upto(caps.limits[0])
+         for b in powers_upto(caps.limits[1])), ("y", "z"), caps)
 
 
 def min_plus_one_transform(caps: Caps):
     """thm: prod (1+X)^(min(m,n)+1) == prod 1/(1-X) over the binary grid."""
-    names = ("y", "z")
-    lhs = _distinct_product(
-        caps, names,
-        [((a, b), min(m, n) + 1)
-         for m, a in enumerate(_powers_upto(caps.limits[0]))
-         for n, b in enumerate(_powers_upto(caps.limits[1]))])
+    lhs = binomial_product(
+        (((a, b), 1, min(m, n) + 1, 1)
+         for m, a in enumerate(powers_upto(caps.limits[0]))
+         for n, b in enumerate(powers_upto(caps.limits[1]))), ("y", "z"), caps)
     return lhs, unrestricted_b2_series(caps)
 
 
 def triangular_transform(caps: Caps):
     """prod (1+X)^T(min+1) == prod (1-X)^-(min+1) with T triangular numbers."""
     names = ("y", "z")
-    pairs = [(a, b, min(m, n))
-             for m, a in enumerate(_powers_upto(caps.limits[0]))
-             for n, b in enumerate(_powers_upto(caps.limits[1]))]
-    lhs = _distinct_product(
-        caps, names, [((a, b), (m + 1) * (m + 2) // 2) for a, b, m in pairs])
-    rhs = _inverse_product(caps, names, [((a, b), m + 1) for a, b, m in pairs])
+    pairs = [((a, b), min(m, n) + 1)
+             for m, a in enumerate(powers_upto(caps.limits[0]))
+             for n, b in enumerate(powers_upto(caps.limits[1]))]
+    lhs = binomial_product(((mono, 1, e * (e + 1) // 2, 1) for mono, e in pairs),
+                           names, caps)
+    rhs = binomial_product(((mono, 1, -e, -1) for mono, e in pairs), names, caps)
     return lhs, rhs

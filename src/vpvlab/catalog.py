@@ -27,9 +27,8 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       count_grid, product_series,
                       pyramid_radial_series, quadrant_radial_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, UNRESTRICTED)
-from .series import (APPROX, Caps, EXACT, Series, SeriesError, first_mismatch,
-                     geometric_factor, max_rel_error, polylog, unit_binomial,
-                     unit_binomial_pow)
+from .series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
+                     first_mismatch, max_rel_error, polylog)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -335,20 +334,19 @@ def _diagonal_entries():
             tex_anchor=r"\left( \frac{1}{1- z^{a+b}} \right)^{\frac{1}{\surd{(ab)}}}"))
 
     def aggregated(n, cap):
+        def weight(vec):
+            w = 1.0
+            for v in vec:
+                w *= float(v) ** (-1.0 / n)
+            return w
+
         def build(caps: Caps) -> Series:
-            out = Series.one(("z",), caps, APPROX)
-            weights = {}
-            for vec in itertools.product(range(1, caps.limits[0] + 1), repeat=n):
-                k = sum(vec)
-                if k <= caps.limits[0] and math.gcd(*vec) == 1:
-                    w = 1.0
-                    for v in vec:
-                        w *= float(v) ** (-1.0 / n)
-                    weights[k] = weights.get(k, 0.0) + w
-            for k in sorted(weights):
-                out = out * unit_binomial_pow((k,), -weights[k], ("z",), caps,
-                                              APPROX, sign=-1)
-            return out
+            # the builder sums the weights of each order k = a + b (+ c)
+            return binomial_product(
+                (((sum(vec),), 1, -weight(vec), -1)
+                 for vec in itertools.product(range(1, caps.limits[0] + 1), repeat=n)
+                 if sum(vec) <= caps.limits[0] and math.gcd(*vec) == 1),
+                ("z",), caps, APPROX)
         return build
 
     for n, eq in ((2, "13.22"), (3, "13.23")):
@@ -360,6 +358,12 @@ def _diagonal_entries():
             tex_anchor=r"\left( \frac{1}{1- z^k} \right)^{\sum \frac{1}{\surd{(ab)}}}",
             note="aggregated per-order weights"))
     return entries
+
+
+def _one_minus_xy(caps: Caps) -> Series:
+    """n = (1 - x)(1 - y) over the variables x, y, z."""
+    return binomial_product([((1, 0, 0), 1, 1, -1), ((0, 1, 0), 1, 1, -1)],
+                            VARS[3], caps)
 
 
 def _axes_entries():
@@ -377,11 +381,7 @@ def _axes_entries():
     def binom_route(caps: Caps) -> Series:
         names = VARS[3]
         one = Series.one(names, caps)
-        n_series = one
-        for v in names[:-1]:
-            expo = tuple(1 if u == v else 0 for u in names)
-            n_series = n_series * Series(names, caps, EXACT,
-                                         {(0,) * 3: 1, expo: -1})
+        n_series = _one_minus_xy(caps)
         inv_n = n_series.inverse()
         z = Series.variable("z", names, caps)
         out, term = one, one
@@ -402,10 +402,7 @@ def _axes_entries():
         # printed display: 1 - z/(n 1!) + (n-1)z^2/(n^2 2!) + (n-1)(2n-1)z^3/(n^3 3!) + ...
         names = VARS[3]
         one = Series.one(names, caps)
-        n_series = one
-        for v in names[:-1]:
-            expo = tuple(1 if u == v else 0 for u in names)
-            n_series = n_series * Series(names, caps, EXACT, {(0,) * 3: 1, expo: -1})
+        n_series = _one_minus_xy(caps)
         inv_n = n_series.inverse()
         z = Series.variable("z", names, caps)
         out = one - inv_n * z
@@ -1223,10 +1220,8 @@ def _upper_grid_entries():
                  for j in range(1, k) if math.gcd(j, k) == 1]
 
         def build(caps_: Caps) -> Series:
-            out = Series.one(("x", "y"), caps_)
-            for mono in parts:
-                out = out * unit_binomial(mono, ("x", "y"), caps_, sign=sign)
-            return out
+            return binomial_product(((mono, 1, 1, sign) for mono in parts),
+                                    ("x", "y"), caps_)
 
         return IdentityEntry(
             id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
@@ -1245,14 +1240,9 @@ def _upper_grid_entries():
 
     # weighted order-5 product: region route vs hand-enumerated factor list
     def weighted_lhs(caps_: Caps) -> Series:
-        out = Series.one(("x", "y"), caps_)
-        for k in range(2, 6):
-            for j in range(1, k):
-                if math.gcd(j, k) == 1:
-                    out = out * unit_binomial_pow((j, k), Fraction(1, k),
-                                                  ("x", "y"), caps_, EXACT,
-                                                  sign=-1)
-        return out
+        return binomial_product(
+            (((j, k), 1, Fraction(1, k), -1) for k in range(2, 6)
+             for j in range(1, k) if math.gcd(j, k) == 1), ("x", "y"), caps_)
 
     def weighted_rhs(caps_: Caps) -> Series:
         factors = [((1, 2), Fraction(1, 2)), ((1, 3), Fraction(1, 3)),
@@ -1260,11 +1250,8 @@ def _upper_grid_entries():
                    ((3, 4), Fraction(1, 4)), ((1, 5), Fraction(1, 5)),
                    ((2, 5), Fraction(1, 5)), ((3, 5), Fraction(1, 5)),
                    ((4, 5), Fraction(1, 5))]
-        out = Series.one(("x", "y"), caps_)
-        for mono, e in factors:
-            out = out * unit_binomial_pow(mono, e, ("x", "y"), caps_, EXACT,
-                                          sign=-1)
-        return out
+        return binomial_product(((mono, 1, e, -1) for mono, e in factors),
+                                ("x", "y"), caps_)
 
     entries.append(IdentityEntry(
         id="8.14.03", mode=EXACT, caps=(9, 13), names=("x", "y"),
@@ -1275,14 +1262,13 @@ def _upper_grid_entries():
     def make_av(eq, order, sign, caps, oracle_mode):
         parts = [(j, k) for k in range(2, order + 1) for j in range(1, k)]
 
+        # sign 0 is the unrestricted product of geometric factors 1/(1 - X)
+        exponent, factor_sign = (-1, -1) if sign == 0 else (1, sign)
+
         def build(caps_: Caps) -> Series:
-            out = Series.one(("x", "y"), caps_)
-            for mono in parts:
-                if sign == 0:
-                    out = out * geometric_factor(mono, ("x", "y"), caps_)
-                else:
-                    out = out * unit_binomial(mono, ("x", "y"), caps_, sign=sign)
-            return out
+            return binomial_product(
+                ((mono, 1, exponent, factor_sign) for mono in parts),
+                ("x", "y"), caps_)
 
         return IdentityEntry(
             id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
@@ -1336,41 +1322,21 @@ def _binary_entries():
         rhs=lambda caps: binary_mod.triangular_transform(caps)[1],
         tex_anchor=r"(1+y^{2^m} z^{2^n})^{\frac{(m+1)(m+2)}{2}}"))
 
-    def chain_lhs(caps: Caps) -> Series:
-        out = Series.one(("x",), caps)
-        p = 1
-        while p <= caps.limits[0]:
-            out = out * unit_binomial((p,), ("x",), caps, sign=1)
-            p *= 2
-        return out
-
     entries.append(IdentityEntry(
         id="11.06a", mode=EXACT, caps=(15,), names=("x",),
-        lhs=chain_lhs, rhs=_frac_tree(cf.const(1), _ub({"x": 1})),
+        lhs=_binary_powers_spec(1, sign=1, direction=1, names=("x",)),
+        rhs=_frac_tree(cf.const(1), _ub({"x": 1})),
         tex_anchor=r"(1 + x) (1 + x^2) (1 + x^4)"))
 
     def alt_lhs(caps: Caps) -> Series:
-        out = Series.one(("x",), caps)
-        p, k = 1, 0
-        while p <= caps.limits[0]:
-            factor = unit_binomial((p,), ("x",), caps, sign=1)
-            for _ in range(k + 1):
-                out = out * factor
-            p *= 2
-            k += 1
-        return out
-
-    def alt_rhs(caps: Caps) -> Series:
-        out = Series.one(("x",), caps)
-        p = 1
-        while p <= caps.limits[0]:
-            out = out * geometric_factor((p,), ("x",), caps)
-            p *= 2
-        return out
+        # (1 + x^(2^k))^(k+1)
+        powers = binary_mod.powers_upto(caps.limits[0])
+        return binomial_product((((p,), 1, k + 1, 1) for k, p in enumerate(powers)),
+                                ("x",), caps)
 
     entries.append(IdentityEntry(
         id="11.08", mode=EXACT, caps=(64,), names=("x",),
-        lhs=alt_lhs, rhs=alt_rhs,
+        lhs=alt_lhs, rhs=_binary_powers_spec(1, sign=-1, direction=-1, names=("x",)),
         tex_anchor=r"(1 + x) (1 + x^2)^2 (1 + x^4)^3"))
 
     def indicator_pair(eq, base, caps):
@@ -1419,14 +1385,14 @@ def _binary_entries():
 
     entries.append(IdentityEntry(
         id="12.05", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=lambda caps: _entry_1205(caps, side=0),
-        rhs=lambda caps: _entry_1205(caps, side=1),
+        lhs=_entry_1205_lhs,
+        rhs=_binary_powers_spec(3, sign=1, direction=1),
         tex_anchor=r"\frac{1}{1-xyz} \prod_{a,b \geq 1}",
         note="corrected: includes the chains with two unit components"))
     entries.append(IdentityEntry(
         id="12.05-printed", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=lambda caps: _entry_1205(caps, side=0, printed_form=True),
-        rhs=lambda caps: _entry_1205(caps, side=1),
+        lhs=lambda caps: _entry_1205_lhs(caps, printed_form=True),
+        rhs=_binary_powers_spec(3, sign=1, direction=1),
         expected="errata-probe",
         tex_anchor=r"\frac{1}{(1- x y^{2^a}z^{2^b})(1- x^{2^a}y z^{2^b})(1- x^{2^a}y^{2^b}z)}",
         note="printed display omits the (1,1,2^b)-type chains"))
@@ -1437,39 +1403,23 @@ def _binary_entries():
     return entries
 
 
-def _entry_1205(caps: Caps, side: int, printed_form: bool = False) -> Series:
-    names = VARS[3]
-    if side == 1:
-        out = Series.one(names, caps)
-        powers = []
-        p = 1
-        while p <= max(caps.limits):
-            powers.append(p)
-            p *= 2
-        for a in powers:
-            for b in powers:
-                for c in powers:
-                    if a <= caps.limits[0] and b <= caps.limits[1] and c <= caps.limits[2]:
-                        out = out * unit_binomial((a, b, c), names, caps, sign=1)
-        return out
-    out = geometric_factor((1, 1, 1), names, caps)
-    p = 2
-    pows = []
-    while p <= max(caps.limits):
-        pows.append(p)
-        p *= 2
+def _binary_powers_spec(n, sign, direction, names=None) -> ProductSpec:
+    """prod (1 + sign X)^direction over X with every exponent a power of 2."""
+    return ProductSpec(
+        region=LatticeRegion(arity=n, base_powers=2),
+        factor=WeightExpr(sign=sign, direction=direction, powers=(0,) * n),
+        names=names or VARS[n])
+
+
+def _entry_1205_lhs(caps: Caps, printed_form: bool = False) -> Series:
+    pows = binary_mod.powers_upto(max(caps.limits))[1:]
+    monos = [(1, 1, 1)]
     if not printed_form:
         # chains starting with two unit components, omitted by the display
-        for b in pows:
-            for mono in ((1, 1, b), (1, b, 1), (b, 1, 1)):
-                if all(m <= c for m, c in zip(mono, caps.limits)):
-                    out = out * geometric_factor(mono, names, caps)
-    for a in pows:
-        for b in pows:
-            for mono in ((1, a, b), (a, 1, b), (a, b, 1)):
-                if all(m <= c for m, c in zip(mono, caps.limits)):
-                    out = out * geometric_factor(mono, names, caps)
-    return out
+        monos += [m for b in pows for m in ((1, 1, b), (1, b, 1), (b, 1, 1))]
+    monos += [m for a in pows for b in pows for m in ((1, a, b), (a, 1, b), (a, b, 1))]
+    # the builder drops factors whose monomial the caps do not admit
+    return binomial_product(((m, 1, -1, -1) for m in monos), VARS[3], caps)
 
 
 _CATALOG: dict | None = None

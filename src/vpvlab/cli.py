@@ -184,6 +184,9 @@ def cmd_grid(args) -> int:
             return EXIT_CONFIG
         series = product_series(spec, caps, args.mode or EXACT)
     else:
+        if args.mode:
+            print("error: --mode applies only to --spec", file=sys.stderr)
+            return EXIT_CONFIG
         builder = _GRID_BUILDERS.get(args.name or "")
         if builder is None:
             known = ", ".join(sorted(_GRID_BUILDERS))
@@ -213,6 +216,9 @@ def cmd_expand(args) -> int:
     caps = Caps.of(_parse_caps(args.caps)) if args.caps else None
     mode = args.mode or EXACT
     if args.entry:
+        if args.mode:
+            print("error: --mode applies only to --spec", file=sys.stderr)
+            return EXIT_CONFIG
         try:
             entry = catalog_mod.get_entry(args.entry)
         except KeyError:
@@ -285,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.add_argument("--spec", help="JSON document to expand")
     p_expand.add_argument("--caps")
     p_expand.add_argument("--mode", choices=[EXACT, APPROX])
-    p_expand.add_argument("--format", choices=["json", "text"], default="json")
     p_expand.add_argument("--out")
     p_expand.set_defaults(func=cmd_expand)
     return parser

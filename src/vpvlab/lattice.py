@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .series import (APPROX, EXACT, Caps, Series, SeriesError, geometric_factor,
-                     unit_binomial_pow)
+from .series import (APPROX, EXACT, Caps, Series, SeriesError, binomial_product,
+                     geometric_factor, unit_binomial_pow)
 
 # ordering constraint names
 ORDER_NONE = "none"
@@ -283,16 +283,23 @@ class WeightExpr:
         if mode == EXACT and self.needs_approx():
             raise SeriesError("irrational weight requires approx mode")
         if mode == EXACT:
-            w = Fraction(1)
+            # one Fraction from integer powers: numerator and denominator apart
+            num = den = 1
             for v, p in zip(vec, self.powers):
-                w *= Fraction(v) ** int(p)
-        else:
-            w = 1.0
-            for v, p in zip(vec, self.powers):
-                w *= float(v) ** float(p)
+                if p > 0:
+                    num *= v ** int(p)
+                elif p < 0:
+                    den *= v ** -int(p)
+            if self.phi_over is not None:
+                num *= euler_phi(vec[self.phi_over])
+                den *= vec[self.phi_over]
+            return Fraction(num, den)
+        w = 1.0
+        for v, p in zip(vec, self.powers):
+            w *= float(v) ** float(p)
         if self.phi_over is not None:
             v = vec[self.phi_over]
-            w = w * euler_phi(v) / v if mode == APPROX else w * Fraction(euler_phi(v), v)
+            w = w * euler_phi(v) / v
         return w
 
     def to_json(self) -> dict:
@@ -498,26 +505,17 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
                    closed_form_factors: bool = True) -> Series:
     """Expand the truncated lattice product factor by factor.
 
-    Weight-expression factors with equal image monomials are grouped (their
-    exponents add) before the binomial expansion; the result is independent
-    of factor order either way.
+    Weight-expression factors stream into `binomial_product`, which merges
+    equal image monomials (their exponents add) before the binomial
+    expansion; the result is independent of factor order either way.
     """
     names = spec.names
-    out = Series.one(names, caps, mode)
     if isinstance(spec.factor, WeightExpr):
         w = spec.factor
-        grouped: dict = {}
-        for vec in spec.vectors(caps):
-            expo, scalar = spec.image(vec, mode)
-            weight = w.weight(vec, mode) * w.direction
-            key = (expo, scalar)
-            grouped[key] = grouped.get(key, 0) + weight
-        for (expo, scalar), weight in sorted(grouped.items()):
-            if weight == 0:
-                continue
-            out = out * unit_binomial_pow(expo, weight, names, caps, mode,
-                                          sign=w.sign, scalar=scalar)
-        return out
+        return binomial_product(
+            (spec.image(vec, mode) + (w.weight(vec, mode) * w.direction, w.sign)
+             for vec in spec.vectors(caps)), names, caps, mode)
+    out = Series.one(names, caps, mode)
     family = spec.factor
     for vec in spec.vectors(caps):
         expo, scalar = spec.image(vec, mode)

@@ -568,13 +568,6 @@ class Series:
 # -- stock factors -------------------------------------------------------------
 
 
-def unit_binomial(mono, names, caps: Caps, mode: str = EXACT, sign=1, scalar=1) -> Series:
-    """The factor 1 + sign * scalar * X for a monomial X."""
-    expo = tuple(mono)
-    one = (0,) * len(tuple(names))
-    return Series(names, caps, mode, {one: 1, expo: sign * _as_coeff(scalar, mode)})
-
-
 def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
                       sign=1, scalar=1) -> Series:
     """(1 + sign*scalar*X)^exponent expanded directly by the binomial series."""
@@ -601,6 +594,28 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
             break
         terms[key] = binom * power
     return Series(names, caps, mode, terms)
+
+
+def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) -> Series:
+    """prod of (1 + sign*scalar*X)^exponent over (X, scalar, exponent, sign) factors.
+
+    A geometric factor 1/(1 - X) is ``(X, 1, -1, -1)``.  Factors with the
+    same (X, sign, scalar) merge as they stream in, their exponents added in
+    arrival order; a merged exponent of 0, or an X the caps do not admit,
+    is dropped.  The rest are expanded by `unit_binomial_pow` and multiplied
+    in sorted key order, so approx products do not depend on the order the
+    factors come in.
+    """
+    grouped: dict = {}
+    for mono, scalar, exponent, sign in factors:
+        key = (tuple(mono), sign, scalar)
+        grouped[key] = grouped.get(key, 0) + exponent
+    out = Series.one(names, caps, mode)
+    for (mono, sign, scalar), exponent in sorted(grouped.items()):
+        if exponent != 0 and caps.admits(mono):
+            out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
+                                          sign=sign, scalar=scalar)
+    return out
 
 
 def geometric_factor(mono, names, caps: Caps, mode: str = EXACT) -> Series:

@@ -145,9 +145,9 @@ class TestTransforms:
             return s.substitute({"y": (1, {"y": ym}), "z": (1, {"z": zm})},
                                 names, caps)
 
-        from vpvlab.series import unit_binomial
+        from vpvlab.series import unit_binomial_pow
         rhs = subs(B, 2, 1) * subs(B, 1, 2) * subs(B, 2, 2).inverse() \
-            * unit_binomial((1, 1), names, caps, sign=1)
+            * unit_binomial_pow((1, 1), 1, names, caps, sign=1)
         assert B == rhs
 
     def test_distinct_unrestricted_relation(self):

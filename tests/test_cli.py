@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from vpvlab import catalog as catalog_mod
 from vpvlab.cli import main
+from vpvlab.lattice import ProductSpec
 
 try:
     import jsonschema
@@ -277,12 +279,50 @@ class TestRemovedOptions:
         ["grid", "spade2", "--caps", "2,2", "--format", "text"],
         ["expand", "--entry", "13.02", "--caps", "2,2", "--jobs", "2"],
         ["expand", "--entry", "13.02", "--caps", "2,2", "--format", "csv"],
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--format", "json"],
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--format", "text"],
     ])
     def test_rejected_as_usage_errors(self, args, capsys):
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestModeOnlyForSpec:
+    @pytest.mark.parametrize("args", [
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--mode", "approx"],
+        ["expand", "--entry", "13.02", "--caps", "2,2", "--mode", "exact"],
+        ["grid", "beta2", "--caps", "3,3", "--mode", "approx"],
+    ])
+    def test_mode_without_spec_is_config_error(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2
+        assert out == "" and err == "error: --mode applies only to --spec\n"
+
+
+class TestClosureSidesAsSpecs:
+    """Sides written as ProductSpec data serialise and expand via --spec."""
+
+    @pytest.mark.parametrize("entry_id,side", [
+        ("11.06a", "lhs"), ("11.08", "rhs"), ("12.05", "rhs"),
+        ("12.05-printed", "rhs"),
+    ])
+    def test_spec_roundtrip_and_expand(self, entry_id, side, tmp_path, capsys):
+        entry = catalog_mod.get_entry(entry_id)
+        spec = getattr(entry, side)
+        assert isinstance(spec, ProductSpec)
+        doc = json.loads(json.dumps(spec.to_json()))
+        assert ProductSpec.from_json(doc) == spec
+        path = tmp_path / "side.json"
+        path.write_text(json.dumps(doc))
+        caps = ",".join(map(str, entry.caps))
+        code, by_spec, _ = run_cli(["expand", "--spec", str(path), "--caps", caps],
+                                   capsys)
+        assert code == 0
+        code, by_entry, _ = run_cli(["expand", "--entry", entry_id, "--side", side],
+                                    capsys)
+        assert code == 0 and by_spec == by_entry
 
 
 class TestInstalledEntryPoint:

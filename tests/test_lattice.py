@@ -193,6 +193,42 @@ class TestCountGrid:
             count_grid((2, 2), ALL_PARTS_8, EXACTLY_K)
 
 
+class TestWeightExpr:
+    @staticmethod
+    def fraction_powers(vec, powers, phi_over):
+        """Reference exact weight: one Fraction power per component."""
+        w = Fraction(1)
+        for v, p in zip(vec, powers):
+            w *= Fraction(v) ** p
+        if phi_over is not None:
+            w *= Fraction(euler_phi(vec[phi_over]), vec[phi_over])
+        return w
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exact_weight_matches_fraction_powers(self, data):
+        n = data.draw(st.integers(1, 4))
+        powers = data.draw(st.tuples(*[st.integers(-3, 3)] * n))
+        vec = data.draw(st.tuples(*[st.integers(0, 12)] * n))
+        phi_over = data.draw(st.none() | st.integers(0, n - 1))
+        w = WeightExpr(powers=powers, phi_over=phi_over)
+        try:
+            expected = self.fraction_powers(vec, powers, phi_over)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                w.weight(vec, EXACT)
+            return
+        got = w.weight(vec, EXACT)
+        assert type(got) is Fraction and got == expected
+
+    def test_mixed_powers_examples(self):
+        # zero component under a zero power, phi(12)/12 = 1/3
+        assert WeightExpr(powers=(0, -1)).weight((0, 3), EXACT) == Fraction(1, 3)
+        assert WeightExpr(powers=(2, 0, -3), phi_over=0).weight((12, 5, 2), EXACT) \
+            == Fraction(144, 8) * Fraction(1, 3)
+        assert WeightExpr(powers=(1, -1)).weight((0, 4), EXACT) == 0
+
+
 class TestProductSeries:
     def test_weighted_product_is_order_independent_and_deterministic(self):
         region = LatticeRegion(arity=2, lower=(1, 1), coprime=True)
@@ -274,11 +310,10 @@ class TestProductSeries:
 class TestGrids:
     def test_grid_from_product_and_sums(self):
         # the order-3 distinct product (1+xy^2)(1+xy^3)(1+x^2y^3)
-        from vpvlab.series import unit_binomial
         caps = Caps.of([4, 8])
         s = Series.one(("x", "y"), caps)
         for mono in ((1, 2), (1, 3), (2, 3)):
-            s = s * unit_binomial(mono, ("x", "y"), caps, sign=1)
+            s = s * unit_binomial_pow(mono, 1, ("x", "y"), caps, sign=1)
         g = grid(s, caps)
         cols = g.col_sums()
         assert [cols.get((a,), 0) for a in range(5)] == [1, 2, 2, 2, 1]

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, first_mismatch,
-                           geometric_factor, max_rel_error, polylog, to_approx,
-                           unit_binomial, unit_binomial_pow)
+from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
+                           first_mismatch, geometric_factor, max_rel_error, polylog,
+                           to_approx, unit_binomial_pow)
 
 
 def sser(names, caps, mode=EXACT):
@@ -60,7 +60,7 @@ class TestArithmetic:
         caps = Caps.of([15])
         out = Series.one(("x",), caps)
         for p in (1, 2, 4, 8):
-            out = out * unit_binomial((p,), ("x",), caps, sign=1)
+            out = out * unit_binomial_pow((p,), 1, ("x",), caps, sign=1)
         assert out == geometric_factor((1,), ("x",), caps)
 
     def test_incompatible_series_rejected(self):
@@ -415,7 +415,7 @@ class TestPackedProduct:
         mono = data.draw(st.tuples(*(st.integers(0, c) for c in caps.limits))
                          .filter(any))
         r = data.draw(st.builds(Fraction, NUMERATORS.filter(bool), DENOMINATORS))
-        a = unit_binomial(mono, names, caps, EXACT, sign=-1)
+        a = unit_binomial_pow(mono, 1, names, caps, EXACT, sign=-1)
         b = geometric_factor(mono, names, caps).scale(r)
         assert (a * b).terms == naive_mul(a, b) == {(0,) * len(names): r}
 
@@ -425,3 +425,94 @@ class TestPackedProduct:
         y = Series.monomial((1, 1), ("y", "z"), caps, coeff=7)
         assert (x * y).is_zero()
         assert (x * Series.zero(("y", "z"), caps)).is_zero()
+
+
+def binomial_chain(factors, names, caps, mode):
+    """Reference product: one `unit_binomial_pow` per factor, in arrival order."""
+    out = Series.one(names, caps, mode)
+    for mono, scalar, exponent, sign in factors:
+        out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
+                                      sign=sign, scalar=scalar)
+    return out
+
+
+def sorted_chain(factors, names, caps, mode):
+    """Reference approx product: exponents merged in arrival order, factors
+    multiplied in sorted (monomial, sign, scalar) order."""
+    merged = {}
+    for mono, scalar, exponent, sign in factors:
+        key = (mono, sign, scalar)
+        merged[key] = merged.get(key, 0) + exponent
+    out = Series.one(names, caps, mode)
+    for (mono, sign, scalar), exponent in sorted(merged.items()):
+        if exponent != 0:
+            out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
+                                          sign=sign, scalar=scalar)
+    return out
+
+
+EXPONENTS = st.integers(-3, 3) | st.sampled_from(
+    [Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)])
+
+
+@st.composite
+def factor_lists(draw, mode=EXACT):
+    """Caps, names and factors drawn from a small pool of monomials, so that
+    monomials repeat, some exponents cancel and some monomials exceed the caps."""
+    arity = draw(st.integers(1, 3))
+    caps = Caps.of(tuple(draw(st.integers(0, 4)) for _ in range(arity)),
+                   draw(st.none() | st.integers(0, 6)))
+    names = tuple("xyz"[:arity])
+    mono = st.tuples(*(st.integers(0, c + 1) for c in caps.limits)).filter(any)
+    pool = draw(st.lists(mono, min_size=1, max_size=3))
+    scalar = st.sampled_from([1, 2, Fraction(1, 2), Fraction(-3, 2)])
+    exponent = EXPONENTS if mode == EXACT else EXPONENTS.map(float)
+    factors = draw(st.lists(
+        st.tuples(st.sampled_from(pool), scalar, exponent, st.sampled_from([1, -1])),
+        max_size=6))
+    # a pair that cancels to exponent 0, and a geometric factor 1/(1 - X)
+    if draw(st.booleans()):
+        mono0, scalar0, e0, sign0 = draw(st.sampled_from(factors or [(pool[0], 1, 2, 1)]))
+        factors += [(mono0, scalar0, e0, sign0), (mono0, scalar0, -e0, sign0)]
+    if draw(st.booleans()):
+        factors.append((pool[0], 1, -1 if mode == EXACT else -1.0, -1))
+    return caps, names, draw(st.permutations(factors))
+
+
+class TestBinomialProduct:
+    """The product builder against a factor-by-factor chain."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=factor_lists())
+    def test_exact_matches_chain(self, case):
+        caps, names, factors = case
+        product = binomial_product(iter(factors), names, caps)
+        assert product == binomial_chain(factors, names, caps, EXACT)
+        assert binomial_product(reversed(factors), names, caps) == product
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=factor_lists(mode=APPROX))
+    def test_approx_is_the_sorted_chain(self, case):
+        caps, names, factors = case
+        product = binomial_product(iter(factors), names, caps, APPROX)
+        assert product.terms == sorted_chain(factors, names, caps, APPROX).terms
+        chain = binomial_chain(factors, names, caps, APPROX)
+        assert max_rel_error(product, chain) < 1e-9
+
+    def test_geometric_factor_and_cancelling_exponents(self):
+        caps = Caps.of([4, 3])
+        names = ("y", "z")
+        assert binomial_product([((1, 2), 1, -1, -1)], names, caps) == \
+            geometric_factor((1, 2), names, caps)
+        factors = [((1, 0), 1, Fraction(1, 3), 1), ((0, 1), 2, 3, -1),
+                   ((1, 0), 1, Fraction(-1, 3), 1), ((0, 1), 2, -3, -1)]
+        assert binomial_product(factors, names, caps) == Series.one(names, caps)
+
+    def test_same_monomial_with_other_sign_or_scalar_stays_apart(self):
+        caps = Caps.of([6])
+        names = ("x",)
+        x = Series.variable("x", names, caps)
+        one = Series.one(names, caps)
+        out = binomial_product([((1,), 1, 1, 1), ((1,), 1, 1, -1), ((1,), 3, 1, 1)],
+                               names, caps)
+        assert out == (one + x) * (one - x) * (one + x.scale(3))
