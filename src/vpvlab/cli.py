@@ -6,6 +6,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -71,6 +72,9 @@ def _reports_csv(reports) -> str:
 def cmd_verify(args) -> int:
     if args.mode and not args.all:
         print("error: --mode needs --all", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
+        print("error: --tolerance must be finite and non-negative", file=sys.stderr)
         return EXIT_CONFIG
     entries = catalog_mod.catalog()
     custom = None
@@ -225,6 +229,9 @@ def cmd_expand(args) -> int:
             print(f"error: unknown entry {args.entry!r}", file=sys.stderr)
             return EXIT_CONFIG
         cap_obj = caps or Caps.of(entry.caps)
+        if len(cap_obj.limits) != len(entry.caps):
+            print(f"error: caps arity does not fit entry {entry.id}", file=sys.stderr)
+            return EXIT_CONFIG
         series = entry.build_rhs(cap_obj) if args.side == "rhs" \
             else entry.build_lhs(cap_obj)
     elif args.spec:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Caps, EXACT, Series, SeriesError, polylog
+from .series import Caps, EXACT, Series, SeriesError, _power_coeff, polylog
 
 
 class ExprError(SeriesError):
@@ -167,17 +167,6 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
     except SeriesError as err:
         raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)
-
-
-def _power_coeff(j: int, b: Fraction, mode: str):
-    """1 / j^b as a coefficient (rational b only in approx mode)."""
-    if b.denominator == 1:
-        e = int(b)
-        value = Fraction(1, j ** e) if e >= 0 else Fraction(j ** (-e))
-        return value if mode == EXACT else float(value)
-    if mode == EXACT:
-        raise SeriesError("rational power-sum exponent requires approx mode")
-    return float(j) ** float(-b)
 
 
 def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .series import (APPROX, EXACT, Caps, Series, SeriesError, binomial_product,
-                     geometric_factor, unit_binomial_pow)
+                     unit_binomial_pow)
 
 # ordering constraint names
 ORDER_NONE = "none"
@@ -352,15 +352,15 @@ class LocalFactorFamily:
             terms = {tuple(e * n for e in mono): c
                      for n, c in enumerate(coeffs) if c != 0}
             return Series(names, caps, mode, terms)
+        if self.kind == GEOMETRIC:
+            return unit_binomial_pow(mono, -1, names, caps, mode, sign=-1)
         one = Series.one(names, caps, mode)
         x = Series.monomial(mono, names, caps, mode)
-        inv = (one - x).inverse()
-        if self.kind == GEOMETRIC:
-            return geometric_factor(mono, names, caps, mode)
         if self.kind == MULTIPLICITY:
+            inv = (one - x).inverse()
             return one + x * inv * inv
         if self.kind == SQUARE:
-            return one + x * (one + x) * inv.pow(3)
+            return one + x * (one + x) * (one - x).inverse().pow(3)
         if self.kind == ODD_ONLY:
             x2 = x * x
             inv2 = (one - x2).inverse()
@@ -510,6 +510,9 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     expansion; the result is independent of factor order either way.
     """
     names = spec.names
+    if len(caps.limits) != len(names):
+        raise SeriesError(f"caps arity {len(caps.limits)} does not fit "
+                          f"{len(names)} variables")
     if isinstance(spec.factor, WeightExpr):
         w = spec.factor
         return binomial_product(

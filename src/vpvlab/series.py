@@ -223,10 +223,6 @@ class Series:
         zero = Fraction(0) if self.mode == EXACT else 0.0
         return self.terms.get((0,) * len(self.names), zero)
 
-    def min_order(self) -> int:
-        """Smallest total degree among stored terms (0 for the zero series)."""
-        return min((sum(e) for e in self.terms), default=0)
-
     def __eq__(self, other):
         if isinstance(other, Series):
             return (self.names == other.names and self.caps == other.caps
@@ -350,6 +346,27 @@ class Series:
         return Series(self.names, self.caps, self.mode,
                       {e: c * scalar for e, c in self.terms.items()}, _trusted=True)
 
+    def _power_sum(self, ratio, start) -> "Series":
+        """start + sum over k >= 1 of t_k, with t_0 = 1, t_k = t_(k-1)*self*ratio(k).
+
+        `self` has zero constant term, so t_k starts at degree k: the sum ends
+        at the caps' largest order, at a zero term, or at a ratio of 0 (where
+        a binomial series with a non-negative integer exponent stops).
+        """
+        out = Series.constant(start, self.names, self.caps, self.mode)
+        term = Series.one(self.names, self.caps, self.mode)
+        for k in range(1, self.caps.max_order() + 1):
+            r = ratio(k)
+            if r == 0:
+                break
+            term = term * self
+            if r != 1:
+                term = term.scale(r)
+            if term.is_zero():
+                break
+            out = out + term
+        return out
+
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
         c0 = self.constant_term()
@@ -357,14 +374,7 @@ class Series:
             raise SeriesError("division by a series with zero constant term")
         inv0 = (Fraction(1) / c0) if self.mode == EXACT else 1.0 / c0
         u = Series.one(self.names, self.caps, self.mode) - self.scale(inv0)
-        out = Series.one(self.names, self.caps, self.mode)
-        power = Series.one(self.names, self.caps, self.mode)
-        for _ in range(self.caps.max_order()):
-            power = power * u
-            if power.is_zero():
-                break
-            out = out + power
-        return out.scale(inv0)
+        return u._power_sum(lambda k: 1, 1).scale(inv0)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -378,37 +388,16 @@ class Series:
         """exp of a series with zero constant term: sum of a^k / k!."""
         if self.constant_term() != 0:
             raise SeriesError("exp needs zero constant term")
-        out = Series.one(self.names, self.caps, self.mode)
-        term = Series.one(self.names, self.caps, self.mode)
-        k = 0
-        bound = self.caps.max_order()
-        while k < bound:
-            k += 1
-            term = term * self
-            if self.mode == EXACT:
-                term = term.scale(Fraction(1, k))
-            else:
-                term = term.scale(1.0 / k)
-            if term.is_zero():
-                break
-            out = out + term
-        return out
+        one = Fraction(1) if self.mode == EXACT else 1.0
+        return self._power_sum(lambda k: one / k, 1)
 
     def log(self) -> "Series":
         """log of a series with constant term 1 (Mercator expansion)."""
         if self.constant_term() != 1:
             raise SeriesError("log needs constant term 1")
         u = self - Series.one(self.names, self.caps, self.mode)
-        out = Series.zero(self.names, self.caps, self.mode)
-        power = Series.one(self.names, self.caps, self.mode)
-        for k in range(1, self.caps.max_order() + 1):
-            power = power * u
-            if power.is_zero():
-                break
-            coeff = Fraction(-1 if k % 2 == 0 else 1, k) if self.mode == EXACT \
-                else (-1.0 if k % 2 == 0 else 1.0) / k
-            out = out + power.scale(coeff)
-        return out
+        one = Fraction(1) if self.mode == EXACT else 1.0
+        return u._power_sum(lambda k: (1 - k) * one / k if k > 1 else 1, 0)
 
     def pow(self, exponent) -> "Series":
         """Raise a unit series (constant term 1) to a series-valued power.
@@ -426,19 +415,8 @@ class Series:
             if self.constant_term() != 1:
                 raise SeriesError("pow needs base with constant term 1")
             u = self - Series.one(self.names, self.caps, self.mode)
-            out = Series.one(self.names, self.caps, self.mode)
-            power = Series.one(self.names, self.caps, self.mode)
-            binom = Fraction(1) if self.mode == EXACT else 1.0
             r = Fraction(exponent) if self.mode == EXACT else float(exponent)
-            for k in range(1, self.caps.max_order() + 1):
-                power = power * u
-                if power.is_zero():
-                    break
-                binom = binom * (r - (k - 1)) / k
-                if binom == 0:
-                    break
-                out = out + power.scale(binom)
-            return out
+            return u._power_sum(lambda k: (r - (k - 1)) / k, 1)
         exponent = self._coerce(exponent)
         if exponent is None:
             raise SeriesError("unsupported exponent type")
@@ -618,88 +596,33 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     return out
 
 
-def geometric_factor(mono, names, caps: Caps, mode: str = EXACT) -> Series:
-    """1/(1 - X) = sum of X^n for a monomial X, truncated to caps."""
-    names = tuple(names)
-    expo = tuple(mono)
-    if all(e == 0 for e in expo):
-        raise SeriesError("geometric factor needs a nonconstant monomial")
-    terms: dict[Expo, Coeff] = {}
-    k = 0
-    while True:
-        key = tuple(e * k for e in expo)
-        if not caps.admits(key):
-            break
-        terms[key] = _as_coeff(1, mode)
-        k += 1
-    return Series(names, caps, mode, terms)
+def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:
+    """1 / j^b as a coefficient: exact for integer b, approx-only otherwise."""
+    if b.denominator == 1:
+        e = int(b)
+        value = Fraction(1, j ** e) if e >= 0 else Fraction(j ** (-e))
+        return value if mode == EXACT else float(value)
+    if mode == EXACT:
+        raise SeriesError("rational power-sum exponent requires approx mode")
+    return float(j) ** float(-b)
 
 
 def polylog(s, mono, names, caps: Caps, mode: str = EXACT) -> Series:
     """Truncated polylogarithm Li_s(X) = sum over k >= 1 of X^k / k^s.
 
-    Integer s <= 0 goes through the closed rational forms (chained through the
-    Euler operator below -3); rational s is only available in approx mode.
+    The truncated sum is exact for every integer s, s <= 0 included (there
+    Li_s(X) is a rational function of X); rational s needs approx mode.
     """
-    names = tuple(names)
     expo = tuple(mono)
     if all(e == 0 for e in expo):
         raise SeriesError("polylog needs a nonconstant argument")
-    if isinstance(s, Fraction) and s.denominator == 1:
-        s = int(s)
-    if not isinstance(s, int):
-        if mode == EXACT:
-            raise SeriesError("rational polylog order requires approx mode")
-        s = float(s)
-        terms: dict[Expo, Coeff] = {}
-        k = 0
-        while True:
-            k += 1
-            key = tuple(e * k for e in expo)
-            if not caps.admits(key):
-                break
-            terms[key] = k ** (-s)
-        return Series(names, caps, mode, terms)
-    if s >= 1:
-        terms = {}
-        k = 0
-        while True:
-            k += 1
-            key = tuple(e * k for e in expo)
-            if not caps.admits(key):
-                break
-            terms[key] = (Fraction(1, k ** s) if mode == EXACT else k ** float(-s))
-        return Series(names, caps, mode, terms)
-    x = Series.monomial(expo, names, caps, mode)
-    one = Series.one(names, caps, mode)
-    inv = (one - x).inverse()
-    if s == 0:
-        return x * inv
-    if s == -1:
-        return x * inv * inv
-    if s == -2:
-        return x * (one + x) * inv * inv * inv
-    if s == -3:
-        x2 = x * x
-        return x * (one + x.scale(4) + x2) * inv.pow(4)
-    # below -3: apply the Euler operator X d/dX repeatedly
-    out = polylog(-3, expo, names, caps, mode)
-    order = -3
-    while order > s:
-        bumped: dict[Expo, Coeff] = {}
-        for key, value in out.terms.items():
-            k = _multiple_of(key, expo)
-            bumped[key] = value * k
-        out = Series(names, caps, mode, bumped, _trusted=True)
-        order -= 1
-    return out
-
-
-def _multiple_of(key: Expo, expo: Expo) -> int:
-    for k, e in zip(key, expo):
-        if e:
-            return k // e
-    raise SeriesError("zero monomial")
+    s = Fraction(s)
+    terms: dict[Expo, Coeff] = {}
+    k = 1
+    while caps.admits(key := tuple(e * k for e in expo)):
+        terms[key] = _power_coeff(k, s, mode)
+        k += 1
+    return Series(names, caps, mode, terms)
 
 
 # -- comparison helpers ---------------------------------------------------------
@@ -734,27 +657,9 @@ def first_mismatch(a: Series, b: Series, tolerance: float = 0.0):
     return None
 
 
-def series_equal(a: Series, b: Series, tolerance: float = 0.0) -> bool:
-    return first_mismatch(a, b, tolerance) is None
-
-
 def to_approx(a: Series) -> Series:
     """Float copy of an exact series (for exact-vs-approx agreement checks)."""
     if a.mode == APPROX:
         return a
     return Series(a.names, a.caps, APPROX,
                   {e: float(c) for e, c in a.terms.items()}, _trusted=True)
-
-
-def binomial(r, k: int):
-    """Generalized binomial coefficient with Fraction upper argument."""
-    r = Fraction(r)
-    out = Fraction(1)
-    for i in range(k):
-        out = out * (r - i) / (i + 1)
-    return out
-
-
-def exact_sqrt_is_rational(n: int) -> bool:
-    root = math.isqrt(n)
-    return root * root == n

@@ -273,6 +273,41 @@ class TestExpandCommand:
             assert out == "" and err.startswith("error: missing field"), tree
 
 
+class TestCapsArity:
+    SPEC = {"region": {"arity": 2, "lower": [1, 1], "order": "none",
+                       "coprime": True, "base_powers": None},
+            "weight": {"sign": -1, "direction": -1, "powers": ["0", "-1"]},
+            "mapping": [0, 1], "vars": ["y", "z"]}
+
+    @pytest.mark.parametrize("entry_id, caps", [
+        ("13.02", "3"), ("13.02", "3,3,3"), ("13.03@y=1/2", "5,5")])
+    def test_expand_entry(self, entry_id, caps, capsys):
+        code, out, err = run_cli(["expand", "--entry", entry_id, "--caps", caps],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: caps arity does not fit")
+
+    @pytest.mark.parametrize("command", ["expand", "grid"])
+    def test_spec(self, command, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(self.SPEC))
+        for caps in ("3", "3,3,3"):
+            code, out, err = run_cli([command, "--spec", str(path), "--caps", caps],
+                                     capsys)
+            assert code == 2, caps
+            assert out == "" and err.startswith("error: caps arity"), caps
+
+
+class TestToleranceValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    @pytest.mark.parametrize("selection", [["--id", "14.11-printed"], ["--all"]])
+    def test_rejected_before_any_entry(self, value, selection, capsys):
+        code, out, err = run_cli(["verify", *selection, f"--tolerance={value}"],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: --tolerance")
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize("args", [
         ["grid", "spade2", "--caps", "2,2", "--jobs", "2"],

@@ -93,12 +93,12 @@ class TestQBinomial:
         # its z = 0 row reads 1,1,2,2,3,3,4,4,5
         caps3 = Caps.of([8, 8, 2])
         names = ("y", "z", "t")
-        from vpvlab.series import geometric_factor
-        out = geometric_factor((0, 0, 1), names, caps3)
+        from vpvlab.series import unit_binomial_pow
+        out = unit_binomial_pow((0, 0, 1), -1, names, caps3, sign=-1)
         for j in range(9):
             for k in range(9):
                 if (j, k) != (0, 0):
-                    out = out * geometric_factor((j, k, 1), names, caps3)
+                    out = out * unit_binomial_pow((j, k, 1), -1, names, caps3, sign=-1)
         spade = exact_parts_series(2, 2, Caps.of([8, 8]), NAMES)
         t2_slice = {(e[0], e[1]): c for e, c in out.terms.items() if e[2] == 2}
         assert t2_slice == dict(spade.terms)

@@ -5,12 +5,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
-                           first_mismatch, geometric_factor, max_rel_error, polylog,
-                           to_approx, unit_binomial_pow)
+                           first_mismatch, max_rel_error, polylog, to_approx,
+                           unit_binomial_pow)
 
 
 def sser(names, caps, mode=EXACT):
     return Series.one(tuple(names), Caps.of(caps), mode)
+
+
+def geometric_sum(mono, names, caps, mode=EXACT):
+    """Reference 1/(1 - X) for a monomial X: sum of X^k, term by term."""
+    terms = {}
+    k = 0
+    while caps.admits(key := tuple(e * k for e in mono)):
+        terms[key] = 1
+        k += 1
+    return Series(names, caps, mode, terms)
 
 
 class TestConstruction:
@@ -61,7 +71,7 @@ class TestArithmetic:
         out = Series.one(("x",), caps)
         for p in (1, 2, 4, 8):
             out = out * unit_binomial_pow((p,), 1, ("x",), caps, sign=1)
-        assert out == geometric_factor((1,), ("x",), caps)
+        assert out == geometric_sum((1,), ("x",), caps)
 
     def test_incompatible_series_rejected(self):
         a = Series.one(("y",), Caps.of([3]))
@@ -235,14 +245,34 @@ class TestPolylog:
         assert dict(got.terms) == {(1,): 1, (2,): Fraction(1, 2),
                                    (3,): Fraction(1, 3), (4,): Fraction(1, 4)}
 
+    # Eulerian numbers: Li_{-n}(X) = X * A_n(X) / (1 - X)^(n + 1)
+    EULERIAN = {0: [1], 1: [1], 2: [1, 1], 3: [1, 4, 1], 4: [1, 11, 11, 1],
+                5: [1, 26, 66, 26, 1], 6: [1, 57, 302, 302, 57, 1]}
+
     def test_negative_orders_match_closed_forms(self):
-        caps = Caps.of([8])
-        names = ("z",)
-        for s in (0, -1, -2, -3, -4):
-            closed = polylog(s, (1,), names, caps)
-            direct = Series(names, caps, EXACT,
-                            {(k,): Fraction(k ** (-s)) for k in range(1, 9)})
-            assert closed == direct
+        cases = [((1,), Caps.of([8])), ((1, 2), Caps.of([5, 9])),
+                 ((1, 1, 1), Caps.of([4, 4, 4], total=9)),
+                 ((0, 2), Caps.of([3, 11], total=8))]
+        for mono, caps in cases:
+            names = tuple("xyz"[-len(mono):])
+            one = Series.one(names, caps)
+            x = Series.monomial(mono, names, caps)
+            inv = (one - x).inverse()
+            for s in range(0, -7, -1):
+                closed = polylog(s, mono, names, caps)
+                direct = {}
+                k = 1
+                while caps.admits(key := tuple(e * k for e in mono)):
+                    direct[key] = Fraction(k ** (-s))
+                    k += 1
+                assert closed == Series(names, caps, EXACT, direct), (mono, s)
+                numer = Series(names, caps, EXACT,
+                               {tuple(e * i for e in mono): a
+                                for i, a in enumerate(self.EULERIAN[-s])})
+                assert closed == x * numer * inv.pow(1 - s), (mono, s)
+                approx = polylog(s, mono, names, caps, APPROX)
+                assert approx.terms == \
+                    {e: float(c) for e, c in closed.terms.items()}, (mono, s)
 
     def test_li_minus3_structure(self):
         # z(1+4z+z^2)/(1-z)^4
@@ -416,7 +446,7 @@ class TestPackedProduct:
                          .filter(any))
         r = data.draw(st.builds(Fraction, NUMERATORS.filter(bool), DENOMINATORS))
         a = unit_binomial_pow(mono, 1, names, caps, EXACT, sign=-1)
-        b = geometric_factor(mono, names, caps).scale(r)
+        b = geometric_sum(mono, names, caps).scale(r)
         assert (a * b).terms == naive_mul(a, b) == {(0,) * len(names): r}
 
     def test_truncated_to_zero(self):
@@ -503,7 +533,7 @@ class TestBinomialProduct:
         caps = Caps.of([4, 3])
         names = ("y", "z")
         assert binomial_product([((1, 2), 1, -1, -1)], names, caps) == \
-            geometric_factor((1, 2), names, caps)
+            geometric_sum((1, 2), names, caps)
         factors = [((1, 0), 1, Fraction(1, 3), 1), ((0, 1), 2, 3, -1),
                    ((1, 0), 1, Fraction(-1, 3), 1), ((0, 1), 2, -3, -1)]
         assert binomial_product(factors, names, caps) == Series.one(names, caps)
@@ -516,3 +546,70 @@ class TestBinomialProduct:
         out = binomial_product([((1,), 1, 1, 1), ((1,), 1, 1, -1), ((1,), 3, 1, 1)],
                                names, caps)
         assert out == (one + x) * (one - x) * (one + x.scale(3))
+
+
+SMALL_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def small_series(draw, constant, mode=EXACT):
+    """A 1-3 variable series under box or total caps with the given constant
+    term and a few random terms of positive degree."""
+    arity = draw(st.integers(1, 3))
+    limits = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+    caps = Caps.of(limits, draw(st.none() | st.integers(0, sum(limits))))
+    expo = st.tuples(*(st.integers(0, c) for c in limits)).filter(any)
+    coeff = SMALL_COEFFS if mode == EXACT else \
+        st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+    terms = draw(st.dictionaries(expo, coeff, max_size=4))
+    terms[(0,) * arity] = draw(constant)
+    return Series("xyz"[:arity], caps, mode, terms)
+
+
+def running_exp(g):
+    """Reference approx exp: the running term a^k/k! rescaled by 1/k each step."""
+    out = Series.one(g.names, g.caps, g.mode)
+    term = Series.one(g.names, g.caps, g.mode)
+    for k in range(1, g.caps.max_order() + 1):
+        term = (term * g).scale(1.0 / k)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+class TestSeriesFunctions:
+    """inverse, exp, log and pow against each other and against products."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=small_series(SMALL_COEFFS.filter(bool)))
+    def test_inverse(self, f):
+        one = Series.one(f.names, f.caps)
+        assert f * f.inverse() == one
+        assert f.inverse() * f == one
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=small_series(st.just(0)), f=small_series(st.just(1)))
+    def test_exp_and_log_invert_each_other(self, g, f):
+        assert g.exp().log() == g
+        assert f.log().exp() == f
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=small_series(st.just(1)),
+           r=st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 2), 3, -2]))
+    def test_constant_pow_is_exp_of_log(self, f, r):
+        assert f.pow(Fraction(r)) == (r * f.log()).exp()
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=small_series(st.sampled_from([1, 1, Fraction(2, 3), -2])),
+           n=st.integers(0, 5))
+    def test_integer_pow_is_repeated_product(self, f, n):
+        product = Series.one(f.names, f.caps)
+        for _ in range(n):
+            product = product * f
+        assert f.pow(n) == product
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=small_series(st.just(0.0), mode=APPROX))
+    def test_approx_exp_is_the_running_term_sum(self, g):
+        assert list(g.exp().terms.items()) == list(running_exp(g).terms.items())
