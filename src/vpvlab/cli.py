@@ -42,13 +42,18 @@ def _spec_errors():
 
 def _default_jobs(args) -> int:
     if args.jobs is not None:
-        return max(1, args.jobs)
+        if args.jobs < 1:
+            raise SeriesError(f"--jobs must be at least 1, got {args.jobs}")
+        return args.jobs
     env = os.environ.get("VPV_LAB_JOBS")
     if env:
         try:
-            return max(1, int(env))
+            jobs = int(env)
         except ValueError:
-            raise SeriesError(f"bad VPV_LAB_JOBS value {env!r}")
+            jobs = 0
+        if jobs < 1:
+            raise SeriesError(f"bad VPV_LAB_JOBS value {env!r}: want an integer >= 1")
+        return jobs
     return 1
 
 

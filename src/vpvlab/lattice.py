@@ -505,9 +505,11 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
                    closed_form_factors: bool = True) -> Series:
     """Expand the truncated lattice product factor by factor.
 
-    Weight-expression factors stream into `binomial_product`, which merges
+    Weight-expression factors, and the closed forms of the geometric and
+    distinct-binomial families, stream into `binomial_product`, which merges
     equal image monomials (their exponents add) before the binomial
-    expansion; the result is independent of factor order either way.
+    expansion; the result is independent of factor order either way.  The
+    other families, and every defining sum, are multiplied one per vector.
     """
     names = spec.names
     if len(caps.limits) != len(names):
@@ -518,15 +520,26 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
         return binomial_product(
             (spec.image(vec, mode) + (w.weight(vec, mode) * w.direction, w.sign)
              for vec in spec.vectors(caps)), names, caps, mode)
-    out = Series.one(names, caps, mode)
     family = spec.factor
-    for vec in spec.vectors(caps):
-        expo, scalar = spec.image(vec, mode)
-        if scalar != 1:
-            raise RegionError("scalar mappings require a weight factor")
+    monos = (_unscaled(spec.image(vec, mode)) for vec in spec.vectors(caps))
+    if closed_form_factors and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
+        exponent, sign = (-1, -1) if family.kind == GEOMETRIC \
+            else (family.exponent, family.sign)
+        return binomial_product(((expo, 1, exponent, sign) for expo in monos),
+                                names, caps, mode)
+    out = Series.one(names, caps, mode)
+    for expo in monos:
         out = out * family.series(expo, names, caps, mode,
                                   closed_form=closed_form_factors)
     return out
+
+
+def _unscaled(image):
+    """The monomial of a family factor's image, whose scalar must be 1."""
+    expo, scalar = image
+    if scalar != 1:
+        raise RegionError("scalar mappings require a weight factor")
+    return expo
 
 
 # -- partition grids --------------------------------------------------------------

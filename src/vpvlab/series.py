@@ -349,13 +349,17 @@ class Series:
     def _power_sum(self, ratio, start) -> "Series":
         """start + sum over k >= 1 of t_k, with t_0 = 1, t_k = t_(k-1)*self*ratio(k).
 
-        `self` has zero constant term, so t_k starts at degree k: the sum ends
-        at the caps' largest order, at a zero term, or at a ratio of 0 (where
-        a binomial series with a non-negative integer exponent stops).
+        `self` has zero constant term, so t_k starts at degree k times the
+        least degree d of `self`: the sum ends at the k past which t_k would
+        exceed the caps' largest order (one product per k up to
+        max_order // d), at a zero term, or at a ratio of 0 (where a binomial
+        series with a non-negative integer exponent stops).
         """
         out = Series.constant(start, self.names, self.caps, self.mode)
         term = Series.one(self.names, self.caps, self.mode)
-        for k in range(1, self.caps.max_order() + 1):
+        max_order = self.caps.max_order()
+        least = min(map(sum, self.terms), default=max_order + 1)
+        for k in range(1, max_order // least + 1):
             r = ratio(k)
             if r == 0:
                 break
@@ -580,20 +584,47 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     A geometric factor 1/(1 - X) is ``(X, 1, -1, -1)``.  Factors with the
     same (X, sign, scalar) merge as they stream in, their exponents added in
     arrival order; a merged exponent of 0, or an X the caps do not admit,
-    is dropped.  The rest are expanded by `unit_binomial_pow` and multiplied
-    in sorted key order, so approx products do not depend on the order the
-    factors come in.
+    is dropped.  The kept factors take whichever route needs fewer packed
+    products:
+
+    - the chain: each factor expanded by `unit_binomial_pow` and multiplied
+      in sorted key order, one product per factor (approx products always
+      take it, so they do not depend on the order the factors come in);
+    - the log route (exact only): one log series, the sum over the factors
+      of exponent * log(1 + s*X) = sum over k >= 1 of
+      exponent * (-1)^(k+1) * (s*X)^k / k, and one `exp`, which needs at
+      most max_order // (least total degree of the X) products.
     """
     grouped: dict = {}
     for mono, scalar, exponent, sign in factors:
         key = (tuple(mono), sign, scalar)
         grouped[key] = grouped.get(key, 0) + exponent
+    kept = [(key, exponent) for key, exponent in sorted(grouped.items())
+            if exponent != 0 and caps.admits(key[0])]
+    if mode == EXACT and kept:
+        least = min(sum(mono) for (mono, _, _), _ in kept)
+        if caps.max_order() // least < len(kept):
+            return _log_sum(kept, names, caps).exp()
     out = Series.one(names, caps, mode)
-    for (mono, sign, scalar), exponent in sorted(grouped.items()):
-        if exponent != 0 and caps.admits(mono):
-            out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
-                                          sign=sign, scalar=scalar)
+    for (mono, sign, scalar), exponent in kept:
+        out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
+                                      sign=sign, scalar=scalar)
     return out
+
+
+def _log_sum(kept, names, caps: Caps) -> Series:
+    """sum of exponent * log(1 + sign*scalar*X) over the kept factors, exactly."""
+    terms: dict[Expo, Fraction] = {}
+    for (mono, sign, scalar), exponent in kept:
+        ratio = -Fraction(sign * scalar)
+        # exponent * (-1)^(k+1) * (sign*scalar)^k, here at k = 0
+        power = -Fraction(exponent)
+        k = 1
+        while caps.admits(key := tuple(e * k for e in mono)):
+            power *= ratio
+            terms[key] = terms.get(key, 0) + power / k
+            k += 1
+    return Series(names, caps, EXACT, terms)
 
 
 def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -86,6 +87,35 @@ class TestCatalogShape:
 
     def test_entry_1205_default_caps(self):
         assert tuple(get_entry("12.05").caps) == (8, 8, 8)
+
+
+def expand_hashes():
+    """sha256 of `Series.dumps()` for both sides of every exact catalog entry
+    at its catalog caps, keyed by entry id; approx entries are left out, since
+    their floats depend on the platform's libm."""
+    hashes = {}
+    for entry in catalog():
+        if entry.mode != EXACT:
+            continue
+        caps = Caps.of(entry.caps)
+        hashes[entry.id] = {
+            side: hashlib.sha256(build(caps).dumps().encode()).hexdigest()
+            for side, build in (("lhs", entry.build_lhs), ("rhs", entry.build_rhs))}
+    return hashes
+
+
+class TestExpandHashes:
+    """Exact expansions stay byte-identical to `golden/expand_sha256.json`."""
+
+    def test_exact_documents_match_golden(self):
+        with open(os.path.join(GOLDEN, "expand_sha256.json"), encoding="utf-8") as f:
+            golden = json.load(f)
+        hashes = expand_hashes()
+        assert len(golden) == 155 and list(hashes) == list(golden)
+        for entry_id, sides in golden.items():
+            for side, digest in sides.items():
+                assert hashes[entry_id][side] == digest, \
+                    f"{entry_id} {side} differs from golden"
 
 
 class TestSpotValues:

@@ -308,6 +308,22 @@ class TestToleranceValidation:
         assert out == "" and err.startswith("error: --tolerance")
 
 
+class TestJobsValidation:
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_option_below_one_rejected(self, value, capsys):
+        code, out, err = run_cli(["verify", "--id", "14.11-printed",
+                                  f"--jobs={value}"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: --jobs")
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_env_below_one_rejected(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("VPV_LAB_JOBS", value)
+        code, out, err = run_cli(["verify", "--id", "14.11-printed"], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: bad VPV_LAB_JOBS")
+
+
 class TestRemovedOptions:
     @pytest.mark.parametrize("args", [
         ["grid", "spade2", "--caps", "2,2", "--jobs", "2"],

@@ -15,7 +15,8 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             count_partitions, enumerate_region, euler_phi,
                             grid, moebius, product_series,
                             pyramid_radial_series, quadrant_radial_series,
-                            GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY)
+                            DISTINCT_BINOMIAL, GEOMETRIC, MULTIPLICITY, SQUARE,
+                            ODD_ONLY)
 from vpvlab.series import Caps, EXACT, Series, SeriesError, unit_binomial_pow
 
 
@@ -266,6 +267,30 @@ class TestProductSeries:
             closed = fam.series((1, 1), names, caps, EXACT, closed_form=True)
             truncated = fam.series((1, 1), names, caps, EXACT, closed_form=False)
             assert closed == truncated, kind
+
+    @pytest.mark.parametrize("family", [
+        LocalFactorFamily(kind=GEOMETRIC),
+        LocalFactorFamily(kind=DISTINCT_BINOMIAL, exponent=Fraction(1, 2), sign=-1),
+        LocalFactorFamily(kind=MULTIPLICITY)])
+    def test_family_products_match_a_chain_per_vector(self, family):
+        # with repeated image monomials: (a, b) -> y^(a+b)
+        region = LatticeRegion(arity=2, lower=(1, 1))
+        spec = ProductSpec(region=region, factor=family, mapping=(0, 0),
+                           names=("y",))
+        caps = Caps.of([7])
+        chain = Series.one(("y",), caps)
+        for vec in spec.vectors(caps):
+            chain = chain * family.series(spec.image(vec, EXACT)[0], ("y",), caps,
+                                          EXACT)
+        assert product_series(spec, caps) == chain
+        if family.kind != DISTINCT_BINOMIAL:
+            assert product_series(spec, caps, closed_form_factors=False) == chain
+        # (a, b) -> (1/2)^a y^b with a < b
+        scaled = ProductSpec(
+            region=LatticeRegion(arity=2, order=ORDER_ALL_BELOW_LAST),
+            factor=family, mapping=(Fraction(1, 2), 0), names=("y",))
+        with pytest.raises(RegionError, match="scalar mappings"):
+            product_series(scaled, caps)
 
     def test_odd_only_family_values(self):
         caps = Caps.of([6])

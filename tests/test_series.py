@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -537,6 +538,45 @@ class TestBinomialProduct:
         factors = [((1, 0), 1, Fraction(1, 3), 1), ((0, 1), 2, 3, -1),
                    ((1, 0), 1, Fraction(-1, 3), 1), ((0, 1), 2, -3, -1)]
         assert binomial_product(factors, names, caps) == Series.one(names, caps)
+
+    @staticmethod
+    def count_products(monkeypatch):
+        """Count Series x Series products from here on."""
+        count = [0]
+        mul = Series.__mul__
+
+        def counting(self, other):
+            count[0] += isinstance(other, Series)
+            return mul(self, other)
+        monkeypatch.setattr(Series, "__mul__", counting)
+        return count
+
+    def test_many_low_degree_factors_take_the_log_route(self, monkeypatch):
+        # 13.26-shaped: every monomial of degree 1..4 under the caps, with
+        # exponent 1/degree, so one exp beats one product per factor
+        caps = Caps.of([2, 2, 2, 3])
+        names = ("w", "x", "y", "z")
+        monos = [m for m in itertools.product(*(range(c + 1) for c in caps.limits))
+                 if 1 <= sum(m) <= 4]
+        factors = [(m, 1, Fraction(1, sum(m)), -1) for m in monos]
+        factors += [((1, 0, 0, 1), 2, Fraction(-1, 3), 1)]
+        assert len(factors) >= 50
+        chain = binomial_chain(factors, names, caps, EXACT)
+        count = self.count_products(monkeypatch)
+        product = binomial_product(factors, names, caps)
+        assert product == chain
+        assert count[0] <= caps.max_order() // min(map(sum, monos)) < len(factors)
+
+    def test_few_factors_at_high_order_take_the_chain(self, monkeypatch):
+        # 11.08-shaped: 1/(1 - x^(2^j)) for j < 7 at caps (64,)
+        caps = Caps.of([64])
+        names = ("x",)
+        factors = [((2 ** j,), 1, -1, -1) for j in range(7)]
+        chain = binomial_chain(factors, names, caps, EXACT)
+        count = self.count_products(monkeypatch)
+        product = binomial_product(factors, names, caps)
+        assert product == chain
+        assert count[0] == len(factors)
 
     def test_same_monomial_with_other_sign_or_scalar_stays_apart(self):
         caps = Caps.of([6])
