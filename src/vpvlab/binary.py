@@ -2,39 +2,16 @@
 
 Power-of-two part systems: the 1D binary partition function, the 0/1-digit
 indicator for two-component base-n partitions into distinct parts, the
-two-variable beta grid with its four computation routes, and the 2D/3D
-distinct-to-unrestricted product transforms.
+two-variable beta grid with its four computation routes, and the sides of
+the 2D/3D distinct-to-unrestricted product transforms that are not plain
+lattice products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import determinants
 from .lattice import PartitionGrid, count_grid, count_partitions, DISTINCT
 from .series import Caps, EXACT, Series, SeriesError, binomial_product
-
-
-FULL_QUADRANT = "full_quadrant"
-LOWER_DIAGONAL = "lower_diagonal"
-PYRAMID_3D = "pyramid_3d"
-
-
-@dataclass(frozen=True)
-class BinaryGridSpec:
-    dimension: int
-    flavor: str = FULL_QUADRANT
-    base: int = 2
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise SeriesError("base must be >= 2")
-        if self.flavor not in (FULL_QUADRANT, LOWER_DIAGONAL, PYRAMID_3D):
-            raise SeriesError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == PYRAMID_3D and self.dimension != 3:
-            raise SeriesError("pyramid flavor is 3D")
-        if self.flavor != PYRAMID_3D and self.dimension != 2:
-            raise SeriesError("quadrant/diagonal flavors are 2D")
 
 
 def powers_upto(cap: int, base: int = 2):
@@ -121,10 +98,10 @@ def b_indicator_series(caps: Caps, base: int = 2) -> Series:
     return out
 
 
-def beta2_product_series(caps: Caps) -> Series:
+def beta2_product_series(caps: Caps, names=("q", "t")) -> Series:
     """prod over k >= 0 of 1/(1 - q t^(2^k)) truncated to caps (q, t)."""
     return binomial_product((((1, p), 1, -1, -1) for p in powers_upto(caps.limits[1])),
-                            ("q", "t"), caps)
+                            names, caps)
 
 
 def beta2_distinct_series(caps: Caps) -> Series:
@@ -169,53 +146,18 @@ def beta2_oracle(j: int, k: int, distinct_route: bool = False) -> int:
     return count_partitions((j, k), parts)
 
 
-def binary_transform_pair(spec: BinaryGridSpec, caps: Caps):
-    """Both sides of the named distinct/unrestricted transform.
+def pyramid3_unrestricted_series(caps: Caps) -> Series:
+    """The unrestricted side of prod_{i,k<=j} (1+x^(2^i) y^(2^j) z^(2^k)):
 
-    full_quadrant: prod (1+y^(2^m) z^(2^n)) vs
-        1/(1-yz) * prod_k 1/((1-y^(2^k) z)(1-y z^(2^k)))
-    lower_diagonal: prod_{j<=k} (1+x^(2^j) y^(2^k)) vs prod_k 1/(1-x y^(2^k))
-    pyramid_3d: prod_{i,k<=j} (1+x^(2^i) y^(2^j) z^(2^k)) vs
-        1/(1-xyz) * prod_j [prod_{i<=j} 1/(1-x^(2^i) y^(2^j) z)
-                            * prod_{1<=k<=j} 1/(1-x y^(2^j) z^(2^k))]
+    1/(1-xyz) * prod_j [prod_{i<=j} 1/(1-x^(2^i) y^(2^j) z)
+                        * prod_{1<=k<=j} 1/(1-x y^(2^j) z^(2^k))]
     """
-    base = spec.base
-    if spec.flavor == FULL_QUADRANT:
-        names = ("y", "z")
-        ypows = powers_upto(caps.limits[0], base)
-        zpows = powers_upto(caps.limits[1], base)
-        distinct = binomial_product(
-            (((a, b), 1, 1, 1) for a in ypows for b in zpows), names, caps)
-        rhs = binomial_product(
-            [((1, 1), 1, -1, -1)] + [((p, 1), 1, -1, -1) for p in ypows[1:]]
-            + [((1, p), 1, -1, -1) for p in zpows[1:]], names, caps)
-        return distinct, rhs
-    if spec.flavor == LOWER_DIAGONAL:
-        names = ("x", "y")
-        xpows = powers_upto(caps.limits[0], base)
-        ypows = powers_upto(caps.limits[1], base)
-        distinct = binomial_product(
-            (((a, b), 1, 1, 1) for i, a in enumerate(xpows)
-             for k, b in enumerate(ypows) if i <= k), names, caps)
-        rhs = binomial_product((((1, p), 1, -1, -1) for p in ypows), names, caps)
-        return distinct, rhs
-    # PYRAMID_3D
-    names = ("x", "y", "z")
-    xpows = powers_upto(caps.limits[0], base)
-    ypows = powers_upto(caps.limits[1], base)
-    zpows = powers_upto(caps.limits[2], base)
-    distinct = binomial_product(
-        (((a, b, c), 1, 1, 1)
-         for i, a in enumerate(xpows)
-         for j, b in enumerate(ypows)
-         for k, c in enumerate(zpows)
-         if i <= j and k <= j), names, caps)
-    rhs_parts = [(1, 1, 1)]
+    xpows, ypows, zpows = (powers_upto(c) for c in caps.limits)
+    parts = [(1, 1, 1)]
     for j, b in enumerate(ypows[1:], 1):
-        rhs_parts += [(a, b, 1) for a in xpows[:j + 1]]
-        rhs_parts += [(1, b, c) for c in zpows[1:j + 1]]
-    rhs = binomial_product(((m, 1, -1, -1) for m in rhs_parts), names, caps)
-    return distinct, rhs
+        parts += [(a, b, 1) for a in xpows[:j + 1]]
+        parts += [(1, b, c) for c in zpows[1:j + 1]]
+    return binomial_product(((m, 1, -1, -1) for m in parts), ("x", "y", "z"), caps)
 
 
 def unrestricted_b2_series(caps: Caps) -> Series:
@@ -232,22 +174,13 @@ def distinct_b2_series(caps: Caps) -> Series:
          for b in powers_upto(caps.limits[1])), ("y", "z"), caps)
 
 
-def min_plus_one_transform(caps: Caps):
-    """thm: prod (1+X)^(min(m,n)+1) == prod 1/(1-X) over the binary grid."""
-    lhs = binomial_product(
-        (((a, b), 1, min(m, n) + 1, 1)
+def min_index_product(caps: Caps, exponent, sign: int) -> Series:
+    """prod (1 + sign*y^(2^m) z^(2^n))^exponent(min(m, n) + 1) over the binary grid.
+
+    Exponent e and sign +1 give B_2(y,z), the product of 1/(1 - y^(2^m) z^(2^n));
+    exponent e(e+1)/2 with sign +1 equals exponent -e with sign -1.
+    """
+    return binomial_product(
+        (((a, b), 1, exponent(min(m, n) + 1), sign)
          for m, a in enumerate(powers_upto(caps.limits[0]))
          for n, b in enumerate(powers_upto(caps.limits[1]))), ("y", "z"), caps)
-    return lhs, unrestricted_b2_series(caps)
-
-
-def triangular_transform(caps: Caps):
-    """prod (1+X)^T(min+1) == prod (1-X)^-(min+1) with T triangular numbers."""
-    names = ("y", "z")
-    pairs = [((a, b), min(m, n) + 1)
-             for m, a in enumerate(powers_upto(caps.limits[0]))
-             for n, b in enumerate(powers_upto(caps.limits[1]))]
-    lhs = binomial_product(((mono, 1, e * (e + 1) // 2, 1) for mono, e in pairs),
-                           names, caps)
-    rhs = binomial_product(((mono, 1, -e, -1) for mono, e in pairs), names, caps)
-    return lhs, rhs

@@ -20,15 +20,13 @@ from . import closedform as cf
 from . import determinants
 from .closedform import build_closed_form
 from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
-                      GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY,
+                      GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY, ORDER_NONE,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
-                      ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE,
-                      ORDER_UPPER_TRIANGLE_STRICT,
-                      count_grid, product_series,
-                      pyramid_radial_series, quadrant_radial_series,
+                      ORDER_STRICT_CHAIN, count_grid, product_series,
+                      quadrant_radial_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
-                     first_mismatch, max_rel_error, polylog)
+                     first_mismatch, max_rel_error)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -181,16 +179,6 @@ def _axes_quadrant(n, sign=-1, direction=1):
     return ProductSpec(region=region, factor=w, names=names)
 
 
-def _pyramid2(weight_powers, sign=-1, direction=-1, strict=False, lower=(1, 1),
-              mapping=None, names=None):
-    region = LatticeRegion(
-        arity=2, lower=lower, coprime=True,
-        order=ORDER_UPPER_TRIANGLE_STRICT if strict else ORDER_UPPER_TRIANGLE)
-    w = WeightExpr(sign=sign, direction=direction, powers=weight_powers)
-    return ProductSpec(region=region, factor=w, names=names or VARS[2],
-                       mapping=mapping)
-
-
 def _pyramid_n(n, weight_powers, sign=-1, direction=-1, strict=False, lower=None,
                mapping=None, names=None):
     region = LatticeRegion(
@@ -199,6 +187,12 @@ def _pyramid_n(n, weight_powers, sign=-1, direction=-1, strict=False, lower=None
     w = WeightExpr(sign=sign, direction=direction, powers=weight_powers)
     return ProductSpec(region=region, factor=w, names=names or VARS[n],
                        mapping=mapping)
+
+
+def _pyramid_axes(n):
+    """Strict pyramid with leading components >= 0 and weight 1/last."""
+    return _pyramid_n(n, (0,) * (n - 1) + (-1,), strict=True,
+                      lower=(0,) * (n - 1) + (1,))
 
 
 def _li(s, exps):
@@ -319,13 +313,13 @@ def _nd_caps(n):
 def _diagonal_entries():
     entries = []
     diag_caps = {2: 10, 3: 7, 4: 6, 5: 5}
+    specs = {}
     for n, eq in ((2, "13.18"), (3, "13.19"), (4, "13.20"), (5, "13.21")):
         root = Fraction(1, n)
         region = LatticeRegion(arity=n, lower=(1,) * n, coprime=True)
-        spec = ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=-1,
-                                             powers=(-root,) * n),
-                           mapping=(0,) * n, names=("z",))
+        spec = specs[n] = ProductSpec(
+            region=region, factor=WeightExpr(sign=-1, direction=-1, powers=(-root,) * n),
+            mapping=(0,) * n, names=("z",))
         li = _li(root, {"z": 1})
         rhs = _exp(cf.mul(*[li] * n))
         entries.append(IdentityEntry(
@@ -333,28 +327,14 @@ def _diagonal_entries():
             lhs=spec, rhs=rhs,
             tex_anchor=r"\left( \frac{1}{1- z^{a+b}} \right)^{\frac{1}{\surd{(ab)}}}"))
 
-    def aggregated(n, cap):
-        def weight(vec):
-            w = 1.0
-            for v in vec:
-                w *= float(v) ** (-1.0 / n)
-            return w
-
-        def build(caps: Caps) -> Series:
-            # the builder sums the weights of each order k = a + b (+ c)
-            return binomial_product(
-                (((sum(vec),), 1, -weight(vec), -1)
-                 for vec in itertools.product(range(1, caps.limits[0] + 1), repeat=n)
-                 if sum(vec) <= caps.limits[0] and math.gcd(*vec) == 1),
-                ("z",), caps, APPROX)
-        return build
-
+    # the product builder adds the weights of equal monomials z^(a+b(+c)),
+    # which is the per-order aggregation of the display
     for n, eq in ((2, "13.22"), (3, "13.23")):
         root = Fraction(1, n)
         li = _li(root, {"z": 1})
         entries.append(IdentityEntry(
             id=eq, mode=APPROX, caps=(diag_caps[n],), names=("z",),
-            lhs=aggregated(n, diag_caps[n]), rhs=_exp(cf.mul(*[li] * n)),
+            lhs=specs[n], rhs=_exp(cf.mul(*[li] * n)),
             tex_anchor=r"\left( \frac{1}{1- z^k} \right)^{\sum \frac{1}{\surd{(ab)}}}",
             note="aggregated per-order weights"))
     return entries
@@ -574,28 +554,28 @@ def _pyramid_entries():
     y2_over = _frac_tree(cf.var("y", 2), _ub({"y": 2}))
     entries.append(IdentityEntry(
         id="14.01a", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((0, -1)),
+        lhs=_pyramid_n(2, (0, -1)),
         rhs=_exp(cf.partial_sum([("y", 0)], "z", 1)),
         tex_anchor=r"\exp\left\{ \sum \left( \sum \frac{y^m}{m^a} \right) \frac{z^n}{n^b} \right\}",
         note="a=0, b=1"))
     entries.append(IdentityEntry(
         id="14.01b", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((-1, 0)),
+        lhs=_pyramid_n(2, (-1, 0)),
         rhs=_exp(cf.partial_sum([("y", 1)], "z", 0)),
         tex_anchor=r"\exp\{\ldots\}", note="a=1, b=0"))
     entries.append(IdentityEntry(
         id="14.02", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((0, -1)),
+        lhs=_pyramid_n(2, (0, -1)),
         rhs=_pow(_frac_tree(_ub({"y": 1, "z": 1}), _ub({"z": 1})), y_over),
         tex_anchor=r"\left( \frac{1-yz}{1-z} \right)^{\frac{y}{1-y}}"))
     entries.append(IdentityEntry(
         id="14.03", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((0, -1), direction=1),
+        lhs=_pyramid_n(2, (0, -1), direction=1),
         rhs=_pow(_frac_tree(_ub({"z": 1}), _ub({"y": 1, "z": 1})), y_over),
         tex_anchor=r"\left( \frac{1-z}{1-yz} \right)^{\frac{y}{1-y}}"))
     entries.append(IdentityEntry(
         id="14.04", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((0, -1), sign=1, direction=1),
+        lhs=_pyramid_n(2, (0, -1), sign=1, direction=1),
         rhs=cf.mul(
             _pow(_frac_tree(_ub({"y": 1, "z": 1}), _ub({"z": 1})), y_over),
             _pow(_frac_tree(_ub({"z": 2}), _ub({"y": 2, "z": 2})), y2_over)),
@@ -620,18 +600,18 @@ def _pyramid_entries():
         tex_anchor=r"e^{\frac{z}{1-z^2}}"))
     entries.append(IdentityEntry(
         id="14.07", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((-1, 0)),
+        lhs=_pyramid_n(2, (-1, 0)),
         rhs=_pow(_frac_tree(cf.const(1), _ub({"y": 1, "z": 1})),
                  _frac_tree(cf.const(1), _ub({"z": 1}))),
         tex_anchor=r"\left( \frac{1}{1-yz} \right)^{\frac{1}{1-z}}"))
     entries.append(IdentityEntry(
         id="14.08", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((-1, 0), direction=1),
+        lhs=_pyramid_n(2, (-1, 0), direction=1),
         rhs=_pow(_ub({"y": 1, "z": 1}), _frac_tree(cf.const(1), _ub({"z": 1}))),
         tex_anchor=r"\left( 1-yz \right)^{\frac{1}{1-z}}"))
     entries.append(IdentityEntry(
         id="14.09", mode=EXACT, caps=(8, 8), names=VARS[2],
-        lhs=_pyramid2((-1, 0), sign=1, direction=1),
+        lhs=_pyramid_n(2, (-1, 0), sign=1, direction=1),
         rhs=_frac_tree(
             _pow(_ub({"y": 2, "z": 2}), _frac_tree(cf.const(1), _ub({"z": 2}))),
             _pow(_ub({"y": 1, "z": 1}), _frac_tree(cf.const(1), _ub({"z": 1})))),
@@ -679,23 +659,14 @@ def _pyramid_entries():
 
 
 def _structural_entries():
-    """14.15/14.16/14.16a: prefactor exp(Li) times the strict product."""
+    """14.15/14.16/14.16a: prefactor exp(Li) times the strict product.
+
+    The prefactor exp(Li_1(z)) = 1/(1 - z) is the (0,...,0,1) factor of the
+    strict pyramid, so the left side is the 14.17-14.19 product.
+    """
 
     def make(n, eq):
         names = VARS[n]
-
-        def lhs(caps: Caps) -> Series:
-            # leading components >= 0, dominant >= 2 (the (0,...,0,1) factor
-            # is carried by the exp prefactor)
-            if n == 2:
-                spec = _pyramid2((0, -1), strict=True, lower=(0, 2))
-            else:
-                spec = _pyramid_n(n, (0,) * (n - 1) + (-1,), strict=True,
-                                  lower=(0,) * (n - 1) + (2,))
-            pro = product_series(spec, caps, EXACT)
-            pre = polylog(1, tuple(0 if i < n - 1 else 1 for i in range(n)),
-                          names, caps).exp()
-            return pre * pro
 
         def rhs(caps: Caps) -> Series:
             # exp{ sum_n (prod_i (1 + sum_{m<=n-1} x_i^m)) z^n / n }
@@ -717,7 +688,7 @@ def _structural_entries():
 
         return IdentityEntry(
             id=eq, mode=EXACT, caps=_nd_caps(n) if n > 2 else (6, 6), names=names,
-            lhs=lhs, rhs=rhs,
+            lhs=_pyramid_axes(n), rhs=rhs,
             tex_anchor=r"\exp\left\{ \sum_{k=1}^{\infty} \frac{{z}^k}{k^{t}} \right\} \prod \ldots",
             note="structural case with unit exponents")
 
@@ -728,14 +699,11 @@ def _pyramid_axes_entries():
     entries = []
     for n, eq in ((2, "14.17"), (3, "14.18"), (4, "14.19"), (5, "14.20")):
         names = VARS[n]
-        lower = (0,) * (n - 1) + (1,)
-        spec = _pyramid2((0, -1), strict=True, lower=lower) if n == 2 else \
-            _pyramid_n(n, (0,) * (n - 1) + (-1,), strict=True, lower=lower)
         rhs = _pow(_subset_closed_form(names[:-1]),
                    _frac_tree(cf.const(1), _one_minus(*names[:-1])))
         caps = {2: (8, 8), 3: (4, 4, 5), 4: (3, 3, 3, 4), 5: (2, 2, 2, 2, 3)}[n]
         entries.append(IdentityEntry(
-            id=eq, mode=EXACT, caps=caps, names=names, lhs=spec, rhs=rhs,
+            id=eq, mode=EXACT, caps=caps, names=names, lhs=_pyramid_axes(n), rhs=rhs,
             tex_anchor=r"\left(\frac{1-yz}{1-z}\right)^{\frac{1}{1-y}}" if n == 2
             else r"\left(\frac{\prod odd}{\prod even}\right)^{\frac{1}{\prod(1-x_i)}}"))
     for count, eq in ((2, "14.21"), (3, "14.22"), (4, "14.23")):
@@ -782,7 +750,7 @@ def _radial_special_entries():
         rhs = _pow(_frac_tree(_ub({"z": 1}), _ub({"z": 1}, scalar=q)), cf.const(w))
         entries.append(IdentityEntry(
             id=f"14.03@y={q}", mode=EXACT, caps=(10,), names=("z",),
-            lhs=(lambda caps, q=q: pyramid_radial_series(q, caps.limits[0])),
+            lhs=_pyramid_n(2, (0, -1), direction=1, mapping=(q, 0), names=("z",)),
             rhs=rhs, tex_anchor=r"\frac{2-2z}{2-z}" if q == Fraction(1, 2) else
             r"\left( \frac{1-z}{1-yz} \right)^{\frac{y}{1-y}}",
             note="pyramid special"))
@@ -791,8 +759,7 @@ def _radial_special_entries():
         rhs = _pow(_frac_tree(_ub({"z": 1}, scalar=q), _ub({"z": 1})), cf.const(w))
         entries.append(IdentityEntry(
             id=f"14.02@y={q}", mode=EXACT, caps=(10,), names=("z",),
-            lhs=(lambda caps, q=q: pyramid_radial_series(q, caps.limits[0],
-                                                         reciprocal=True)),
+            lhs=_pyramid_n(2, (0, -1), mapping=(q, 0), names=("z",)),
             rhs=rhs, tex_anchor=r"\left( \frac{1-yz}{1-z} \right)^{\frac{y}{1-y}}",
             note="pyramid special"))
     return entries
@@ -804,30 +771,23 @@ def _euler_weighted_entries():
     inv_1mz = _frac_tree(cf.const(1), _ub({"z": 1}))
     li0 = _li(0, {"z": 1})
 
-    def one_var_pyramid(powers, direction):
-        region = LatticeRegion(arity=2, lower=(1, 1), coprime=True,
-                               order=ORDER_UPPER_TRIANGLE)
-        return ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=direction,
-                                             powers=powers),
-                           mapping=(None, 0), names=("z",))
-
     def pair(eq, powers, rhs_pos_terms, rhs_neg_terms, prefactor_exponent,
              anchor_pos, cap=10, printed_form=None, printed_note=""):
         pos = cf.mul(_pow(inv_1mz, cf.const(prefactor_exponent)),
                      _exp(*rhs_pos_terms))
         neg = cf.mul(_pow(_ub({"z": 1}), cf.const(prefactor_exponent)),
                      _exp(*rhs_neg_terms))
+        lhs = _pyramid_n(2, powers, mapping=(None, 0), names=("z",))
         out = [IdentityEntry(id=eq, mode=EXACT, caps=(cap,), names=("z",),
-                             lhs=one_var_pyramid(powers, -1), rhs=pos,
-                             tex_anchor=anchor_pos),
+                             lhs=lhs, rhs=pos, tex_anchor=anchor_pos),
                IdentityEntry(id=eq + "-inv", mode=EXACT, caps=(cap,), names=("z",),
-                             lhs=one_var_pyramid(powers, 1), rhs=neg,
-                             tex_anchor="reciprocal direction")]
+                             lhs=_pyramid_n(2, powers, direction=1, mapping=(None, 0),
+                                            names=("z",)),
+                             rhs=neg, tex_anchor="reciprocal direction")]
         if printed_form is not None:
             out.append(IdentityEntry(
                 id=eq + "-printed", mode=EXACT, caps=(cap,), names=("z",),
-                lhs=one_var_pyramid(powers, -1), rhs=printed_form,
+                lhs=lhs, rhs=printed_form,
                 expected="errata-probe", tex_anchor="printed display",
                 note=printed_note))
         return out
@@ -885,15 +845,6 @@ def _euler_weighted_entries():
 def _two_var_euler_entries():
     entries = []
     names = VARS[2]
-    region = LatticeRegion(arity=2, lower=(1, 1), coprime=True,
-                           order=ORDER_UPPER_TRIANGLE)
-
-    def lhs(powers, direction):
-        return ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=direction,
-                                             powers=powers),
-                           names=names)
-
     y_over = _frac_tree(cf.var("y"), _ub({"y": 1}))
 
     def coeff(num, den_power):
@@ -905,12 +856,12 @@ def _two_var_euler_entries():
     f_terms = [cf.mul(coeff(cf.var("y"), 2), cf.sub(liz(2), liyz(2)))]
     entries.append(IdentityEntry(
         id="16.57f", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((1, -2), -1),
+        lhs=_pyramid_n(2, (1, -2)),
         rhs=cf.mul(_pow(_ub({"y": 1, "z": 1}), y_over), _exp(*f_terms)),
         tex_anchor=r"\left(1-yz\right)^{\frac{y}{1-y}} \exp\{ \frac{y}{(1-y)^2} (Li_2(z)- Li_2(yz)) \}"))
     entries.append(IdentityEntry(
         id="16.57f-inv", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((1, -2), 1),
+        lhs=_pyramid_n(2, (1, -2), direction=1),
         rhs=cf.mul(_pow(_frac_tree(cf.const(1), _ub({"y": 1, "z": 1})), y_over),
                    _exp(cf.neg(cf.add(*f_terms)))),
         tex_anchor="reciprocal"))
@@ -919,13 +870,13 @@ def _two_var_euler_entries():
                cf.neg(cf.mul(coeff(cf.mul(cf.const(2), cf.var("y")), 2), liyz(2)))]
     entries.append(IdentityEntry(
         id="16.57g", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((2, -3), -1),
+        lhs=_pyramid_n(2, (2, -3)),
         rhs=cf.mul(_pow(_ub({"y": 1, "z": 1}), y_over), _exp(*g_terms)),
         tex_anchor="corrected prefactor (1-yz)^{y/(1-y)}",
         note="printed prefactor exponent sign is flipped"))
     entries.append(IdentityEntry(
         id="16.57g-printed", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((2, -3), -1),
+        lhs=_pyramid_n(2, (2, -3)),
         rhs=cf.mul(_pow(_frac_tree(cf.const(1), _ub({"y": 1, "z": 1})), y_over),
                    _exp(*g_terms)),
         expected="errata-probe",
@@ -933,7 +884,7 @@ def _two_var_euler_entries():
         note="printed display"))
     entries.append(IdentityEntry(
         id="16.57g-inv", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((2, -3), 1),
+        lhs=_pyramid_n(2, (2, -3), direction=1),
         rhs=cf.mul(_pow(_frac_tree(cf.const(1), _ub({"y": 1, "z": 1})), y_over),
                    _exp(cf.neg(cf.add(*g_terms)))),
         tex_anchor="reciprocal (corrected)"))
@@ -949,20 +900,20 @@ def _two_var_euler_entries():
                      cf.mul(coeff(cf.mul(cf.const(3), cf.var("y")), 2), liyz(2))]
     entries.append(IdentityEntry(
         id="16.57h", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((3, -4), -1),
+        lhs=_pyramid_n(2, (3, -4)),
         rhs=cf.mul(_pow(_ub({"y": 1, "z": 1}), y_over), _exp(*h_terms)),
         tex_anchor=r"\frac{y (y^2 +4y +1)}{(1-y)^4}(Li_4(z)-Li_4(yz))",
         note="corrected: Li3(yz) and Li2(yz) terms enter negatively"))
     entries.append(IdentityEntry(
         id="16.57h-printed", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((3, -4), -1),
+        lhs=_pyramid_n(2, (3, -4)),
         rhs=cf.mul(_pow(_ub({"y": 1, "z": 1}), y_over), _exp(*h_terms_printed)),
         expected="errata-probe",
         tex_anchor=r"+ \frac{3y(1+y)}{(1-y)^3} Li_3(yz) + \frac{3y}{(1-y)^2}  Li_2(yz)",
         note="printed display has the Li3/Li2 signs flipped"))
     entries.append(IdentityEntry(
         id="16.57h-inv", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((3, -4), 1),
+        lhs=_pyramid_n(2, (3, -4), direction=1),
         rhs=cf.mul(_pow(_frac_tree(cf.const(1), _ub({"y": 1, "z": 1})), y_over),
                    _exp(cf.neg(cf.add(*h_terms)))),
         tex_anchor="reciprocal (corrected)"))
@@ -970,13 +921,13 @@ def _two_var_euler_entries():
     for eq, p in (("16.57f-exp", 1), ("16.57g-exp", 2), ("16.57h-exp", 3)):
         entries.append(IdentityEntry(
             id=eq, mode=EXACT, caps=(5, 8), names=names,
-            lhs=lhs((p, -(p + 1)), -1),
+            lhs=_pyramid_n(2, (p, -(p + 1))),
             rhs=_exp(cf.partial_sum([("y", -p)], "z", p + 1)),
             tex_anchor="exp of weighted partial sums",
             note="independently derived route"))
     entries.append(IdentityEntry(
         id="16.57i", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((4, -5), -1),
+        lhs=_pyramid_n(2, (4, -5)),
         rhs=_exp(cf.partial_sum([("y", -4)], "z", 5)),
         tex_anchor="exp of quartic partial sums (authoritative route)"))
     # derived closed polylog form (recorded artifact): follows the same
@@ -994,13 +945,13 @@ def _two_var_euler_entries():
     ]
     entries.append(IdentityEntry(
         id="16.57i-polylog", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((4, -5), -1),
+        lhs=_pyramid_n(2, (4, -5)),
         rhs=cf.mul(_pow(_ub({"y": 1, "z": 1}), y_over), _exp(*i_terms)),
         tex_anchor=r"(1-yz)^{\frac{y}{1-y}} \exp\{ \frac{y(1+y)(y^2+10y+1)}{(1-y)^5}(Li_5(z)-Li_5(yz)) - \ldots \}",
         note="derived closed polylog form"))
     entries.append(IdentityEntry(
         id="16.57i-inv", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((4, -5), 1),
+        lhs=_pyramid_n(2, (4, -5), direction=1),
         rhs=_exp(cf.neg(cf.partial_sum([("y", -4)], "z", 5))),
         tex_anchor="reciprocal"))
     # the printed long polylog display of 16.57i
@@ -1027,7 +978,7 @@ def _two_var_euler_entries():
                            cf.mul(cf.const(3), liz_node(2))))))
     entries.append(IdentityEntry(
         id="16.57i-printed", mode=EXACT, caps=(5, 8), names=names,
-        lhs=lhs((4, -5), -1), rhs=i_printed, expected="errata-probe",
+        lhs=_pyramid_n(2, (4, -5)), rhs=i_printed, expected="errata-probe",
         tex_anchor=r"(y-3y^3-y^4)", note="printed long polylog display"))
     return entries
 
@@ -1060,15 +1011,6 @@ def _pow_poly_ub(exps, terms):
 
 def _pyramid3d_euler_entries():
     entries = []
-    region = LatticeRegion(arity=3, lower=(1, 1, 1), coprime=True,
-                           order=ORDER_ALL_BELOW_LAST)
-
-    def lhs_1var(direction):
-        return ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=direction,
-                                             powers=(1, 2, -4)),
-                           mapping=(None, None, 0), names=("z",))
-
     inv_1mz = _frac_tree(cf.const(1), _ub({"z": 1}))
     bracket = cf.add(
         _li(2, {"z": 1}),
@@ -1076,24 +1018,22 @@ def _pyramid3d_euler_entries():
                           cf.mul(cf.const(-5), cf.mono({"z": 2}))),
                    _pow(_ub({"z": 1}), cf.const(2))))
     entries.append(IdentityEntry(
-        id="16.59", mode=EXACT, caps=(8,), names=("z",), lhs=lhs_1var(-1),
+        id="16.59", mode=EXACT, caps=(8,), names=("z",),
+        lhs=_pyramid_n(3, (1, 2, -4), mapping=(None, None, 0), names=("z",)),
         rhs=cf.mul(_pow(inv_1mz, cf.const(Fraction(1, 3))),
                    _exp(cf.mul(cf.const(Fraction(1, 12)), bracket))),
         tex_anchor=r"\sqrt[3]{\left( \frac{1}{1-z} \right)} \;  \exp\left\{ \frac{1}{12} \left( Li_2(z) + \frac{z(7-5z)}{(1-z)^2}\right) \right\}"))
     entries.append(IdentityEntry(
-        id="16.60", mode=EXACT, caps=(8,), names=("z",), lhs=lhs_1var(1),
+        id="16.60", mode=EXACT, caps=(8,), names=("z",),
+        lhs=_pyramid_n(3, (1, 2, -4), direction=1, mapping=(None, None, 0),
+                       names=("z",)),
         rhs=cf.mul(_pow(_ub({"z": 1}), cf.const(Fraction(1, 3))),
                    _exp(cf.mul(cf.const(Fraction(-1, 12)), bracket))),
         tex_anchor=r"\sqrt[3]{\left( 1-z \right)}"))
 
-    def lhs_3var(direction):
-        return ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=direction,
-                                             powers=(1, 2, -4)),
-                           names=VARS[3])
-
     entries.append(IdentityEntry(
-        id="16.62", mode=EXACT, caps=(4, 4, 6), names=VARS[3], lhs=lhs_3var(-1),
+        id="16.62", mode=EXACT, caps=(4, 4, 6), names=VARS[3],
+        lhs=_pyramid_n(3, (1, 2, -4)),
         rhs=_exp(cf.partial_sum([("x", -1), ("y", -2)], "z", 4)),
         tex_anchor="exp of moment partial sums (authoritative route)"))
     # printed polylog display of 16.62
@@ -1128,7 +1068,7 @@ def _pyramid3d_euler_entries():
                     li(4, {"z": 1}))))
     entries.append(IdentityEntry(
         id="16.62-printed", mode=EXACT, caps=(4, 4, 6), names=VARS[3],
-        lhs=lhs_3var(-1), rhs=printed, expected="errata-probe",
+        lhs=_pyramid_n(3, (1, 2, -4)), rhs=printed, expected="errata-probe",
         tex_anchor=r"\left(\frac{1}{1-xyz} \right)^{\frac{xy}{(1-x)^2(1-y)^3}}",
         note="printed long polylog display"))
     return entries
@@ -1192,13 +1132,14 @@ def _andrews_entries():
     for eq, kind in fam_map.items():
         for suffix, coprime in (("", False), ("a", True)):
             region = LatticeRegion(arity=2, lower=(1, 1), coprime=coprime)
-            spec = ProductSpec(region=region, factor=LocalFactorFamily(kind=kind),
-                               names=("x", "y"))
+            lhs, rhs = (ProductSpec(region=region,
+                                    factor=LocalFactorFamily(kind=kind,
+                                                             defining_sum=defining),
+                                    names=("x", "y"))
+                        for defining in (False, True))
             entries.append(IdentityEntry(
                 id=eq + suffix, mode=EXACT, caps=(6, 6), names=("x", "y"),
-                lhs=spec,
-                rhs=(lambda caps_, spec_=spec: product_series(
-                    spec_, caps_, EXACT, closed_form_factors=False)),
+                lhs=lhs, rhs=rhs,
                 tex_anchor=r"1 + x^j y^k + 2x^{2j} y^{2k} + 3x^{3j} y^{3k}"
                 if kind == MULTIPLICITY else "local factor family",
                 note="closed-form factors vs defining sums"))
@@ -1286,40 +1227,45 @@ def _upper_grid_entries():
 def _binary_entries():
     entries = []
 
-    def pair_entry(eq, flavor, caps, anchor, dim=2):
-        def lhs(caps_: Caps) -> Series:
-            return binary_mod.binary_transform_pair(
-                binary_mod.BinaryGridSpec(dim, flavor), caps_)[0]
+    # the distinct sides: prod (1 + X) over binary X, X in a pyramid for
+    # 12.1 (x^(2^j) y^(2^k), j <= k) and 12.08 (y dominant)
+    quadrant = _binary_powers_spec(2, sign=1, direction=1)
 
-        def rhs(caps_: Caps) -> Series:
-            return binary_mod.binary_transform_pair(
-                binary_mod.BinaryGridSpec(dim, flavor), caps_)[1]
+    def unit_component(caps: Caps) -> Series:
+        return _unit_component_product(VARS[2], caps)
 
-        return IdentityEntry(id=eq, mode=EXACT, caps=caps, names=VARS[dim],
-                             lhs=lhs, rhs=rhs, tex_anchor=anchor)
+    entries.append(IdentityEntry(
+        id="7.23a", mode=EXACT, caps=(16, 16), names=VARS[2],
+        lhs=quadrant, rhs=unit_component,
+        tex_anchor=r"\frac{1}{1-xy}  \prod_{k \geq 1} \frac{1}{(1-y^{2^k} z)(1-y z^{2^k})}"))
+    entries.append(IdentityEntry(
+        id="12.04", mode=EXACT, caps=(16, 16), names=VARS[2],
+        lhs=quadrant, rhs=unit_component,
+        tex_anchor=r"\frac{1}{1-xy} \prod_{j \geq 1} \left( \frac{1}{(1- x^{2^j} y)(1- x y^{2^j})} \right)"))
+    entries.append(IdentityEntry(
+        id="12.1", mode=EXACT, caps=(8, 32), names=("x", "y"),
+        lhs=_binary_powers_spec(2, sign=1, direction=1, names=("x", "y"),
+                                order=ORDER_ALL_BELOW_LAST),
+        rhs=lambda caps: binary_mod.beta2_product_series(caps, ("x", "y")),
+        tex_anchor=r"\frac{1}{(1-xy) (1-xy^2)(1-xy^4)"))
+    entries.append(IdentityEntry(
+        id="12.08", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
+        lhs=_binary_powers_spec(3, sign=1, direction=1, order=ORDER_ALL_BELOW_LAST,
+                                mapping=(0, 2, 1)),
+        rhs=binary_mod.pyramid3_unrestricted_series,
+        tex_anchor=r"3D pyramid binary product form"))
 
-    entries.append(pair_entry(
-        "7.23a", binary_mod.FULL_QUADRANT, (16, 16),
-        r"\frac{1}{1-xy}  \prod_{k \geq 1} \frac{1}{(1-y^{2^k} z)(1-y z^{2^k})}"))
-    entries.append(pair_entry(
-        "12.04", binary_mod.FULL_QUADRANT, (16, 16),
-        r"\frac{1}{1-xy} \prod_{j \geq 1} \left( \frac{1}{(1- x^{2^j} y)(1- x y^{2^j})} \right)"))
-    entries.append(pair_entry(
-        "12.1", binary_mod.LOWER_DIAGONAL, (8, 32),
-        r"\frac{1}{(1-xy) (1-xy^2)(1-xy^4)"))
-    entries.append(pair_entry(
-        "12.08", binary_mod.PYRAMID_3D, (8, 8, 8),
-        r"3D pyramid binary product form", dim=3))
+    def min_index(exponent, sign):
+        return lambda caps: binary_mod.min_index_product(caps, exponent, sign)
 
     entries.append(IdentityEntry(
         id="7.24", mode=EXACT, caps=(12, 12), names=VARS[2],
-        lhs=lambda caps: binary_mod.min_plus_one_transform(caps)[0],
-        rhs=lambda caps: binary_mod.min_plus_one_transform(caps)[1],
+        lhs=min_index(lambda e: e, 1),
+        rhs=_binary_powers_spec(2, sign=-1, direction=-1),
         tex_anchor=r"\prod (1+y^{2^m} z^{2^n})^{\min(m,n)+1}"))
     entries.append(IdentityEntry(
         id="7.25a", mode=EXACT, caps=(12, 12), names=VARS[2],
-        lhs=lambda caps: binary_mod.triangular_transform(caps)[0],
-        rhs=lambda caps: binary_mod.triangular_transform(caps)[1],
+        lhs=min_index(lambda e: e * (e + 1) // 2, 1), rhs=min_index(lambda e: -e, -1),
         tex_anchor=r"(1+y^{2^m} z^{2^n})^{\frac{(m+1)(m+2)}{2}}"))
 
     entries.append(IdentityEntry(
@@ -1361,9 +1307,6 @@ def _binary_entries():
     entries.append(indicator_pair("11b25-3", 3, (15, 15)))
     entries.append(indicator_pair("11b31", 10, (112, 112)))
 
-    def beta_lhs(caps: Caps) -> Series:
-        return binary_mod.beta2_product_series(caps)
-
     def beta_rhs(caps: Caps) -> Series:
         one = Series.one(("q", "t"), caps)
         out = one
@@ -1377,49 +1320,49 @@ def _binary_entries():
 
     entries.append(IdentityEntry(
         id="12.01", mode=EXACT, caps=(13, 13), names=("q", "t"),
-        lhs=beta_lhs, rhs=beta_rhs,
+        lhs=binary_mod.beta2_product_series, rhs=beta_rhs,
         tex_anchor=r"\sum_{\substack{2^j|k \\ j \geq 0}} 2^j q^{k/2^j}"))
-
-    def beta_distinct(caps: Caps) -> Series:
-        return binary_mod.beta2_distinct_series(caps)
 
     entries.append(IdentityEntry(
         id="12.05", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=_entry_1205_lhs,
+        lhs=lambda caps: _unit_component_product(VARS[3], caps),
         rhs=_binary_powers_spec(3, sign=1, direction=1),
         tex_anchor=r"\frac{1}{1-xyz} \prod_{a,b \geq 1}",
         note="corrected: includes the chains with two unit components"))
     entries.append(IdentityEntry(
         id="12.05-printed", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=lambda caps: _entry_1205_lhs(caps, printed_form=True),
+        lhs=lambda caps: _unit_component_product(VARS[3], caps, printed_form=True),
         rhs=_binary_powers_spec(3, sign=1, direction=1),
         expected="errata-probe",
         tex_anchor=r"\frac{1}{(1- x y^{2^a}z^{2^b})(1- x^{2^a}y z^{2^b})(1- x^{2^a}y^{2^b}z)}",
         note="printed display omits the (1,1,2^b)-type chains"))
     entries.append(IdentityEntry(
         id="12.03", mode=EXACT, caps=(13, 13), names=("q", "t"),
-        lhs=beta_lhs, rhs=beta_distinct,
+        lhs=binary_mod.beta2_product_series,
+        rhs=_binary_powers_spec(2, sign=1, direction=1, names=("q", "t"),
+                                order=ORDER_ALL_BELOW_LAST),
         tex_anchor=r"= \sum_{j=0,k=0}^{\infty} \beta_2(j,k) q^j t^k"))
     return entries
 
 
-def _binary_powers_spec(n, sign, direction, names=None) -> ProductSpec:
+def _binary_powers_spec(n, sign, direction, names=None, order=ORDER_NONE,
+                        mapping=None) -> ProductSpec:
     """prod (1 + sign X)^direction over X with every exponent a power of 2."""
     return ProductSpec(
-        region=LatticeRegion(arity=n, base_powers=2),
+        region=LatticeRegion(arity=n, order=order, base_powers=2),
         factor=WeightExpr(sign=sign, direction=direction, powers=(0,) * n),
-        names=names or VARS[n])
+        mapping=mapping, names=names or VARS[n])
 
 
-def _entry_1205_lhs(caps: Caps, printed_form: bool = False) -> Series:
-    pows = binary_mod.powers_upto(max(caps.limits))[1:]
-    monos = [(1, 1, 1)]
-    if not printed_form:
-        # chains starting with two unit components, omitted by the display
-        monos += [m for b in pows for m in ((1, 1, b), (1, b, 1), (b, 1, 1))]
-    monos += [m for a in pows for b in pows for m in ((1, a, b), (a, 1, b), (a, b, 1))]
+def _unit_component_product(names, caps: Caps, printed_form: bool = False) -> Series:
+    """prod 1/(1 - X) over binary X (every exponent a power of 2) with an
+    exponent equal to 1; the printed 12.05 display omits the X with exactly
+    two unit exponents."""
+    pows = binary_mod.powers_upto(max(caps.limits))
+    monos = (m for m in itertools.product(pows, repeat=len(names))
+             if 1 in m and not (printed_form and m.count(1) == 2))
     # the builder drops factors whose monomial the caps do not admit
-    return binomial_product(((m, 1, -1, -1) for m in monos), VARS[3], caps)
+    return binomial_product(((m, 1, -1, -1) for m in monos), names, caps)
 
 
 _CATALOG: dict | None = None
@@ -1471,8 +1414,10 @@ def entry_from_json(doc: dict) -> IdentityEntry:
                 sum(spec.factor.powers) != -1:
             raise SeriesError("weight exponents must sum to 1 for the "
                               "hyperquadrant exp family")
+    if not isinstance(doc["rhs"], dict):
+        raise SeriesError("rhs must be an expression tree object")
     mode = doc.get("mode", EXACT)
-    caps = tuple(doc["caps"])
+    caps = Caps.of(doc["caps"]).limits
     return IdentityEntry(id=doc.get("id", "custom"), mode=mode, caps=caps,
                          names=spec.names, lhs=spec, rhs=doc["rhs"],
                          tex_anchor=doc.get("tex_anchor", ""))

@@ -164,7 +164,7 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
         raise
     except KeyError as err:
         raise ExprError(f"missing field {err}", _path + "." + op) from err
-    except SeriesError as err:
+    except (ValueError, TypeError, ZeroDivisionError) as err:  # SeriesError too
         raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)
 

@@ -10,6 +10,7 @@ is itself a test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,16 +95,18 @@ def determinant(matrix) -> Series:
     return out
 
 
+def _kth_coefficient(power_sums, k: int, via_determinant: bool) -> Series:
+    """a_k of exp(sum p_m t^m / m): the Hessenberg determinant / k!, or the recurrence."""
+    if via_determinant:
+        det = determinant(hessenberg_matrix(power_sums, k))
+        return det.scale(Fraction(1, math.factorial(k)))
+    return coeffs_from_power_sums(power_sums, k)[k]
+
+
 def qbinom_coeff(spec: QBinomialSpec, caps: Caps, via_determinant: bool = False) -> Series:
     """A_k = det/k! for the n-variable binomial product at parameter a."""
     sums = [power_sum(spec, m, caps) for m in range(1, spec.order + 1)]
-    if via_determinant:
-        det = determinant(hessenberg_matrix(sums, spec.order))
-        factorial = 1
-        for i in range(2, spec.order + 1):
-            factorial *= i
-        return det.scale(Fraction(1, factorial))
-    return coeffs_from_power_sums(sums, spec.order)[spec.order]
+    return _kth_coefficient(sums, spec.order, via_determinant)
 
 
 def exact_parts_series(k: int, dimension: int, caps: Caps, names=None) -> Series:
@@ -184,13 +187,7 @@ def binary_Ak(k: int, cap_q: int | None = None, via_determinant: bool = False) -
         raise SeriesError("k must be >= 1")
     cap_q = cap_q if cap_q is not None else k
     sums = [binary_power_sum(m, cap_q) for m in range(1, k + 1)]
-    if via_determinant:
-        det = determinant(hessenberg_matrix(sums, k))
-        factorial = 1
-        for i in range(2, k + 1):
-            factorial *= i
-        return det.scale(Fraction(1, factorial))
-    return coeffs_from_power_sums(sums, k)[k]
+    return _kth_coefficient(sums, k, via_determinant)
 
 
 def hyperpyramid_power_sum(m: int, names, caps: Caps, repeat: int = 1) -> Series:

@@ -21,11 +21,9 @@ ORDER_NONE = "none"
 ORDER_ALL_BELOW_LAST = "all_below_last"            # a_i <= a_n for i < n
 ORDER_ALL_BELOW_LAST_STRICT = "all_below_last_strict"  # a_i < a_n
 ORDER_STRICT_CHAIN = "strict_chain"                # a_1 < a_2 < ... < a_n
-ORDER_UPPER_TRIANGLE = "upper_triangle"            # 2D a_1 <= a_2
-ORDER_UPPER_TRIANGLE_STRICT = "upper_triangle_strict"  # 2D a_1 < a_2
 
 _ORDERS = (ORDER_NONE, ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
-           ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE, ORDER_UPPER_TRIANGLE_STRICT)
+           ORDER_STRICT_CHAIN)
 
 
 class RegionError(ValueError):
@@ -79,8 +77,6 @@ class LatticeRegion:
             raise RegionError("lower-bound arity mismatch")
         if self.order not in _ORDERS:
             raise RegionError(f"unknown ordering {self.order!r}")
-        if self.order in (ORDER_UPPER_TRIANGLE, ORDER_UPPER_TRIANGLE_STRICT) and self.arity != 2:
-            raise RegionError("upper-triangle orderings are 2D only")
         if self.base_powers is not None and self.base_powers < 2:
             raise RegionError("base must be >= 2")
 
@@ -99,12 +95,6 @@ class LatticeRegion:
                 return False
         elif self.order == ORDER_STRICT_CHAIN:
             if any(a >= b for a, b in zip(vec, vec[1:])):
-                return False
-        elif self.order == ORDER_UPPER_TRIANGLE:
-            if vec[0] > vec[1]:
-                return False
-        elif self.order == ORDER_UPPER_TRIANGLE_STRICT:
-            if vec[0] >= vec[1]:
                 return False
         if self.base_powers is not None:
             for v in vec:
@@ -170,7 +160,7 @@ def _ordered_points(order: str, axes):
             points = [p + (v,) for p in points for v in axis if not p or v > p[-1]]
         return points
     # every other ordering bounds the leading components by the last one
-    strict = order in (ORDER_ALL_BELOW_LAST_STRICT, ORDER_UPPER_TRIANGLE_STRICT)
+    strict = order == ORDER_ALL_BELOW_LAST_STRICT
     points = []
     for last in axes[-1]:
         top = last - 1 if strict else last
@@ -318,15 +308,25 @@ MULTIPLICITY = "multiplicity"
 SQUARE = "square"
 ODD_ONLY = "odd_only"
 DISTINCT_BINOMIAL = "distinct_binomial"
+_FAMILIES = (GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY, DISTINCT_BINOMIAL)
 
 
 @dataclass(frozen=True)
 class LocalFactorFamily:
-    """Per-lattice-point factor given as a weighted multiplicity sum."""
+    """Per-lattice-point factor given as a weighted multiplicity sum.
+
+    With `defining_sum` set, each factor is its truncated defining sum in
+    place of its closed form (so a product checks one against the other).
+    """
 
     kind: str
     exponent: Fraction = Fraction(1)  # for distinct_binomial: (1 + sign X)^exponent
     sign: int = 1
+    defining_sum: bool = False
+
+    def __post_init__(self):
+        if self.kind not in _FAMILIES:
+            raise RegionError(f"unknown family {self.kind!r}")
 
     def defining_terms(self, max_mult: int, mode: str):
         """Coefficients [c_0..c_max] of the defining sum in X."""
@@ -342,11 +342,11 @@ class LocalFactorFamily:
                     for n in range(max_mult + 1)]
         raise RegionError(f"no defining sum for {self.kind!r}")
 
-    def series(self, mono, names, caps: Caps, mode: str, closed_form: bool = True) -> Series:
+    def series(self, mono, names, caps: Caps, mode: str) -> Series:
         """The local factor as a series; closed form or truncated defining sum."""
         if self.kind == DISTINCT_BINOMIAL:
             return unit_binomial_pow(mono, self.exponent, names, caps, mode, sign=self.sign)
-        if not closed_form:
+        if self.defining_sum:
             kmax = _max_multiple(mono, caps)
             coeffs = self.defining_terms(kmax, mode)
             terms = {tuple(e * n for e in mono): c
@@ -361,19 +361,18 @@ class LocalFactorFamily:
             return one + x * inv * inv
         if self.kind == SQUARE:
             return one + x * (one + x) * (one - x).inverse().pow(3)
-        if self.kind == ODD_ONLY:
-            x2 = x * x
-            inv2 = (one - x2).inverse()
-            return one + x * (one + x2) * inv2 * inv2
-        raise RegionError(f"unknown family {self.kind!r}")
+        x2 = x * x  # ODD_ONLY
+        inv2 = (one - x2).inverse()
+        return one + x * (one + x2) * inv2 * inv2
 
     def to_json(self) -> dict:
-        return {"family": self.kind, "exponent": str(self.exponent), "sign": self.sign}
+        return {"family": self.kind, "exponent": str(self.exponent), "sign": self.sign,
+                "defining_sum": self.defining_sum}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LocalFactorFamily":
         return cls(kind=doc["family"], exponent=Fraction(doc.get("exponent", 1)),
-                   sign=doc.get("sign", 1))
+                   sign=doc.get("sign", 1), defining_sum=doc.get("defining_sum", False))
 
 
 def _max_multiple(mono, caps: Caps) -> int:
@@ -458,9 +457,6 @@ class ProductSpec:
                     bounds[j] is not None for j in range(i + 1, len(bounds))):
                 bounds[i] = next(bounds[j] for j in range(i + 1, len(bounds))
                                  if bounds[j] is not None)
-            elif order in (ORDER_UPPER_TRIANGLE, ORDER_UPPER_TRIANGLE_STRICT) \
-                    and i == 0 and bounds[1] is not None:
-                bounds[i] = bounds[1]
             else:
                 raise RegionError("region with no capped progress direction")
         if order == ORDER_STRICT_CHAIN:
@@ -501,8 +497,7 @@ class ProductSpec:
                    names=tuple(doc["vars"]))
 
 
-def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
-                   closed_form_factors: bool = True) -> Series:
+def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT) -> Series:
     """Expand the truncated lattice product factor by factor.
 
     Weight-expression factors, and the closed forms of the geometric and
@@ -522,15 +517,14 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
              for vec in spec.vectors(caps)), names, caps, mode)
     family = spec.factor
     monos = (_unscaled(spec.image(vec, mode)) for vec in spec.vectors(caps))
-    if closed_form_factors and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
+    if not family.defining_sum and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
         exponent, sign = (-1, -1) if family.kind == GEOMETRIC \
             else (family.exponent, family.sign)
         return binomial_product(((expo, 1, exponent, sign) for expo in monos),
                                 names, caps, mode)
     out = Series.one(names, caps, mode)
     for expo in monos:
-        out = out * family.series(expo, names, caps, mode,
-                                  closed_form=closed_form_factors)
+        out = out * family.series(expo, names, caps, mode)
     return out
 
 
@@ -670,31 +664,6 @@ def quadrant_radial_series(q: Fraction, cap: int, names=("z",), reciprocal=False
             if n % k == 0:
                 h = n // k
                 total += coprime_geometric_value(Fraction(q) ** h, k) / n
-        if total:
-            log_terms[(n,)] = -total
-    log_series = Series(names, caps, EXACT, log_terms)
-    if reciprocal:
-        log_series = -log_series
-    return log_series.exp()
-
-
-def pyramid_radial_series(q: Fraction, cap: int, names=("z",), reciprocal=False,
-                          strict: bool = False) -> Series:
-    """prod over coprime (j,k), j <= k (or j < k) of (1 - q^j z^k)^(1/k), exactly.
-
-    The j-range is finite, so this is a plain formal evaluation.
-    """
-    caps = Caps.of([cap])
-    log_terms: dict = {}
-    for n in range(1, cap + 1):
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            if n % k == 0:
-                h = n // k
-                top = k - 1 if strict else k
-                s = sum((Fraction(q) ** (j * h) for j in range(1, top + 1)
-                         if gcd(j, k) == 1), Fraction(0))
-                total += s / Fraction(n)
         if total:
             log_terms[(n,)] = -total
     log_series = Series(names, caps, EXACT, log_terms)

@@ -2,16 +2,13 @@ import itertools
 
 import pytest
 
-from vpvlab.binary import (BinaryGridSpec, FULL_QUADRANT, LOWER_DIAGONAL,
-                           PYRAMID_3D, b_indicator, b_indicator_series,
-                           beta2_distinct_series, beta2_grid, beta2_oracle,
-                           beta2_product_series, binary_count,
-                           binary_count_series, binary_transform_pair,
-                           distinct_b2_series, min_plus_one_transform,
-                           repunits, triangular_transform,
+from vpvlab.binary import (b_indicator, b_indicator_series, beta2_grid,
+                           beta2_oracle, binary_count, binary_count_series,
+                           distinct_b2_series, min_index_product, repunits,
                            unrestricted_b2_series)
+from vpvlab.catalog import get_entry
 from vpvlab.determinants import binary_Ak
-from vpvlab.series import Caps, Series, SeriesError
+from vpvlab.series import Caps
 
 
 # expansion printed with the generating function, n = 0..20
@@ -111,29 +108,34 @@ class TestBetaGrid:
         assert beta2_oracle(3, 6) == 2
 
 
+def _transform_sides(entry_id, caps):
+    entry = get_entry(entry_id)
+    caps = Caps.of(caps)
+    return entry.build_lhs(caps), entry.build_rhs(caps)
+
+
 class TestTransforms:
     def test_full_quadrant(self):
-        lhs, rhs = binary_transform_pair(BinaryGridSpec(2, FULL_QUADRANT),
-                                         Caps.of([16, 16]))
-        assert lhs == rhs
+        lhs, rhs = _transform_sides("12.04", (16, 16))
+        assert lhs == rhs == distinct_b2_series(Caps.of([16, 16]))
 
     def test_lower_diagonal(self):
-        lhs, rhs = binary_transform_pair(BinaryGridSpec(2, LOWER_DIAGONAL),
-                                         Caps.of([8, 32]))
+        lhs, rhs = _transform_sides("12.1", (8, 32))
         assert lhs == rhs
 
     def test_pyramid(self):
-        lhs, rhs = binary_transform_pair(BinaryGridSpec(3, PYRAMID_3D),
-                                         Caps.of([8, 8, 8]))
+        lhs, rhs = _transform_sides("12.08", (8, 8, 8))
         assert lhs == rhs
 
     def test_min_plus_one(self):
-        lhs, rhs = min_plus_one_transform(Caps.of([12, 12]))
-        assert lhs == rhs
+        caps = Caps.of([12, 12])
+        lhs = min_index_product(caps, lambda e: e, 1)
+        assert lhs == unrestricted_b2_series(caps)
 
     def test_triangular_exponent_law(self):
-        lhs, rhs = triangular_transform(Caps.of([12, 12]))
-        assert lhs == rhs
+        caps = Caps.of([12, 12])
+        lhs = min_index_product(caps, lambda e: e * (e + 1) // 2, 1)
+        assert lhs == min_index_product(caps, lambda e: -e, -1)
 
     def test_functional_equation(self):
         # bold B2(y,z) = (1+yz) B2(y^2,z) B2(y,z^2) / B2(y^2,z^2)
@@ -159,11 +161,3 @@ class TestTransforms:
         squared = U.substitute({"y": (1, {"y": 2}), "z": (1, {"z": 2})},
                                names, caps)
         assert D == U * squared.inverse()
-
-    def test_spec_validation(self):
-        with pytest.raises(SeriesError):
-            BinaryGridSpec(3, FULL_QUADRANT)
-        with pytest.raises(SeriesError):
-            BinaryGridSpec(2, PYRAMID_3D)
-        with pytest.raises(SeriesError):
-            BinaryGridSpec(2, FULL_QUADRANT, base=1)

@@ -88,6 +88,18 @@ class TestCatalogShape:
     def test_entry_1205_default_caps(self):
         assert tuple(get_entry("12.05").caps) == (8, 8, 8)
 
+    def test_built_sides_carry_entry_names(self):
+        for entry in catalog():
+            caps = Caps.of(tuple(min(c, 2) for c in entry.caps))
+            for side in (entry.build_lhs, entry.build_rhs):
+                assert side(caps).names == tuple(entry.names), entry.id
+
+    def test_closure_side_counts(self):
+        # sides the spec vocabulary can state are data, not closures
+        entries = catalog()
+        assert sum(callable(e.lhs) for e in entries) <= 38
+        assert sum(callable(e.rhs) for e in entries) <= 29
+
 
 def expand_hashes():
     """sha256 of `Series.dumps()` for both sides of every exact catalog entry
@@ -301,8 +313,8 @@ class TestInvariantFamilies:
         # lower triangle is the strict upper triangle with axes swapped, so
         # the weight 1/k lands on the swapped component
         from vpvlab.lattice import (LatticeRegion, ProductSpec, WeightExpr,
-                                    ORDER_UPPER_TRIANGLE,
-                                    ORDER_UPPER_TRIANGLE_STRICT)
+                                    ORDER_ALL_BELOW_LAST,
+                                    ORDER_ALL_BELOW_LAST_STRICT)
         caps = Caps.of([6, 6])
         names = ("y", "z")
         full = ProductSpec(
@@ -311,12 +323,12 @@ class TestInvariantFamilies:
             names=names)
         upper = ProductSpec(
             region=LatticeRegion(arity=2, lower=(1, 1), coprime=True,
-                                 order=ORDER_UPPER_TRIANGLE),
+                                 order=ORDER_ALL_BELOW_LAST),
             factor=WeightExpr(sign=-1, direction=-1, powers=(0, -1)),
             names=names)
         lower = ProductSpec(
             region=LatticeRegion(arity=2, lower=(1, 1), coprime=True,
-                                 order=ORDER_UPPER_TRIANGLE_STRICT),
+                                 order=ORDER_ALL_BELOW_LAST_STRICT),
             factor=WeightExpr(sign=-1, direction=-1, powers=(-1, 0)),
             mapping=(1, 0), names=names)
         full_s = product_series(full, caps)

@@ -96,7 +96,13 @@ class TestVerifyCommand:
         assert json.loads(out.strip())["verdict"] == "pass"
 
     def test_malformed_custom_documents_are_config_errors(self, tmp_path, capsys):
-        for i, doc in enumerate([{"id": "x"}, [1, 2]]):
+        lhs = TestCapsArity.SPEC
+        one = {"op": "const", "value": "1"}
+        docs = [{"id": "x"}, [1, 2],
+                {"lhs": lhs, "caps": ["a", "b"], "rhs": one},
+                {"lhs": lhs, "caps": [3, 3], "rhs": [1, 2]},
+                {"lhs": lhs, "caps": [3, 3], "rhs": "abc"}]
+        for i, doc in enumerate(docs):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(["verify", "--custom", str(path)], capsys)
@@ -252,14 +258,18 @@ class TestExpandCommand:
                          "weight": {"powers": ["0", "0"]}}, "caps": [3, 3]},
                 {"caps": [3], "rhs": {"op": "const", "value": "1"}},
                 {"vars": ["z"], "caps": ["x"], "rhs": {"op": "const", "value": "1"}},
-                [1, 2]]
+                [1, 2],
+                {"lhs": {"region": {"arity": 2, "order": "upper_triangle"},
+                         "mapping": [0, 1], "vars": ["y", "z"],
+                         "weight": {"powers": ["0", "0"]}}, "caps": [3, 3]},
+                {"lhs": {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["x", "y"],
+                         "factor": {"family": "bogus"}}, "caps": [3, 3]}]
         for i, doc in enumerate(docs):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(doc))
             code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
             assert code == 2, doc
             assert out == "" and err.startswith("error:"), doc
-
 
     def test_closed_form_missing_field_is_config_error(self, tmp_path, capsys):
         trees = [{"op": "const"},
@@ -271,6 +281,16 @@ class TestExpandCommand:
             code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
             assert code == 2, tree
             assert out == "" and err.startswith("error: missing field"), tree
+
+    @pytest.mark.parametrize("tree", [
+        {"op": "const", "value": "x"}, {"op": "const", "value": "1/0"},
+        {"op": "mono", "exps": {"z": "a"}}, {"op": "add", "args": 5}])
+    def test_closed_form_bad_value_is_config_error(self, tree, tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"vars": ["z"], "caps": [3], "rhs": tree}))
+        code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "(at node" in err
 
 
 class TestCapsArity:
@@ -358,6 +378,11 @@ class TestClosureSidesAsSpecs:
     @pytest.mark.parametrize("entry_id,side", [
         ("11.06a", "lhs"), ("11.08", "rhs"), ("12.05", "rhs"),
         ("12.05-printed", "rhs"),
+        # one side per spec kind: scalar mapping, merged monomials (approx),
+        # strict pyramid, base-2 regions, permuted mapping, defining sums
+        ("14.03@y=1/2", "lhs"), ("14.02@y=2", "lhs"), ("13.22", "lhs"),
+        ("14.15", "lhs"), ("7.23a", "lhs"), ("12.1", "lhs"), ("12.08", "lhs"),
+        ("7.24", "rhs"), ("12.03", "rhs"), ("8.07.02", "rhs"),
     ])
     def test_spec_roundtrip_and_expand(self, entry_id, side, tmp_path, capsys):
         entry = catalog_mod.get_entry(entry_id)
@@ -368,8 +393,8 @@ class TestClosureSidesAsSpecs:
         path = tmp_path / "side.json"
         path.write_text(json.dumps(doc))
         caps = ",".join(map(str, entry.caps))
-        code, by_spec, _ = run_cli(["expand", "--spec", str(path), "--caps", caps],
-                                   capsys)
+        code, by_spec, _ = run_cli(["expand", "--spec", str(path), "--caps", caps,
+                                    "--mode", entry.mode], capsys)
         assert code == 0
         code, by_entry, _ = run_cli(["expand", "--entry", entry_id, "--side", side],
                                     capsys)

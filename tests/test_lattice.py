@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -9,12 +10,11 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             LatticeRegion, LocalFactorFamily, PartitionGrid,
                             ProductSpec, RegionError, WeightExpr,
                             ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
-                            ORDER_NONE, ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE,
-                            ORDER_UPPER_TRIANGLE_STRICT,
+                            ORDER_NONE, ORDER_STRICT_CHAIN,
                             coprime_geometric_value, count_exactly_k, count_grid,
                             count_partitions, enumerate_region, euler_phi,
                             grid, moebius, product_series,
-                            pyramid_radial_series, quadrant_radial_series,
+                            quadrant_radial_series,
                             DISTINCT_BINOMIAL, GEOMETRIC, MULTIPLICITY, SQUARE,
                             ODD_ONLY)
 from vpvlab.series import Caps, EXACT, Series, SeriesError, unit_binomial_pow
@@ -45,13 +45,13 @@ class TestNumberTheoryHelpers:
 
 
 ORDERS = (ORDER_NONE, ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
-          ORDER_STRICT_CHAIN, ORDER_UPPER_TRIANGLE, ORDER_UPPER_TRIANGLE_STRICT)
+          ORDER_STRICT_CHAIN)
 
 
 @st.composite
 def regions_with_bounds(draw):
     order = draw(st.sampled_from(ORDERS))
-    arity = 2 if order.startswith("upper") else draw(st.integers(2, 4))
+    arity = draw(st.integers(2, 4))
     region = LatticeRegion(
         arity=arity, order=order,
         lower=tuple(draw(st.integers(0, 1)) for _ in range(arity)),
@@ -63,7 +63,7 @@ def regions_with_bounds(draw):
 class TestEnumerateRegion:
     def test_upper_vpv_order5(self):
         region = LatticeRegion(arity=2, lower=(1, 1), coprime=True,
-                               order=ORDER_UPPER_TRIANGLE_STRICT)
+                               order=ORDER_ALL_BELOW_LAST_STRICT)
         got = enumerate_region(region, (5, 5))
         expected = {(1, 2), (1, 3), (2, 3), (1, 4), (3, 4),
                     (1, 5), (2, 5), (3, 5), (4, 5)}
@@ -79,6 +79,8 @@ class TestEnumerateRegion:
         region = LatticeRegion(arity=2, lower=(1, 1), base_powers=2)
         got = enumerate_region(region, (2, 2))
         assert got == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        with pytest.raises(RegionError):
+            LatticeRegion(arity=2, base_powers=1)
 
     def test_origin_never_included(self):
         region = LatticeRegion(arity=2, lower=(0, 0))
@@ -263,9 +265,9 @@ class TestProductSeries:
         caps = Caps.of([6, 6])
         names = ("x", "y")
         for kind in (GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY):
-            fam = LocalFactorFamily(kind=kind)
-            closed = fam.series((1, 1), names, caps, EXACT, closed_form=True)
-            truncated = fam.series((1, 1), names, caps, EXACT, closed_form=False)
+            closed = LocalFactorFamily(kind=kind).series((1, 1), names, caps, EXACT)
+            truncated = LocalFactorFamily(kind=kind, defining_sum=True) \
+                .series((1, 1), names, caps, EXACT)
             assert closed == truncated, kind
 
     @pytest.mark.parametrize("family", [
@@ -284,7 +286,9 @@ class TestProductSeries:
                                           EXACT)
         assert product_series(spec, caps) == chain
         if family.kind != DISTINCT_BINOMIAL:
-            assert product_series(spec, caps, closed_form_factors=False) == chain
+            summed = dataclasses.replace(
+                spec, factor=dataclasses.replace(family, defining_sum=True))
+            assert product_series(summed, caps) == chain
         # (a, b) -> (1/2)^a y^b with a < b
         scaled = ProductSpec(
             region=LatticeRegion(arity=2, order=ORDER_ALL_BELOW_LAST),
@@ -362,6 +366,13 @@ class TestGrids:
         assert lines[2] == "1,0,1/2,0"
 
 
+def pyramid_radial_spec(q, direction, order=ORDER_ALL_BELOW_LAST):
+    """prod over coprime j <= k (j < k when strict) of (1 - q^j z^k)^(direction/k)."""
+    return ProductSpec(region=LatticeRegion(arity=2, coprime=True, order=order),
+                       factor=WeightExpr(sign=-1, direction=direction, powers=(0, -1)),
+                       mapping=(q, 0), names=("z",))
+
+
 class TestRadialSpecials:
     @pytest.mark.parametrize("q,m", [(Fraction(1, 2), 1), (Fraction(2, 3), 2),
                                      (Fraction(3, 4), 3), (Fraction(4, 5), 4),
@@ -406,7 +417,7 @@ class TestRadialSpecials:
 
     def test_pyramid_special_expansion(self):
         # (2-2z)/(2-z) = 1 - z/2 - z^2/4 - z^3/8 - ...
-        got = pyramid_radial_series(Fraction(1, 2), 6)
+        got = product_series(pyramid_radial_spec(Fraction(1, 2), 1), Caps.of([6]))
         assert got.coefficient((0,)) == 1
         for n in range(1, 7):
             assert got.coefficient((n,)) == Fraction(-1, 2 ** n)
@@ -414,7 +425,8 @@ class TestRadialSpecials:
     def test_pyramid_strict_y2(self):
         # (1-2z)/(1-z)^2: coefficient of z^n is 1-n (the displayed expansion
         # "1 - z - 2z^2 - ..." is off by one against its own rational form)
-        got = pyramid_radial_series(Fraction(2), 8, strict=True)
+        got = product_series(
+            pyramid_radial_spec(Fraction(2), 1, ORDER_ALL_BELOW_LAST_STRICT), Caps.of([8]))
         caps = Caps.of([8])
         one = Series.one(("z",), caps)
         z = Series.variable("z", ("z",), caps)
