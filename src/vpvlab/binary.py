@@ -98,18 +98,28 @@ def b_indicator_series(caps: Caps, base: int = 2) -> Series:
     return out
 
 
+def _limits(caps: Caps, names) -> tuple:
+    """The caps' per-variable limits, one for each of the names."""
+    if len(caps.limits) != len(names):
+        raise SeriesError(f"caps arity {len(caps.limits)} does not fit "
+                          f"{len(names)} variables")
+    return caps.limits
+
+
 def beta2_product_series(caps: Caps, names=("q", "t")) -> Series:
     """prod over k >= 0 of 1/(1 - q t^(2^k)) truncated to caps (q, t)."""
-    return binomial_product((((1, p), 1, -1, -1) for p in powers_upto(caps.limits[1])),
+    return binomial_product((((1, p), 1, -1, -1)
+                             for p in powers_upto(_limits(caps, names)[1])),
                             names, caps)
 
 
 def beta2_distinct_series(caps: Caps) -> Series:
     """prod over 0 <= j <= k of (1 + q^(2^j) t^(2^k))."""
+    cap_q, cap_t = _limits(caps, "qt")
     return binomial_product(
         (((pq, pt), 1, 1, 1)
-         for k, pt in enumerate(powers_upto(caps.limits[1]))
-         for j, pq in enumerate(powers_upto(caps.limits[0])) if j <= k),
+         for k, pt in enumerate(powers_upto(cap_t))
+         for j, pq in enumerate(powers_upto(cap_q)) if j <= k),
         ("q", "t"), caps)
 
 
@@ -152,7 +162,7 @@ def pyramid3_unrestricted_series(caps: Caps) -> Series:
     1/(1-xyz) * prod_j [prod_{i<=j} 1/(1-x^(2^i) y^(2^j) z)
                         * prod_{1<=k<=j} 1/(1-x y^(2^j) z^(2^k))]
     """
-    xpows, ypows, zpows = (powers_upto(c) for c in caps.limits)
+    xpows, ypows, zpows = (powers_upto(c) for c in _limits(caps, "xyz"))
     parts = [(1, 1, 1)]
     for j, b in enumerate(ypows[1:], 1):
         parts += [(a, b, 1) for a in xpows[:j + 1]]
@@ -162,16 +172,18 @@ def pyramid3_unrestricted_series(caps: Caps) -> Series:
 
 def unrestricted_b2_series(caps: Caps) -> Series:
     """B_2(y,z) = prod 1/(1 - y^(2^m) z^(2^n))."""
+    cap_y, cap_z = _limits(caps, "yz")
     return binomial_product(
-        (((a, b), 1, -1, -1) for a in powers_upto(caps.limits[0])
-         for b in powers_upto(caps.limits[1])), ("y", "z"), caps)
+        (((a, b), 1, -1, -1) for a in powers_upto(cap_y)
+         for b in powers_upto(cap_z)), ("y", "z"), caps)
 
 
 def distinct_b2_series(caps: Caps) -> Series:
     """bold B_2(y,z) = prod (1 + y^(2^m) z^(2^n))."""
+    cap_y, cap_z = _limits(caps, "yz")
     return binomial_product(
-        (((a, b), 1, 1, 1) for a in powers_upto(caps.limits[0])
-         for b in powers_upto(caps.limits[1])), ("y", "z"), caps)
+        (((a, b), 1, 1, 1) for a in powers_upto(cap_y)
+         for b in powers_upto(cap_z)), ("y", "z"), caps)
 
 
 def min_index_product(caps: Caps, exponent, sign: int) -> Series:
@@ -180,7 +192,8 @@ def min_index_product(caps: Caps, exponent, sign: int) -> Series:
     Exponent e and sign +1 give B_2(y,z), the product of 1/(1 - y^(2^m) z^(2^n));
     exponent e(e+1)/2 with sign +1 equals exponent -e with sign -1.
     """
+    cap_y, cap_z = _limits(caps, "yz")
     return binomial_product(
         (((a, b), 1, exponent(min(m, n) + 1), sign)
-         for m, a in enumerate(powers_upto(caps.limits[0]))
-         for n, b in enumerate(powers_upto(caps.limits[1]))), ("y", "z"), caps)
+         for m, a in enumerate(powers_upto(cap_y))
+         for n, b in enumerate(powers_upto(cap_z))), ("y", "z"), caps)

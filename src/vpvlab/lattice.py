@@ -139,15 +139,17 @@ def enumerate_region(region: LatticeRegion, bounds) -> list:
     caller from the truncation caps and the variable mapping); components may
     not be unbounded, so a bound <= 0 with lower bound 0 still terminates.
     """
+    return sorted(_members(region, bounds))
+
+
+def _members(region: LatticeRegion, bounds):
+    """The region members within the bounds, one at a time, unsorted."""
     bounds = tuple(int(b) for b in bounds)
     if len(bounds) != region.arity:
         raise RegionError("bounds arity mismatch")
     axes = [_component_values(lo, hi, region.base_powers)
             for lo, hi in zip(region.lower, bounds)]
-    out = [vec for vec in _ordered_points(region.order, axes)
-           if region.contains(vec)]
-    out.sort()
-    return out
+    return filter(region.contains, _ordered_points(region.order, axes))
 
 
 def _ordered_points(order: str, axes):
@@ -159,14 +161,16 @@ def _ordered_points(order: str, axes):
         for axis in axes:
             points = [p + (v,) for p in points for v in axis if not p or v > p[-1]]
         return points
-    # every other ordering bounds the leading components by the last one
-    strict = order == ORDER_ALL_BELOW_LAST_STRICT
-    points = []
+    return _below_last(axes, order == ORDER_ALL_BELOW_LAST_STRICT)
+
+
+def _below_last(axes, strict: bool):
+    """The points whose leading components are at most (or below) the last."""
     for last in axes[-1]:
         top = last - 1 if strict else last
         clipped = [[v for v in axis if v <= top] for axis in axes[:-1]]
-        points.extend(p + (last,) for p in itertools.product(*clipped))
-    return points
+        for p in itertools.product(*clipped):
+            yield p + (last,)
 
 
 # -- counting oracles -----------------------------------------------------------
@@ -327,6 +331,8 @@ class LocalFactorFamily:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise RegionError(f"unknown family {self.kind!r}")
+        if self.defining_sum and self.kind == DISTINCT_BINOMIAL:
+            raise RegionError("a distinct_binomial family has no defining sum")
 
     def defining_terms(self, max_mult: int, mode: str):
         """Coefficients [c_0..c_max] of the defining sum in X."""
@@ -466,14 +472,19 @@ class ProductSpec:
         return tuple(bounds)
 
     def vectors(self, caps: Caps) -> list:
-        vecs = enumerate_region(self.region, self.component_bounds(caps))
+        """The region vectors whose image the caps admit, lex sorted.
+
+        Each member is tested as it is enumerated, so the members the caps
+        reject are never held in a list.
+        """
         out = []
-        for vec in vecs:
+        for vec in _members(self.region, self.component_bounds(caps)):
             expo, _ = self.image(vec, APPROX)
             if all(e == 0 for e in expo):
                 raise RegionError(f"region vector {vec} feeds no capped variable")
             if caps.admits(expo):
                 out.append(vec)
+        out.sort()
         return out
 
     def to_json(self) -> dict:

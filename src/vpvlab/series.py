@@ -277,27 +277,7 @@ class Series:
         self._check_compatible(other)
         if self.mode == EXACT:
             return self._packed_mul(other)
-        # floats cannot be packed exactly: approx products stay term by term
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        caps = self.caps
-        out: dict[Expo, Coeff] = {}
-        limits = caps.limits
-        total = caps.total
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                expo = tuple(x + y for x, y in zip(ea, eb))
-                if any(e > c for e, c in zip(expo, limits)):
-                    continue
-                if total is not None and sum(expo) > total:
-                    continue
-                new = out.get(expo, 0) + ca * cb
-                if new == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = new
-        return Series(self.names, self.caps, self.mode, out, _trusted=True)
+        return self._keyed_mul(other)
 
     __rmul__ = __mul__
 
@@ -338,6 +318,57 @@ class Series:
                     out[prefix + (e,)] = Fraction(value, den)
                 at += kb
         return Series(self.names, self.caps, self.mode, out, _trusted=True)
+
+    def _keyed_mul(self, other: "Series") -> "Series":
+        """Approx product term by term, on exponent vectors packed into ints.
+
+        Floats cannot be packed exactly, so every pair of terms is multiplied,
+        in the same order as a tuple-keyed loop: the smaller operand outside,
+        and a sum that cancels to 0 leaves the dict.  Each exponent vector is
+        one int with a bit field per variable, plus one for the total degree
+        under a total cap.  A field is (2*cap).bit_length() + 1 bits wide, so
+        adding the keys of two admitted terms never carries between fields;
+        `bias` puts 2^(w-1) - 1 - cap into each w-bit field, whose top bit is
+        then set exactly when the field exceeds its cap, so one add and one
+        mask test a pair against the caps.
+        """
+        a, b = self.terms, other.terms
+        if len(a) > len(b):
+            a, b = b, a
+        caps = self.caps
+        limits = caps.limits if caps.total is None else caps.limits + (caps.total,)
+        fields, bias, high, at = [], 0, 0, 0
+        for cap in limits:
+            width = (2 * cap).bit_length() + 1
+            fields.append((at, (1 << width) - 1))
+            bias += ((1 << (width - 1)) - 1 - cap) << at
+            high |= 1 << (at + width - 1)
+            at += width
+        shifts = [s for s, _ in fields]
+        total = caps.total is not None
+
+        def key(expo):
+            k = sum(e << s for e, s in zip(expo, shifts))
+            return k + (sum(expo) << shifts[-1]) if total else k
+
+        keyed = [(key(eb), cb) for eb, cb in b.items()]
+        out: dict[int, Coeff] = {}
+        get, pop = out.get, out.pop
+        for ea, ca in a.items():
+            ka = key(ea) + bias
+            for kb, cb in keyed:
+                k = ka + kb
+                if k & high:
+                    continue
+                new = get(k, 0) + ca * cb
+                if new == 0:
+                    pop(k, None)
+                else:
+                    out[k] = new
+        fields = fields[:len(caps.limits)]
+        terms = {tuple([((k - bias) >> s) & mask for s, mask in fields]): c
+                 for k, c in out.items()}
+        return Series(self.names, self.caps, self.mode, terms, _trusted=True)
 
     def scale(self, scalar) -> "Series":
         scalar = _as_coeff(scalar, self.mode)

@@ -141,8 +141,8 @@ class TestGridCommand:
         code, _, _ = run_cli(
             ["grid", "club2", "--caps", "8,8", "--out", str(out_path)], capsys)
         assert code == 0
-        golden = open(os.path.join(GOLDEN, "club2_9x9.csv"),
-                      encoding="utf-8").read()
+        with open(os.path.join(GOLDEN, "club2_9x9.csv"), encoding="utf-8") as handle:
+            golden = handle.read()
         assert out_path.read_text() == golden
 
     def test_spade2_trivial(self, capsys):
@@ -155,8 +155,8 @@ class TestGridCommand:
         code, _, _ = run_cli(
             ["grid", "beta2", "--caps", "13,13", "--out", str(out_path)], capsys)
         assert code == 0
-        golden = open(os.path.join(GOLDEN, "beta2_13x13.csv"),
-                      encoding="utf-8").read()
+        with open(os.path.join(GOLDEN, "beta2_13x13.csv"), encoding="utf-8") as handle:
+            golden = handle.read()
         assert out_path.read_text() == golden
 
     def test_weighted_grid_exact_rationals(self, capsys):
@@ -263,7 +263,10 @@ class TestExpandCommand:
                          "mapping": [0, 1], "vars": ["y", "z"],
                          "weight": {"powers": ["0", "0"]}}, "caps": [3, 3]},
                 {"lhs": {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["x", "y"],
-                         "factor": {"family": "bogus"}}, "caps": [3, 3]}]
+                         "factor": {"family": "bogus"}}, "caps": [3, 3]},
+                {"lhs": {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["x", "y"],
+                         "factor": {"family": "distinct_binomial", "exponent": "1/2",
+                                    "defining_sum": True}}, "caps": [3, 3]}]
         for i, doc in enumerate(docs):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(doc))
@@ -316,6 +319,12 @@ class TestCapsArity:
                                      capsys)
             assert code == 2, caps
             assert out == "" and err.startswith("error: caps arity"), caps
+
+    @pytest.mark.parametrize("name, caps", [("beta2", "3"), ("binary-B2", "4")])
+    def test_grid_builtin(self, name, caps, capsys):
+        code, out, err = run_cli(["grid", name, "--caps", caps], capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error: caps arity")
 
 
 class TestToleranceValidation:

@@ -458,6 +458,86 @@ class TestPackedProduct:
         assert (x * Series.zero(("y", "z"), caps)).is_zero()
 
 
+def tuple_keyed_mul(a, b):
+    """Reference approx product: the term loop on exponent tuples, the smaller
+    operand outside, a sum that cancels to 0 popped."""
+    x, y = a.terms, b.terms
+    if len(x) > len(y):
+        x, y = y, x
+    out = {}
+    for ea, ca in x.items():
+        for eb, cb in y.items():
+            expo = tuple(p + q for p, q in zip(ea, eb))
+            if not a.caps.admits(expo):
+                continue
+            new = out.get(expo, 0) + ca * cb
+            if new == 0:
+                out.pop(expo, None)
+            else:
+                out[expo] = new
+    return out
+
+
+# mixed sign and magnitude; the small integral values make sums cancel to 0
+FLOATS = (st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, -3.0])
+          | st.floats(-1e100, 1e100, allow_nan=False)
+          | st.floats(-1e-100, 1e-100, allow_nan=False))
+
+
+@st.composite
+def approx_operand_pairs(draw):
+    caps, names = draw(caps_and_names())
+    expo = st.tuples(*(st.integers(0, c) for c in caps.limits))
+    terms = st.dictionaries(expo, FLOATS, max_size=draw(st.sampled_from([0, 1, 8, 20])))
+    return (Series(names, caps, APPROX, draw(terms)),
+            Series(names, caps, APPROX, draw(terms)))
+
+
+class TestKeyedProduct:
+    """The approx product against the tuple-keyed term loop, in dict order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=approx_operand_pairs())
+    def test_matches_reference(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, a)):
+            product = x * y
+            assert list(product.terms.items()) == list(tuple_keyed_mul(x, y).items())
+            assert all(type(c) is float for c in product.terms.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=caps_and_names(), data=st.data())
+    def test_cancelling_product(self, shape, data):
+        # (1 - X) times r * sum of X^k cancels to 0.0 in every cell but the constant
+        caps, names = shape
+        mono = data.draw(st.tuples(*(st.integers(0, c) for c in caps.limits))
+                         .filter(any))
+        r = data.draw(st.sampled_from([1.0, -2.0, 0.5, 3.0]))
+        a = unit_binomial_pow(mono, 1, names, caps, APPROX, sign=-1)
+        b = geometric_sum(mono, names, caps, APPROX).scale(r)
+        assert (a * b).terms == tuple_keyed_mul(a, b) == {(0,) * len(names): r}
+
+    def test_empty_and_truncated_operands(self):
+        caps = Caps.of([3, 2], total=4)
+        x = Series.monomial((3, 0), ("y", "z"), caps, APPROX, coeff=-1.5)
+        y = Series.monomial((1, 1), ("y", "z"), caps, APPROX, coeff=7.0)
+        zero = Series.zero(("y", "z"), caps, APPROX)
+        assert (x * y).is_zero() and (x * zero).is_zero() and (zero * zero).is_zero()
+        assert (x * Series.one(("y", "z"), caps, APPROX)).terms == {(3, 0): -1.5}
+
+    def test_field_top_bits(self):
+        # a cap of 2^k - 1 or 2^k puts the sum of two exponents at a field's
+        # limit: every cell of the box and none past it or the total cap
+        for limits, total in (((1, 3, 4), None), ((7, 8), None), ((0, 15, 16), 20),
+                              ((4,), 0)):
+            caps = Caps.of(limits, total)
+            names = "abcde"[:len(limits)]
+            box = {e: 1.0 for e in itertools.product(*(range(c + 1) for c in limits))}
+            full = Series(names, caps, APPROX, box)
+            assert list((full * full).terms.items()) == \
+                list(tuple_keyed_mul(full, full).items())
+
+
 def binomial_chain(factors, names, caps, mode):
     """Reference product: one `unit_binomial_pow` per factor, in arrival order."""
     out = Series.one(names, caps, mode)
