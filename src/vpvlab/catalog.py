@@ -24,7 +24,7 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
                       ORDER_STRICT_CHAIN, count_grid, product_series,
                       quadrant_radial_series,
-                      DISTINCT, DISTINCT_PARITY_DIFF, UNRESTRICTED)
+                      DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
                      first_mismatch, max_rel_error)
 
@@ -34,35 +34,42 @@ VARS = {1: ("z",), 2: ("y", "z"), 3: ("x", "y", "z"),
         4: ("w", "x", "y", "z"), 5: ("v", "w", "x", "y", "z")}
 
 
+@dataclass(frozen=True)
+class OracleSide:
+    """A side counted by the oracle: the part system of `spec` in a counting mode."""
+
+    spec: ProductSpec
+    mode: str  # UNRESTRICTED | DISTINCT | DISTINCT_PARITY_DIFF | EXACTLY_K
+    k: int | None = None
+
+
 @dataclass
 class IdentityEntry:
     id: str
     mode: str
     caps: tuple
     names: tuple
-    lhs: object  # ProductSpec | callable(caps) -> Series
-    rhs: object  # tree dict | callable(caps) -> Series | ("oracle", mode, k)
+    lhs: object  # ProductSpec | OracleSide | tree dict | callable(caps) -> Series
+    rhs: object  # the same kinds as lhs
     tex_anchor: str = ""
     expected: str = "pass"  # "pass" | "errata-probe"
     tolerance: float | None = None
     note: str = ""
 
     def build_lhs(self, caps: Caps) -> Series:
-        if isinstance(self.lhs, ProductSpec):
-            return product_series(self.lhs, caps, self.mode)
-        return self.lhs(caps)
+        return self._build(self.lhs, caps)
 
     def build_rhs(self, caps: Caps) -> Series:
-        if isinstance(self.rhs, dict):
-            return build_closed_form(self.rhs, self.names, caps, self.mode)
-        if isinstance(self.rhs, tuple) and self.rhs and self.rhs[0] == "oracle":
-            _, mode, k = self.rhs
-            if not isinstance(self.lhs, ProductSpec):
-                raise SeriesError("oracle rhs needs a ProductSpec lhs")
-            return oracle_series(self.lhs, caps, mode, k)
-        if isinstance(self.rhs, ProductSpec):
-            return product_series(self.rhs, caps, self.mode)
-        return self.rhs(caps)
+        return self._build(self.rhs, caps)
+
+    def _build(self, side, caps: Caps) -> Series:
+        if isinstance(side, ProductSpec):
+            return product_series(side, caps, self.mode)
+        if isinstance(side, OracleSide):
+            return oracle_series(side.spec, caps, side.mode, side.k)
+        if isinstance(side, dict):
+            return build_closed_form(side, self.names, caps, self.mode)
+        return side(caps)
 
 
 @dataclass
@@ -1074,28 +1081,26 @@ def _pyramid3d_euler_entries():
     return entries
 
 
+def _oracle_entry(eq, caps, names, region, weight, oracle_mode, tex_anchor):
+    """A product over a region against the oracle's count of partitions into
+    the product's monomials."""
+    spec = ProductSpec(region=region, factor=weight, names=names)
+    return IdentityEntry(id=eq, mode=EXACT, caps=caps, names=names, lhs=spec,
+                         rhs=OracleSide(spec, oracle_mode), tex_anchor=tex_anchor)
+
+
 def _andrews_entries():
     entries = []
     for n, eq, caps in ((1, "8.00a-1d", (12,)), (2, "8.00a-2d", (6, 6))):
-        names = VARS[n] if n > 1 else ("z",)
-        region = LatticeRegion(arity=n, lower=(0,) * n, coprime=False) if n > 1 \
-            else LatticeRegion(arity=1, lower=(1,), coprime=False)
-        spec = ProductSpec(region=region,
-                           factor=WeightExpr(sign=-1, direction=-1,
-                                             powers=(0,) * n),
-                           names=names)
-        entries.append(IdentityEntry(
-            id=eq, mode=EXACT, caps=caps, names=names, lhs=spec,
-            rhs=("oracle", UNRESTRICTED, None),
-            tex_anchor=r"\sum P(\textbf{n})x_{1}^{n_1}...x_{r}^{n_r}"))
-        spec_d = ProductSpec(region=region,
-                             factor=WeightExpr(sign=1, direction=1,
-                                               powers=(0,) * n),
-                             names=names)
-        entries.append(IdentityEntry(
-            id=eq.replace("a", "b"), mode=EXACT, caps=caps, names=names,
-            lhs=spec_d, rhs=("oracle", DISTINCT, None),
-            tex_anchor=r"\prod (1+x_{1}^{n_1}...x_{r}^{n_r})"))
+        region = LatticeRegion(arity=n, lower=(0 if n > 1 else 1,) * n)
+        entries.append(_oracle_entry(
+            eq, caps, VARS[n], region,
+            WeightExpr(sign=-1, direction=-1, powers=(0,) * n), UNRESTRICTED,
+            r"\sum P(\textbf{n})x_{1}^{n_1}...x_{r}^{n_r}"))
+        entries.append(_oracle_entry(
+            eq.replace("a", "b"), caps, VARS[n], region,
+            WeightExpr(sign=1, direction=1, powers=(0,) * n), DISTINCT,
+            r"\prod (1+x_{1}^{n_1}...x_{r}^{n_r})"))
     # exactly-one-part grids
     for n, eq in ((2, "8.01"), (3, "8.01a"), (4, "8.01b")):
         names = VARS[n]
@@ -1106,26 +1111,19 @@ def _andrews_entries():
                                              powers=(0,) * n), names=names)
         entries.append(IdentityEntry(
             id=eq, mode=EXACT, caps=caps, names=names,
-            lhs=(lambda caps_, spec_=spec: oracle_series(spec_, caps_,
-                                                         "exactly_k", 1)),
+            lhs=OracleSide(spec, EXACTLY_K, 1),
             rhs=_frac_tree(cf.const(1), cf.mul(*[_ub({v: 1}) for v in names])),
             tex_anchor=r"\frac{1}{(1-y)(1-z)}"))
     # strict-chain 3D tableaux
     chain = LatticeRegion(arity=3, lower=(1, 1, 1), order=ORDER_STRICT_CHAIN)
-    entries.append(IdentityEntry(
-        id="8.06", mode=EXACT, caps=(4, 6, 8), names=VARS[3],
-        lhs=ProductSpec(region=chain,
-                        factor=WeightExpr(sign=1, direction=1, powers=(0,) * 3),
-                        names=VARS[3]),
-        rhs=("oracle", DISTINCT, None),
-        tex_anchor=r"\prod_{0<a<b<c} (1+ x^ay^bz^c)"))
-    entries.append(IdentityEntry(
-        id="8.07", mode=EXACT, caps=(4, 5, 6), names=VARS[3],
-        lhs=ProductSpec(region=chain,
-                        factor=WeightExpr(sign=-1, direction=-1, powers=(0,) * 3),
-                        names=VARS[3]),
-        rhs=("oracle", UNRESTRICTED, None),
-        tex_anchor=r"\prod_{0<a<b<c} \frac{1}{(1- x^ay^bz^c)}"))
+    entries.append(_oracle_entry(
+        "8.06", (4, 6, 8), VARS[3], chain,
+        WeightExpr(sign=1, direction=1, powers=(0,) * 3), DISTINCT,
+        r"\prod_{0<a<b<c} (1+ x^ay^bz^c)"))
+    entries.append(_oracle_entry(
+        "8.07", (4, 5, 6), VARS[3], chain,
+        WeightExpr(sign=-1, direction=-1, powers=(0,) * 3), UNRESTRICTED,
+        r"\prod_{0<a<b<c} \frac{1}{(1- x^ay^bz^c)}"))
     # local factor families: closed-form factors vs truncated defining sums
     fam_map = {"8.07.01": GEOMETRIC, "8.07.02": MULTIPLICITY,
                "8.07.03": SQUARE, "8.07.04": ODD_ONLY}
@@ -1150,25 +1148,19 @@ def _upper_grid_entries():
     """Finite upper-region products of orders 2..5 against the oracle."""
     entries = []
 
-    def oracle_rhs(parts, oracle_mode):
-        def oracle(caps_: Caps) -> Series:
-            return Series(("x", "y"), caps_, EXACT,
-                          count_grid(caps_, parts, oracle_mode))
-        return oracle
+    def upper(order, coprime=True):
+        """The (j, k) with 1 <= j < k <= order."""
+        return LatticeRegion(arity=2, lower=(1, 1), upper=(None, order),
+                             order=ORDER_ALL_BELOW_LAST_STRICT, coprime=coprime)
 
-    def make(eq, order, sign, caps, oracle_mode):
-        parts = [(j, k) for k in range(2, order + 1)
-                 for j in range(1, k) if math.gcd(j, k) == 1]
-
-        def build(caps_: Caps) -> Series:
-            return binomial_product(((mono, 1, 1, sign) for mono in parts),
-                                    ("x", "y"), caps_)
-
-        return IdentityEntry(
-            id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
-            rhs=oracle_rhs(parts, oracle_mode),
-            tex_anchor=r"\prod_{k=2}^{%d} \prod (1%sx^j y^k)" % (
-                order, "+" if sign > 0 else "-"))
+    def make(eq, order, sign, caps, oracle_mode, coprime=True):
+        # sign 0 is the unrestricted product of geometric factors 1/(1 - X)
+        weight = WeightExpr(sign=-1, direction=-1, powers=(0, 0)) if sign == 0 \
+            else WeightExpr(sign=sign, direction=1, powers=(0, 0))
+        return _oracle_entry(
+            eq, caps, ("x", "y"), upper(order, coprime), weight, oracle_mode,
+            r"\prod_{k=2}^{%d} \prod (1%sx^j y^k)" % (order, "+" if sign > 0 else "-")
+            if coprime else "upper all-vectors product")
 
     entries.append(make("8.08", 2, 1, (1, 2), DISTINCT))
     entries.append(make("8.08-neg", 2, -1, (1, 2), DISTINCT_PARITY_DIFF))
@@ -1179,48 +1171,22 @@ def _upper_grid_entries():
     entries.append(make("8.12.02", 5, 1, (18, 36), DISTINCT))
     entries.append(make("8.13.03", 5, -1, (18, 36), DISTINCT_PARITY_DIFF))
 
-    # weighted order-5 product: region route vs hand-enumerated factor list
-    def weighted_lhs(caps_: Caps) -> Series:
-        return binomial_product(
-            (((j, k), 1, Fraction(1, k), -1) for k in range(2, 6)
-             for j in range(1, k) if math.gcd(j, k) == 1), ("x", "y"), caps_)
-
-    def weighted_rhs(caps_: Caps) -> Series:
-        factors = [((1, 2), Fraction(1, 2)), ((1, 3), Fraction(1, 3)),
-                   ((2, 3), Fraction(1, 3)), ((1, 4), Fraction(1, 4)),
-                   ((3, 4), Fraction(1, 4)), ((1, 5), Fraction(1, 5)),
-                   ((2, 5), Fraction(1, 5)), ((3, 5), Fraction(1, 5)),
-                   ((4, 5), Fraction(1, 5))]
-        return binomial_product(((mono, 1, e, -1) for mono, e in factors),
-                                ("x", "y"), caps_)
-
+    # weighted order-5 product: region route vs the literal factor list
+    factors = ((1, 2), (1, 3), (2, 3), (1, 4), (3, 4), (1, 5), (2, 5), (3, 5), (4, 5))
     entries.append(IdentityEntry(
         id="8.14.03", mode=EXACT, caps=(9, 13), names=("x", "y"),
-        lhs=weighted_lhs, rhs=weighted_rhs,
+        lhs=ProductSpec(region=upper(5), names=("x", "y"),
+                        factor=WeightExpr(sign=-1, direction=1, powers=(0, -1))),
+        rhs=cf.mul(*[_pow(_ub({"x": j, "y": k}), cf.const(Fraction(1, k)))
+                     for j, k in factors]),
         tex_anchor=r"\prod_{k=2}^{5} \prod (1-x^j y^k)^{1/k}",
         note="region route vs literal factor list"))
 
-    def make_av(eq, order, sign, caps, oracle_mode):
-        parts = [(j, k) for k in range(2, order + 1) for j in range(1, k)]
-
-        # sign 0 is the unrestricted product of geometric factors 1/(1 - X)
-        exponent, factor_sign = (-1, -1) if sign == 0 else (1, sign)
-
-        def build(caps_: Caps) -> Series:
-            return binomial_product(
-                ((mono, 1, exponent, factor_sign) for mono in parts),
-                ("x", "y"), caps_)
-
-        return IdentityEntry(
-            id=eq, mode=EXACT, caps=caps, names=("x", "y"), lhs=build,
-            rhs=oracle_rhs(parts, oracle_mode),
-            tex_anchor="upper all-vectors product")
-
-    entries.append(make_av("8.14", 4, 1, (10, 20), DISTINCT))
-    entries.append(make_av("8.15", 4, -1, (10, 20), DISTINCT_PARITY_DIFF))
-    entries.append(make_av("8.18a", 4, 0, (14, 20), UNRESTRICTED))
-    entries.append(make_av("8.21a", 5, 1, (14, 24), DISTINCT))
-    entries.append(make_av("8.22", 5, -1, (14, 24), DISTINCT_PARITY_DIFF))
+    entries.append(make("8.14", 4, 1, (10, 20), DISTINCT, coprime=False))
+    entries.append(make("8.15", 4, -1, (10, 20), DISTINCT_PARITY_DIFF, coprime=False))
+    entries.append(make("8.18a", 4, 0, (14, 20), UNRESTRICTED, coprime=False))
+    entries.append(make("8.21a", 5, 1, (14, 24), DISTINCT, coprime=False))
+    entries.append(make("8.22", 5, -1, (14, 24), DISTINCT_PARITY_DIFF, coprime=False))
     return entries
 
 
@@ -1416,8 +1382,11 @@ def entry_from_json(doc: dict) -> IdentityEntry:
                               "hyperquadrant exp family")
     if not isinstance(doc["rhs"], dict):
         raise SeriesError("rhs must be an expression tree object")
+    entry_id = doc.get("id", "custom")
+    if not isinstance(entry_id, str):
+        raise SeriesError("id must be a string")
     mode = doc.get("mode", EXACT)
     caps = Caps.of(doc["caps"]).limits
-    return IdentityEntry(id=doc.get("id", "custom"), mode=mode, caps=caps,
+    return IdentityEntry(id=entry_id, mode=mode, caps=caps,
                          names=spec.names, lhs=spec, rhs=doc["rhs"],
                          tex_anchor=doc.get("tex_anchor", ""))

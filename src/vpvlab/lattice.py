@@ -26,8 +26,8 @@ _ORDERS = (ORDER_NONE, ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
            ORDER_STRICT_CHAIN)
 
 
-class RegionError(ValueError):
-    pass
+class RegionError(SeriesError):
+    """A malformed or unbounded region, weight or product spec (exit 2)."""
 
 
 def euler_phi(n: int) -> int:
@@ -65,16 +65,23 @@ class LatticeRegion:
     """Declarative description of which integer vectors index product factors."""
 
     arity: int
-    lower: tuple = None  # per-component 0 or 1
+    lower: tuple = None  # per-component minimum, >= 0
     order: str = ORDER_NONE
     coprime: bool = False
     base_powers: int | None = None  # every component a power of this base
+    upper: tuple | None = None  # per-component maximum, None for no bound
 
     def __post_init__(self):
         lower = self.lower if self.lower is not None else (1,) * self.arity
         object.__setattr__(self, "lower", tuple(int(b) for b in lower))
-        if len(self.lower) != self.arity:
-            raise RegionError("lower-bound arity mismatch")
+        if len(self.lower) != self.arity or min(self.lower, default=0) < 0:
+            raise RegionError("lower bounds need one integer >= 0 per component")
+        if self.upper is not None:
+            object.__setattr__(self, "upper", tuple(self.upper))
+            if len(self.upper) != self.arity or not all(
+                    u is None or (type(u) is int and u >= 0) for u in self.upper):
+                raise RegionError("upper bounds need one null or integer >= 0 "
+                                  "per component")
         if self.order not in _ORDERS:
             raise RegionError(f"unknown ordering {self.order!r}")
         if self.base_powers is not None and self.base_powers < 2:
@@ -86,6 +93,9 @@ class LatticeRegion:
         if all(v == 0 for v in vec):
             return False  # the origin never indexes a factor
         if any(v < lo for v, lo in zip(vec, self.lower)):
+            return False
+        if self.upper is not None and any(
+                hi is not None and v > hi for v, hi in zip(vec, self.upper)):
             return False
         if self.order == ORDER_ALL_BELOW_LAST:
             if any(v > vec[-1] for v in vec[:-1]):
@@ -106,13 +116,14 @@ class LatticeRegion:
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "lower": list(self.lower), "order": self.order,
-                "coprime": self.coprime, "base_powers": self.base_powers}
+                "coprime": self.coprime, "base_powers": self.base_powers,
+                "upper": None if self.upper is None else list(self.upper)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LatticeRegion":
         return cls(arity=doc["arity"], lower=tuple(doc.get("lower", [1] * doc["arity"])),
                    order=doc.get("order", ORDER_NONE), coprime=doc.get("coprime", False),
-                   base_powers=doc.get("base_powers"))
+                   base_powers=doc.get("base_powers"), upper=doc.get("upper"))
 
 
 def _is_base_power(v: int, base: int) -> bool:
@@ -144,11 +155,13 @@ def enumerate_region(region: LatticeRegion, bounds) -> list:
 
 def _members(region: LatticeRegion, bounds):
     """The region members within the bounds, one at a time, unsorted."""
-    bounds = tuple(int(b) for b in bounds)
     if len(bounds) != region.arity:
         raise RegionError("bounds arity mismatch")
-    axes = [_component_values(lo, hi, region.base_powers)
-            for lo, hi in zip(region.lower, bounds)]
+    # each axis stops at the smaller of its bound and the region's upper bound
+    upper = region.upper or (None,) * region.arity
+    axes = [_component_values(lo, int(hi) if top is None else min(int(hi), top),
+                              region.base_powers)
+            for lo, hi, top in zip(region.lower, bounds, upper)]
     return filter(region.contains, _ordered_points(region.order, axes))
 
 
@@ -421,6 +434,18 @@ class ProductSpec:
         object.__setattr__(self, "mapping", tuple(norm))
         if len(self.mapping) != self.region.arity:
             raise RegionError("mapping arity mismatch")
+        w, lower = self.factor, self.region.lower
+        if isinstance(w, WeightExpr):
+            if len(w.powers) != len(lower):
+                raise RegionError("weight powers arity mismatch")
+            if w.phi_over is not None and (type(w.phi_over) is not int
+                                           or w.phi_over not in range(len(lower))):
+                raise RegionError(f"phi_over {w.phi_over!r} is not a component index")
+            # a component that may be 0 cannot divide the weight
+            if any(lo == 0 and (p < 0 or i == w.phi_over)
+                   for i, (lo, p) in enumerate(zip(lower, w.powers))):
+                raise RegionError("negative power or phi_over on a component "
+                                  "with lower bound 0")
 
     def image(self, vec, mode: str):
         """(monomial exponent vector, scalar) contributed by a region vector."""

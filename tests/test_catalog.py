@@ -97,8 +97,8 @@ class TestCatalogShape:
     def test_closure_side_counts(self):
         # sides the spec vocabulary can state are data, not closures
         entries = catalog()
-        assert sum(callable(e.lhs) for e in entries) <= 38
-        assert sum(callable(e.rhs) for e in entries) <= 29
+        assert sum(callable(e.lhs) for e in entries) <= 21
+        assert sum(callable(e.rhs) for e in entries) <= 15
 
 
 def expand_hashes():

@@ -392,6 +392,9 @@ class TestClosureSidesAsSpecs:
         ("14.03@y=1/2", "lhs"), ("14.02@y=2", "lhs"), ("13.22", "lhs"),
         ("14.15", "lhs"), ("7.23a", "lhs"), ("12.1", "lhs"), ("12.08", "lhs"),
         ("7.24", "rhs"), ("12.03", "rhs"), ("8.07.02", "rhs"),
+        # upper-bounded regions: coprime, all vectors with geometric factors,
+        # and a weight 1/k
+        ("8.08", "lhs"), ("8.18a", "lhs"), ("8.14.03", "lhs"),
     ])
     def test_spec_roundtrip_and_expand(self, entry_id, side, tmp_path, capsys):
         entry = catalog_mod.get_entry(entry_id)
@@ -408,6 +411,90 @@ class TestClosureSidesAsSpecs:
         code, by_entry, _ = run_cli(["expand", "--entry", entry_id, "--side", side],
                                     capsys)
         assert code == 0 and by_spec == by_entry
+
+    def test_literal_factor_tree_expands(self, tmp_path, capsys):
+        # 8.14.03's right side is a closed-form tree of nine (1 - x^j y^k)^(1/k)
+        entry = catalog_mod.get_entry("8.14.03")
+        assert isinstance(entry.rhs, dict)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps({"vars": list(entry.names), "rhs": entry.rhs}))
+        caps = ",".join(map(str, entry.caps))
+        code, by_spec, _ = run_cli(["expand", "--spec", str(path), "--caps", caps],
+                                   capsys)
+        assert code == 0
+        code, by_entry, _ = run_cli(["expand", "--entry", "8.14.03", "--side", "rhs"],
+                                    capsys)
+        assert code == 0 and by_spec == by_entry
+
+
+UNBOUNDED = {"region": {"arity": 2, "lower": [1, 1]},
+             "weight": {"sign": -1, "direction": -1, "powers": ["0", "0"]},
+             "mapping": [0, None], "vars": ["y", "z"]}
+
+
+def _bad_spec(**changes):
+    """TestCapsArity.SPEC with region or weight fields replaced."""
+    doc = json.loads(json.dumps(TestCapsArity.SPEC))
+    for key, value in changes.items():
+        part = "region" if key in ("lower", "upper") else "weight"
+        doc[part][key] = value
+    return doc
+
+
+class TestSpecValueErrors:
+    """Specs that parse but cannot expand are bad input (exit 2), not crashes."""
+
+    def test_region_error_while_expanding(self, tmp_path, capsys):
+        # the dropped second component has no bound, so the region is infinite
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(UNBOUNDED))
+        custom = tmp_path / "custom.json"
+        custom.write_text(json.dumps({"lhs": UNBOUNDED, "caps": [3, 3],
+                                      "rhs": {"op": "const", "value": "1"}}))
+        for args in (["expand", "--spec", str(path), "--caps", "3,3"],
+                     ["grid", "--spec", str(path), "--caps", "3,3"],
+                     ["verify", "--custom", str(custom)]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2, args
+            assert out == ""
+            assert err == "error: region with no capped progress direction\n"
+
+    @pytest.mark.parametrize("changes", [
+        {"powers": ["0"]}, {"powers": ["0", "-1", "0"]}, {"powers": []},
+        {"phi_over": 2}, {"phi_over": -1}, {"phi_over": "0"},
+        {"lower": [-1, 1]},
+        {"lower": [1, 0]}, {"lower": [1, 0], "powers": ["0", "0"], "phi_over": 1},
+        {"upper": [3]}, {"upper": [3, 3, 3]}, {"upper": [None, -1]},
+        {"upper": [2.5, None]}, {"upper": ["3", None]}, {"upper": 3},
+    ])
+    def test_malformed_values_rejected(self, changes, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_bad_spec(**changes)))
+        for command in ("expand", "grid"):
+            code, out, err = run_cli([command, "--spec", str(path), "--caps", "3,3"],
+                                     capsys)
+            assert code == 2, command
+            assert out == "" and err.startswith("error:"), command
+
+    @pytest.mark.parametrize("changes", [
+        {"upper": [None, None]}, {"upper": [2, 0]}, {"lower": [0, 1]},
+        {"lower": [1, 0], "powers": ["-1", "0"], "phi_over": 0}])
+    def test_valid_bounds_accepted(self, changes, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_bad_spec(**changes)))
+        code, _, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3"],
+                               capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_custom_id_must_be_a_string(self, fmt, tmp_path, capsys):
+        path = tmp_path / "custom.json"
+        path.write_text(json.dumps({"id": 5, "lhs": TestCapsArity.SPEC, "caps": [3, 3],
+                                    "rhs": {"op": "const", "value": "1"}}))
+        code, out, err = run_cli(["verify", "--custom", str(path), "--format", fmt],
+                                 capsys)
+        assert code == 2
+        assert out == "" and err.startswith("error:")
 
 
 class TestInstalledEntryPoint:

@@ -58,7 +58,8 @@ def regions_with_bounds(draw):
         arity=arity, order=order,
         lower=tuple(draw(st.integers(0, 1)) for _ in range(arity)),
         coprime=draw(st.booleans()),
-        base_powers=draw(st.sampled_from([None, None, 2, 3])))
+        base_powers=draw(st.sampled_from([None, None, 2, 3])),
+        upper=draw(st.none() | st.tuples(*[st.none() | st.integers(0, 6)] * arity)))
     return region, tuple(draw(st.integers(0, 5)) for _ in range(arity))
 
 
@@ -83,6 +84,25 @@ class TestEnumerateRegion:
         assert got == [(1, 1), (1, 2), (2, 1), (2, 2)]
         with pytest.raises(RegionError):
             LatticeRegion(arity=2, base_powers=1)
+
+    def test_upper_clips_axes_before_enumerating(self, monkeypatch):
+        # only the 3 x 2 clipped box is tested, not the 1000 x 1000 one
+        region = LatticeRegion(arity=2, lower=(1, 0), upper=(3, 1))
+        tested = 0
+        contains = LatticeRegion.contains
+
+        def counting(self, vec):
+            nonlocal tested
+            tested += 1
+            return contains(self, vec)
+
+        monkeypatch.setattr(LatticeRegion, "contains", counting)
+        got = enumerate_region(region, (1000, 1000))
+        assert got == [(1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)]
+        assert tested == 6
+        # an upper bound above the caller's bound changes nothing
+        assert enumerate_region(LatticeRegion(arity=2, upper=(None, 9)), (2, 2)) == \
+            enumerate_region(LatticeRegion(arity=2), (2, 2))
 
     def test_origin_never_included(self):
         region = LatticeRegion(arity=2, lower=(0, 0))
