@@ -18,15 +18,15 @@ from fractions import Fraction
 from . import binary as binary_mod
 from . import closedform as cf
 from . import determinants
-from .closedform import build_closed_form
+from .closedform import build_closed_form, build_log
 from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY, ORDER_NONE,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
                       ORDER_STRICT_CHAIN, count_grid, product_series,
                       quadrant_radial_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
-from .series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
-                     first_mismatch, max_rel_error)
+from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
+                     binomial_product, first_mismatch, max_rel_error)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -56,19 +56,28 @@ class IdentityEntry:
     tolerance: float | None = None
     note: str = ""
 
-    def build_lhs(self, caps: Caps) -> Series:
-        return self._build(self.lhs, caps)
+    def build_lhs(self, caps: Caps, log: bool = False) -> Series:
+        return self._build(self.lhs, caps, log)
 
-    def build_rhs(self, caps: Caps) -> Series:
-        return self._build(self.rhs, caps)
+    def build_rhs(self, caps: Caps, log: bool = False) -> Series:
+        return self._build(self.rhs, caps, log)
 
-    def _build(self, side, caps: Caps) -> Series:
+    def _build(self, side, caps: Caps, log: bool) -> Series:
+        """The side at the caps or, with `log`, its log series (exact mode).
+
+        Only product and tree sides can have a log form; a side without one
+        raises `NoLogForm`.
+        """
         if isinstance(side, ProductSpec):
-            return product_series(side, caps, self.mode)
+            return product_series(side, caps, self.mode, log)
+        if isinstance(side, dict):
+            if log:
+                return build_log(side, self.names, caps)
+            return build_closed_form(side, self.names, caps, self.mode)
+        if log:
+            raise NoLogForm("oracle and closure sides have no log form")
         if isinstance(side, OracleSide):
             return oracle_series(side.spec, caps, side.mode, side.k)
-        if isinstance(side, dict):
-            return build_closed_form(side, self.names, caps, self.mode)
         return side(caps)
 
 
@@ -82,9 +91,10 @@ class IdentityCheckReport:
     mismatch: dict | None = None
     max_rel_error: float | None = None
     seconds: float = 0.0
-    lhs_terms: int = 0
+    lhs_terms: int = 0  # terms of the compared series: the logs on the log route
     rhs_terms: int = 0
     note: str = ""
+    route: str | None = None  # "log" when the sides were compared as logs
 
     @property
     def passed(self) -> bool:
@@ -101,6 +111,8 @@ class IdentityCheckReport:
             doc["max_rel_error"] = self.max_rel_error
         if self.note:
             doc["note"] = self.note
+        if self.route is not None:
+            doc["route"] = self.route
         return doc
 
 
@@ -121,22 +133,49 @@ def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Se
 
 
 def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = None) -> IdentityCheckReport:
-    """Expand both sides and compare coefficient by coefficient."""
+    """Compare both sides coefficient by coefficient.
+
+    An exact entry with a product left side and a tree right side, compared
+    with no tolerance, compares their logs (the "log" route): on the caps
+    window, a down-set, truncated `exp` and `log` are inverse bijections, so
+    the sides are equal exactly when their logs are.  If lhs = exp(B + D)
+    and rhs = exp(B), then lhs - rhs = exp(B)(exp(D) - 1), whose lex-first
+    term is D's, as lex order is a monomial order; so the lex-first mismatch
+    of the logs is that of the sides, and both sides are expanded on the box
+    below it to report their coefficients there.  Every other entry, and
+    one whose tree has no log form, expands both sides.
+    """
     limits = tuple(caps) if caps is not None else tuple(entry.caps)
     cap_obj = Caps.of(limits)
     tol = tolerance if tolerance is not None else \
         (entry.tolerance if entry.tolerance is not None else
          (DEFAULT_TOLERANCE if entry.mode == APPROX else 0.0))
     start = time.perf_counter()
-    lhs = entry.build_lhs(cap_obj)
-    rhs = entry.build_rhs(cap_obj)
+    route = None
+    if entry.mode == EXACT and tol == 0.0 and isinstance(entry.lhs, ProductSpec) \
+            and isinstance(entry.rhs, dict):
+        try:
+            lhs = entry.build_lhs(cap_obj, log=True)
+            rhs = entry.build_rhs(cap_obj, log=True)
+            route = "log"
+        except NoLogForm:
+            pass
+    if route is None:
+        lhs = entry.build_lhs(cap_obj)
+        rhs = entry.build_rhs(cap_obj)
     mismatch = first_mismatch(lhs, rhs, tol)
+    if route is not None and mismatch is not None:
+        expo = mismatch[0]
+        box = Caps.of(expo)
+        mismatch = (expo, entry.build_lhs(box).coefficient(expo),
+                    entry.build_rhs(box).coefficient(expo))
     seconds = time.perf_counter() - start
     report = IdentityCheckReport(
         id=entry.id, caps=limits, mode=entry.mode,
         verdict="pass" if mismatch is None else "fail",
         expected=entry.expected, seconds=seconds,
-        lhs_terms=len(lhs.terms), rhs_terms=len(rhs.terms), note=entry.note)
+        lhs_terms=len(lhs.terms), rhs_terms=len(rhs.terms), note=entry.note,
+        route=route)
     if entry.mode == APPROX:
         report.max_rel_error = max_rel_error(lhs, rhs)
     if mismatch is not None:

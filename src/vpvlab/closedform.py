@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .series import Caps, EXACT, Series, SeriesError, _power_coeff, polylog
+from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _log_sum,
+                     _power_coeff, polylog)
 
 
 class ExprError(SeriesError):
@@ -167,6 +168,58 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
     except (ValueError, TypeError, ZeroDivisionError) as err:  # SeriesError too
         raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)
+
+
+def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
+    """log of the exact series a tree evaluates to, built with no `exp`.
+
+    Defined node by node: exp(a) is a, mul the sum of its args' logs,
+    div_unit log num - log den, pow(b, c) c * log b (a tree c is expanded and
+    multiplied once), unit_binomial its Mercator series and const 1 is 0.
+    Each of these nodes has constant term 1, and on a caps window (a
+    down-set) the truncated `exp` and `log` are inverse bijections, so two
+    such trees are equal exactly when their logs are.  Any other node, an
+    exp argument with a constant term, or a unit_binomial of a constant
+    monomial raises `NoLogForm`, and the caller expands the tree instead.
+    """
+    names = tuple(names)
+    if not isinstance(node, dict) or "op" not in node:
+        raise ExprError("malformed node", _path)
+    op = node["op"]
+    try:
+        if op == "exp":
+            arg = build_closed_form(node["arg"], names, caps, EXACT, _path + ".arg")
+            if arg.constant_term() == 0:
+                return arg
+        elif op == "mul":
+            out = Series.zero(names, caps)
+            for i, arg in enumerate(node["args"]):
+                out = out + build_log(arg, names, caps, f"{_path}.mul[{i}]")
+            return out
+        elif op == "div_unit":
+            return (build_log(node["num"], names, caps, _path + ".num")
+                    - build_log(node["den"], names, caps, _path + ".den"))
+        elif op == "pow":
+            base = build_log(node["base"], names, caps, _path + ".base")
+            exponent = node["exponent"]
+            if isinstance(exponent, (str, int)):
+                return base.scale(_frac(exponent))
+            return base * build_closed_form(exponent, names, caps, EXACT,
+                                            _path + ".exponent")
+        elif op == "unit_binomial":
+            expo = _mono_expo(node["exps"], names)
+            if any(expo) and min(expo) >= 0:
+                key = (expo, int(node.get("sign", -1)), _frac(node.get("scalar", 1)))
+                return _log_sum([(key, 1)], names, caps)
+        elif op == "const" and _frac(node["value"]) == 1:
+            return Series.zero(names, caps)
+    except ExprError:
+        raise
+    except KeyError as err:
+        raise ExprError(f"missing field {err}", _path + "." + op) from err
+    except (ValueError, TypeError, ZeroDivisionError) as err:  # SeriesError too
+        raise ExprError(str(err), _path + "." + op) from err
+    raise NoLogForm(f"no log form for this {op!r} node (at node {_path or 'root'})")
 
 
 def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, prod
 
-from .series import (APPROX, EXACT, Caps, Series, SeriesError, binomial_product,
-                     unit_binomial_pow)
+from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError,
+                     binomial_log, binomial_product, unit_binomial_pow)
 
 # ordering constraint names
 ORDER_NONE = "none"
@@ -73,8 +73,9 @@ class LatticeRegion:
 
     def __post_init__(self):
         lower = self.lower if self.lower is not None else (1,) * self.arity
-        object.__setattr__(self, "lower", tuple(int(b) for b in lower))
-        if len(self.lower) != self.arity or min(self.lower, default=0) < 0:
+        object.__setattr__(self, "lower", tuple(lower))
+        if len(self.lower) != self.arity or not all(
+                type(b) is int and b >= 0 for b in self.lower):
             raise RegionError("lower bounds need one integer >= 0 per component")
         if self.upper is not None:
             object.__setattr__(self, "upper", tuple(self.upper))
@@ -461,22 +462,24 @@ class ProductSpec:
         return tuple(expo), scalar
 
     def component_bounds(self, caps: Caps):
-        """Upper bounds per component so the image monomial can fit the caps."""
+        """Upper bounds per component so the image monomial can fit the caps.
+
+        A component mapped to no variable is bounded by the region's `upper`.
+        """
+        upper = self.region.upper or (None,) * self.region.arity
         bounds = []
-        for m in self.mapping:
+        for m, top in zip(self.mapping, upper):
             if isinstance(m, int):
                 limit = caps.limits[m]
                 if caps.total is not None:
                     limit = min(limit, caps.total)
                 bounds.append(limit)
             else:
-                bounds.append(None)
+                bounds.append(top)
         # unbounded (scalar/dropped) components are capped by an ordering
         # constraint against a bounded one, else the region is infinite
-        known = [b for b in bounds if b is not None]
-        if not known:
+        if all(b is None for b in bounds):
             raise RegionError("region with no capped progress direction")
-        fallback = max(known)
         order = self.region.order
         for i, b in enumerate(bounds):
             if b is not None:
@@ -533,35 +536,47 @@ class ProductSpec:
                    names=tuple(doc["vars"]))
 
 
-def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT) -> Series:
-    """Expand the truncated lattice product factor by factor.
+def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
+                   log: bool = False) -> Series:
+    """Expand the truncated lattice product factor by factor, or build its log.
 
     Weight-expression factors, and the closed forms of the geometric and
     distinct-binomial families, stream into `binomial_product`, which merges
     equal image monomials (their exponents add) before the binomial
     expansion; the result is independent of factor order either way.  The
     other families, and every defining sum, are multiplied one per vector.
+
+    With `log` (exact mode only), the streamed factors give the product's
+    log series through `binomial_log`, with no `exp`; the other families
+    have no log form and raise `NoLogForm` before any work.
     """
     names = spec.names
     if len(caps.limits) != len(names):
         raise SeriesError(f"caps arity {len(caps.limits)} does not fit "
                           f"{len(names)} variables")
-    if isinstance(spec.factor, WeightExpr):
-        w = spec.factor
-        return binomial_product(
-            (spec.image(vec, mode) + (w.weight(vec, mode) * w.direction, w.sign)
-             for vec in spec.vectors(caps)), names, caps, mode)
+    if log and mode != EXACT:
+        raise NoLogForm("the log form is exact only")
     family = spec.factor
-    monos = (_unscaled(spec.image(vec, mode)) for vec in spec.vectors(caps))
-    if not family.defining_sum and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
+    if isinstance(family, WeightExpr):
+        w = family
+        factors = (spec.image(vec, mode) + (w.weight(vec, mode) * w.direction, w.sign)
+                   for vec in spec.vectors(caps))
+    elif not family.defining_sum and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
         exponent, sign = (-1, -1) if family.kind == GEOMETRIC \
             else (family.exponent, family.sign)
-        return binomial_product(((expo, 1, exponent, sign) for expo in monos),
-                                names, caps, mode)
-    out = Series.one(names, caps, mode)
-    for expo in monos:
-        out = out * family.series(expo, names, caps, mode)
-    return out
+        factors = ((_unscaled(spec.image(vec, mode)), 1, exponent, sign)
+                   for vec in spec.vectors(caps))
+    elif log:
+        raise NoLogForm(f"a {family.kind} factor family has no log form")
+    else:
+        out = Series.one(names, caps, mode)
+        for vec in spec.vectors(caps):
+            out = out * family.series(_unscaled(spec.image(vec, mode)),
+                                      names, caps, mode)
+        return out
+    if log:
+        return binomial_log(factors, names, caps)
+    return binomial_product(factors, names, caps, mode)
 
 
 def _unscaled(image):

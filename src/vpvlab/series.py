@@ -27,6 +27,10 @@ class SeriesError(ValueError):
     """Raised on contract violations: incompatible operands, bad exponents."""
 
 
+class NoLogForm(Exception):
+    """A side whose log series is not built directly; verify expands it instead."""
+
+
 @dataclass(frozen=True)
 class Caps:
     """Truncation window: per-variable maxima plus an optional total cap."""
@@ -626,12 +630,7 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
       exponent * (-1)^(k+1) * (s*X)^k / k, and one `exp`, which needs at
       most max_order // (least total degree of the X) products.
     """
-    grouped: dict = {}
-    for mono, scalar, exponent, sign in factors:
-        key = (tuple(mono), sign, scalar)
-        grouped[key] = grouped.get(key, 0) + exponent
-    kept = [(key, exponent) for key, exponent in sorted(grouped.items())
-            if exponent != 0 and caps.admits(key[0])]
+    kept = _kept_factors(factors, caps)
     if mode == EXACT and kept:
         least = min(sum(mono) for (mono, _, _), _ in kept)
         if caps.max_order() // least < len(kept):
@@ -641,6 +640,30 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
         out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
                                       sign=sign, scalar=scalar)
     return out
+
+
+def binomial_log(factors: Iterable, names, caps: Caps) -> Series:
+    """log of the exact `binomial_product` of the same factors, with no `exp`.
+
+    The caps window is a down-set, so truncated `exp` and `log` are inverse
+    bijections there: this is the log series the log route exponentiates,
+    and two such products are equal exactly when their logs are.
+    """
+    return _log_sum(_kept_factors(factors, caps), names, caps)
+
+
+def _kept_factors(factors: Iterable, caps: Caps) -> list:
+    """The factors both builders keep: sorted ((X, sign, scalar), exponent).
+
+    Equal keys merge by adding their exponents in arrival order; a merged
+    exponent of 0, or an X the caps do not admit, is dropped.
+    """
+    grouped: dict = {}
+    for mono, scalar, exponent, sign in factors:
+        key = (tuple(mono), sign, scalar)
+        grouped[key] = grouped.get(key, 0) + exponent
+    return [(key, exponent) for key, exponent in sorted(grouped.items())
+            if exponent != 0 and caps.admits(key[0])]
 
 
 def _log_sum(kept, names, caps: Caps) -> Series:

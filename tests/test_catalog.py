@@ -12,7 +12,7 @@ from vpvlab.catalog import (IdentityEntry, catalog, catalog_ids, entry_from_json
 from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             UNRESTRICTED, LatticeRegion, ProductSpec, WeightExpr,
                             count_partitions, product_series)
-from vpvlab.series import Caps, EXACT, Series
+from vpvlab.series import Caps, EXACT, Series, first_mismatch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -167,6 +167,43 @@ class TestSpotValues:
         entry = get_entry("13.03@y=3/4")
         lhs = entry.build_lhs(Caps.of([10]))
         assert dict(lhs.terms) == {(0,): 1, (1,): -3, (2,): 3, (3,): -1}
+
+
+class TestLogRoute:
+    def test_routes_agree_on_every_exact_entry(self):
+        """The log route gives the expanded comparison's verdict and mismatch."""
+        log_routed = 0
+        for entry in catalog():
+            if entry.mode != EXACT:
+                continue
+            report = verify_identity(entry)
+            caps = Caps.of(entry.caps)
+            expanded = first_mismatch(entry.build_lhs(caps), entry.build_rhs(caps))
+            assert report.passed == (expanded is None), entry.id
+            if expanded is not None:
+                expo, lhs, rhs = expanded
+                assert report.mismatch == {
+                    "e": list(expo), "lhs": f"{lhs.numerator}/{lhs.denominator}",
+                    "rhs": f"{rhs.numerator}/{rhs.denominator}"}, entry.id
+            # every exact product-against-tree entry has a log form
+            product_tree = isinstance(entry.lhs, ProductSpec) and \
+                isinstance(entry.rhs, dict)
+            assert (report.route == "log") == product_tree, entry.id
+            log_routed += product_tree
+        assert log_routed == 96
+
+    def test_tree_without_log_form_is_expanded(self):
+        entry = get_entry("13.02")
+        tree = {"op": "add", "args": [entry.rhs]}
+        report = verify_identity(IdentityEntry(
+            id="13.02-add", mode=EXACT, caps=entry.caps, names=entry.names,
+            lhs=entry.lhs, rhs=tree))
+        assert report.passed and report.route is None
+        assert (report.lhs_terms, report.rhs_terms) == (65, 65)
+
+    def test_tolerance_keeps_the_expanded_comparison(self):
+        report = verify_identity(get_entry("13.02"), tolerance=1e-12)
+        assert report.passed and report.route is None
 
 
 class TestProbes:

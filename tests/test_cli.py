@@ -8,6 +8,7 @@ import pytest
 from vpvlab import catalog as catalog_mod
 from vpvlab.cli import main
 from vpvlab.lattice import ProductSpec
+from vpvlab.series import Caps, Series, unit_binomial_pow
 
 try:
     import jsonschema
@@ -49,8 +50,20 @@ class TestVerifyCommand:
         assert code == 0
         with open(SCHEMA_PATH, encoding="utf-8") as handle:
             schema = json.load(handle)
-        for line in out.strip().splitlines():
-            jsonschema.validate(json.loads(line), schema)
+        reports = [json.loads(line) for line in out.strip().splitlines()]
+        for report in reports:
+            jsonschema.validate(report, schema)
+        assert reports[0]["id"] == "13.02" and reports[0]["route"] == "log"
+
+    def test_route_is_reported_only_for_the_log_route(self, capsys):
+        code, out, _ = run_cli(["verify", "--id", "13.02", "--id", "8.06"], capsys)
+        assert code == 0
+        reports = {r["id"]: r for r in map(json.loads, out.strip().splitlines())}
+        assert reports["13.02"]["route"] == "log"
+        # the counts are of the compared logs, which have no constant term
+        # (the expanded sides of 13.02 have 65 terms each)
+        assert reports["13.02"]["lhs_terms"] == reports["13.02"]["rhs_terms"] == 64
+        assert "route" not in reports["8.06"]  # an oracle right side
 
     def test_failing_probe_gives_exit_one_when_selected(self, capsys):
         code, out, _ = run_cli(["verify", "--id", "16.57g-printed"], capsys)
@@ -462,7 +475,7 @@ class TestSpecValueErrors:
     @pytest.mark.parametrize("changes", [
         {"powers": ["0"]}, {"powers": ["0", "-1", "0"]}, {"powers": []},
         {"phi_over": 2}, {"phi_over": -1}, {"phi_over": "0"},
-        {"lower": [-1, 1]},
+        {"lower": [-1, 1]}, {"lower": [1.7, 1]}, {"lower": ["1", 1]},
         {"lower": [1, 0]}, {"lower": [1, 0], "powers": ["0", "0"], "phi_over": 1},
         {"upper": [3]}, {"upper": [3, 3, 3]}, {"upper": [None, -1]},
         {"upper": [2.5, None]}, {"upper": ["3", None]}, {"upper": 3},
@@ -485,6 +498,22 @@ class TestSpecValueErrors:
         code, _, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3"],
                                capsys)
         assert code == 0, err
+
+    def test_upper_bounds_a_dropped_component(self, tmp_path, capsys):
+        # b in 1..3 is dropped, so each a >= 1 gives (1 - y^a)^-1 three times
+        path = tmp_path / "spec.json"
+        doc = json.loads(json.dumps(UNBOUNDED))
+        doc["region"]["upper"] = [None, 3]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3"],
+                                 capsys)
+        assert code == 0, err
+        caps = Caps.of([3, 3])
+        expected = Series.one(("y", "z"), caps)
+        for a in range(1, 4):
+            expected = expected * unit_binomial_pow((a, 0), -3, ("y", "z"), caps,
+                                                    sign=-1)
+        assert Series.from_json(json.loads(out)) == expected
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_custom_id_must_be_a_string(self, fmt, tmp_path, capsys):

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from vpvlab import closedform as cf
-from vpvlab.closedform import (ExprError, build_closed_form, finite_euler_sum,
-                               finite_euler_sum_direct, geometric_moment,
-                               geometric_moment_closed)
-from vpvlab.series import APPROX, Caps, Series, SeriesError
+from vpvlab.closedform import (ExprError, build_closed_form, build_log,
+                               finite_euler_sum, finite_euler_sum_direct,
+                               geometric_moment, geometric_moment_closed)
+from vpvlab.series import APPROX, Caps, NoLogForm, Series, SeriesError
 
 
 NAMES = ("y", "z")
@@ -121,3 +121,45 @@ class TestTreeEvaluation:
         got = build_closed_form(tree, ("z",), caps, APPROX)
         assert got.coefficient((2,)) == pytest.approx(1.0, abs=1e-12)
         assert got.coefficient((3,)) == pytest.approx(2 ** 0.5, abs=1e-12)
+
+
+class TestBuildLog:
+    """`build_log` gives the log of what `build_closed_form` expands, with no exp."""
+
+    UB_Y = cf.unit_binomial({"y": 1})
+    UB_YZ = cf.unit_binomial({"y": 1, "z": 2}, sign=1, scalar=Fraction(2, 3))
+
+    @pytest.mark.parametrize("caps", [Caps.of([4, 5]), Caps.of([4, 5], 6)])
+    @pytest.mark.parametrize("tree", [
+        UB_YZ,
+        cf.unit_binomial({"y": 9}),  # outside the caps: the factor is 1
+        cf.const(1),
+        cf.mul(),
+        cf.mul(UB_Y, UB_YZ, cf.const(1)),
+        cf.div_unit(UB_YZ, UB_Y),
+        cf.pow_expr(UB_YZ, "-3/2"),
+        cf.pow_expr(UB_Y, 0),
+        cf.pow_expr(cf.div_unit(cf.const(1), UB_Y),
+                    cf.div_unit(cf.var("z"), cf.unit_binomial({"z": 1}))),
+        cf.exp_expr(cf.add(cf.polylog_expr(2, {"y": 1, "z": 1}), cf.var("z", 2))),
+        cf.mul(cf.exp_expr(cf.polylog_expr(1, {"z": 1})),
+               cf.pow_expr(cf.mul(UB_Y, UB_YZ), 4)),
+    ])
+    def test_log_of_the_expansion(self, tree, caps):
+        assert build_log(tree, NAMES, caps) == build_closed_form(tree, NAMES, caps).log()
+
+    @pytest.mark.parametrize("tree", [
+        cf.const(2), cf.var("y"), cf.add(cf.const(1)), cf.polylog_expr(1, {"y": 1}),
+        cf.log_expr(UB_Y), cf.partial_sum([("y", 0)], "z", 1),
+        cf.exp_expr(cf.const(1)),  # an exp argument with a constant term
+        cf.unit_binomial({}),  # a constant monomial
+        cf.mul(UB_Y, cf.pow_expr(cf.add(UB_Y, UB_Y), 2)),
+    ])
+    def test_other_nodes_have_no_log_form(self, tree):
+        with pytest.raises(NoLogForm):
+            build_log(tree, NAMES, Caps.of([3, 3]))
+
+    def test_error_carries_node_path(self):
+        tree = cf.mul(self.UB_Y, cf.unit_binomial({"w": 1}))
+        with pytest.raises(ExprError, match="unknown variable 'w'.*mul\\[1\\]"):
+            build_log(tree, NAMES, Caps.of([3, 3]))

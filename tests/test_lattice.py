@@ -19,7 +19,8 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             quadrant_radial_series,
                             DISTINCT_BINOMIAL, GEOMETRIC, MULTIPLICITY, SQUARE,
                             ODD_ONLY)
-from vpvlab.series import Caps, EXACT, Series, SeriesError, unit_binomial_pow
+from vpvlab.series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
+                           unit_binomial_pow)
 
 
 ALL_PARTS_8 = [p for p in itertools.product(range(9), repeat=2) if p != (0, 0)]
@@ -317,6 +318,45 @@ class TestProductSeries:
             factor=family, mapping=(Fraction(1, 2), 0), names=("y",))
         with pytest.raises(RegionError, match="scalar mappings"):
             product_series(scaled, caps)
+
+    @pytest.mark.parametrize("caps", [Caps.of([5, 6]), Caps.of([5, 6], 7)])
+    @pytest.mark.parametrize("spec", [
+        ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1), coprime=True),
+                    factor=WeightExpr(sign=-1, direction=-1, powers=(0, -1)),
+                    names=("y", "z")),
+        # merged images, a scalar component and a phi weight
+        ProductSpec(region=LatticeRegion(arity=3, order=ORDER_ALL_BELOW_LAST),
+                    factor=WeightExpr(sign=1, powers=(0, 1, -2), phi_over=2),
+                    mapping=(Fraction(-1, 2), 0, 1), names=("y", "z")),
+        ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
+                    factor=LocalFactorFamily(kind=GEOMETRIC), mapping=(0, 0),
+                    names=("y", "z")),
+        ProductSpec(region=LatticeRegion(arity=2, lower=(0, 1)),
+                    factor=LocalFactorFamily(kind=DISTINCT_BINOMIAL,
+                                             exponent=Fraction(1, 2), sign=-1),
+                    names=("y", "z")),
+    ])
+    def test_log_form_is_the_log_of_the_product(self, spec, caps):
+        log = product_series(spec, caps, log=True)
+        assert log == product_series(spec, caps).log()
+        assert log.exp() == product_series(spec, caps)
+
+    @pytest.mark.parametrize("family", [
+        LocalFactorFamily(kind=MULTIPLICITY),
+        LocalFactorFamily(kind=GEOMETRIC, defining_sum=True)])
+    def test_per_vector_families_have_no_log_form(self, family, monkeypatch):
+        spec = ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
+                           factor=family, names=("y", "z"))
+        # refused before the region is walked
+        monkeypatch.setattr(ProductSpec, "vectors", None)
+        with pytest.raises(NoLogForm):
+            product_series(spec, Caps.of([3, 3]), log=True)
+
+    def test_approx_mode_has_no_log_form(self):
+        spec = ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
+                           factor=WeightExpr(powers=(0, 0)), names=("y", "z"))
+        with pytest.raises(NoLogForm):
+            product_series(spec, Caps.of([3, 3]), APPROX, log=True)
 
     def test_odd_only_family_values(self):
         caps = Caps.of([6])

@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from vpvlab.lattice import count_partitions
-from vpvlab.series import Caps, EXACT, Series, polylog
+from vpvlab.series import Caps, EXACT, Series, first_mismatch, polylog
 
 NAMES = ("y", "z")
 CAPS = Caps.of([6, 6])
@@ -40,6 +40,42 @@ def unit_series_strategy(caps=SMALL_CAPS):
             lambda e: e != (0, 0))
     return st.dictionaries(nonconst, coefficients(), max_size=6) \
         .map(attach_unit)
+
+
+@st.composite
+def log_pairs(draw):
+    """Two exact series with zero constant term under random down-set caps.
+
+    The second is the first plus a perturbation that is often 0, so equal and
+    unequal pairs are both drawn; total caps are drawn as well as boxes.
+    """
+    limits = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    caps = Caps.of(limits, draw(st.none() | st.integers(1, sum(limits))))
+    names = ("x", "y", "z")[:len(limits)]
+    nonconst = st.tuples(*(st.integers(0, c) for c in limits)).filter(any)
+    terms = st.dictionaries(nonconst, coefficients(), max_size=6)
+    a = Series(names, caps, EXACT, draw(terms))
+    d = Series(names, caps, EXACT, draw(st.just({}) | terms))
+    return a, a + d
+
+
+class TestLogDomain:
+    """What verifying in the log domain rests on: on a down-set caps window,
+    exp is a bijection that keeps the lex-first mismatch and its difference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(log_pairs())
+    def test_exp_keeps_equality_and_the_first_mismatch(self, pair):
+        a, b = pair
+        ea, eb = a.exp(), b.exp()
+        assert (ea == eb) == (a == b)
+        assert ea.log() == a
+        in_logs, expanded = first_mismatch(a, b), first_mismatch(ea, eb)
+        if in_logs is None:
+            assert expanded is None
+        else:
+            assert expanded[0] == in_logs[0]
+            assert expanded[1] - expanded[2] == in_logs[1] - in_logs[2]
 
 
 class TestRingAxioms:
