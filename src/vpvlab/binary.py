@@ -2,15 +2,17 @@
 
 Power-of-two part systems: the 1D binary partition function, the 0/1-digit
 indicator for two-component base-n partitions into distinct parts, the
-two-variable beta grid with its four computation routes, and the sides of
-the 2D/3D distinct-to-unrestricted product transforms that are not plain
-lattice products.
+two-variable beta grid with its four computation routes, the base-2 product
+specs the catalog and the grids share, and the min-index products, whose
+exponents are read from a base-2 index.
 """
 
 from __future__ import annotations
 
 from . import determinants
-from .lattice import PartitionGrid, count_grid, count_partitions, DISTINCT
+from .lattice import (DISTINCT, ORDER_ALL_BELOW_LAST, LatticeRegion, PartitionGrid,
+                      ProductSpec, WeightExpr, count_grid, count_partitions,
+                      product_series)
 from .series import Caps, EXACT, Series, SeriesError, binomial_product
 
 
@@ -22,6 +24,34 @@ def powers_upto(cap: int, base: int = 2):
     return out
 
 
+def binary_powers_spec(n, sign, direction, names=None, mapping=None,
+                       **region) -> ProductSpec:
+    """prod (1 + sign X)^direction over X with every exponent a power of 2.
+
+    `region` holds further `LatticeRegion` fields (order, upper, unit_counts);
+    the names default to the last n of x, y, z.
+    """
+    return ProductSpec(
+        region=LatticeRegion(arity=n, base_powers=2, **region),
+        factor=WeightExpr(sign=sign, direction=direction, powers=(0,) * n),
+        mapping=mapping, names=names or ("x", "y", "z")[-n:])
+
+
+def beta2_spec(names=("q", "t")) -> ProductSpec:
+    """prod over k >= 0 of 1/(1 - q t^(2^k)): the first component is held at 1."""
+    return binary_powers_spec(2, -1, -1, names, upper=(1, None))
+
+
+def multiplicity_capped_spec(names=("x",)) -> ProductSpec:
+    """prod over k >= 0 of (1 + x^(2^k))^(k+1).
+
+    The dropped first component runs over the k+1 powers 2^j <= 2^k, whose
+    equal factors `product_series` merges into one exponent.
+    """
+    return binary_powers_spec(2, 1, 1, names, mapping=(None, 0),
+                              order=ORDER_ALL_BELOW_LAST)
+
+
 def binary_count(n: int) -> int:
     """b(n): partitions of n into powers of 2, computed two ways.
 
@@ -31,19 +61,14 @@ def binary_count(n: int) -> int:
     """
     if n < 0:
         raise SeriesError("n must be >= 0")
-    caps = Caps.of([n])
     one_way = binary_count_series(n)
-    other = binomial_product(
-        (((p,), 1, k + 1, 1) for k, p in enumerate(powers_upto(n))),
-        ("q",), caps)
-    if one_way != other:
+    if one_way != product_series(multiplicity_capped_spec(("q",)), Caps.of([n])):
         raise AssertionError("binary partition routes disagree")
     return int(one_way.coefficient((n,)))
 
 
 def binary_count_series(cap: int) -> Series:
-    return binomial_product((((p,), 1, -1, -1) for p in powers_upto(cap)),
-                            ("q",), Caps.of([cap]))
+    return product_series(binary_powers_spec(1, -1, -1, ("q",)), Caps.of([cap]))
 
 
 def repunits(base: int, limit: int):
@@ -98,39 +123,15 @@ def b_indicator_series(caps: Caps, base: int = 2) -> Series:
     return out
 
 
-def _limits(caps: Caps, names) -> tuple:
-    """The caps' per-variable limits, one for each of the names."""
-    if len(caps.limits) != len(names):
-        raise SeriesError(f"caps arity {len(caps.limits)} does not fit "
-                          f"{len(names)} variables")
-    return caps.limits
-
-
-def beta2_product_series(caps: Caps, names=("q", "t")) -> Series:
-    """prod over k >= 0 of 1/(1 - q t^(2^k)) truncated to caps (q, t)."""
-    return binomial_product((((1, p), 1, -1, -1)
-                             for p in powers_upto(_limits(caps, names)[1])),
-                            names, caps)
-
-
-def beta2_distinct_series(caps: Caps) -> Series:
-    """prod over 0 <= j <= k of (1 + q^(2^j) t^(2^k))."""
-    cap_q, cap_t = _limits(caps, "qt")
-    return binomial_product(
-        (((pq, pt), 1, 1, 1)
-         for k, pt in enumerate(powers_upto(cap_t))
-         for j, pq in enumerate(powers_upto(cap_q)) if j <= k),
-        ("q", "t"), caps)
-
-
 def beta2_grid(caps: Caps) -> PartitionGrid:
     """The beta grid, cross-checked over all four computation routes.
 
     Product route, distinct-product route, determinant route (column
     polynomials A_k), and the enumeration oracle must agree cell by cell.
     """
-    series = beta2_product_series(caps)
-    distinct = beta2_distinct_series(caps)
+    series = product_series(beta2_spec(), caps)
+    distinct = product_series(binary_powers_spec(2, 1, 1, ("q", "t"),
+                                                 order=ORDER_ALL_BELOW_LAST), caps)
     if series != distinct:
         raise AssertionError("beta2 product routes disagree")
     cap_q, cap_t = caps.limits
@@ -156,43 +157,15 @@ def beta2_oracle(j: int, k: int, distinct_route: bool = False) -> int:
     return count_partitions((j, k), parts)
 
 
-def pyramid3_unrestricted_series(caps: Caps) -> Series:
-    """The unrestricted side of prod_{i,k<=j} (1+x^(2^i) y^(2^j) z^(2^k)):
-
-    1/(1-xyz) * prod_j [prod_{i<=j} 1/(1-x^(2^i) y^(2^j) z)
-                        * prod_{1<=k<=j} 1/(1-x y^(2^j) z^(2^k))]
-    """
-    xpows, ypows, zpows = (powers_upto(c) for c in _limits(caps, "xyz"))
-    parts = [(1, 1, 1)]
-    for j, b in enumerate(ypows[1:], 1):
-        parts += [(a, b, 1) for a in xpows[:j + 1]]
-        parts += [(1, b, c) for c in zpows[1:j + 1]]
-    return binomial_product(((m, 1, -1, -1) for m in parts), ("x", "y", "z"), caps)
-
-
-def unrestricted_b2_series(caps: Caps) -> Series:
-    """B_2(y,z) = prod 1/(1 - y^(2^m) z^(2^n))."""
-    cap_y, cap_z = _limits(caps, "yz")
-    return binomial_product(
-        (((a, b), 1, -1, -1) for a in powers_upto(cap_y)
-         for b in powers_upto(cap_z)), ("y", "z"), caps)
-
-
-def distinct_b2_series(caps: Caps) -> Series:
-    """bold B_2(y,z) = prod (1 + y^(2^m) z^(2^n))."""
-    cap_y, cap_z = _limits(caps, "yz")
-    return binomial_product(
-        (((a, b), 1, 1, 1) for a in powers_upto(cap_y)
-         for b in powers_upto(cap_z)), ("y", "z"), caps)
-
-
 def min_index_product(caps: Caps, exponent, sign: int) -> Series:
     """prod (1 + sign*y^(2^m) z^(2^n))^exponent(min(m, n) + 1) over the binary grid.
 
     Exponent e and sign +1 give B_2(y,z), the product of 1/(1 - y^(2^m) z^(2^n));
     exponent e(e+1)/2 with sign +1 equals exponent -e with sign -1.
     """
-    cap_y, cap_z = _limits(caps, "yz")
+    if len(caps.limits) != 2:
+        raise SeriesError(f"caps arity {len(caps.limits)} does not fit 2 variables")
+    cap_y, cap_z = caps.limits
     return binomial_product(
         (((a, b), 1, exponent(min(m, n) + 1), sign)
          for m, a in enumerate(powers_upto(cap_y))

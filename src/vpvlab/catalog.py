@@ -18,12 +18,12 @@ from fractions import Fraction
 from . import binary as binary_mod
 from . import closedform as cf
 from . import determinants
+from .binary import beta2_spec, binary_powers_spec, multiplicity_capped_spec
 from .closedform import build_closed_form, build_log
 from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
-                      GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY, ORDER_NONE,
+                      GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
                       ORDER_STRICT_CHAIN, count_grid, product_series,
-                      quadrant_radial_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
                      binomial_product, first_mismatch, max_rel_error)
@@ -203,8 +203,8 @@ def _one_minus(*names):
     return factors[0] if len(factors) == 1 else cf.mul(*factors)
 
 
-def _quadrant(n, weight_powers, sign=-1, direction=-1, lower=None, phi_over=None):
-    names = VARS[n]
+def _quadrant(n, weight_powers, sign=-1, direction=-1, lower=None, phi_over=None,
+              mapping=None, names=None):
     # the hyperquadrant exp-family needs weight exponents summing to 1,
     # i.e. component powers summing to -1; reject violations up front
     if sum(Fraction(p) for p in weight_powers) != -1:
@@ -213,7 +213,8 @@ def _quadrant(n, weight_powers, sign=-1, direction=-1, lower=None, phi_over=None
     region = LatticeRegion(arity=n, lower=lower or (1,) * n, coprime=True)
     w = WeightExpr(sign=sign, direction=direction, powers=weight_powers,
                    phi_over=phi_over)
-    return ProductSpec(region=region, factor=w, names=names)
+    return ProductSpec(region=region, factor=w, names=names or VARS[n],
+                       mapping=mapping)
 
 
 def _axes_quadrant(n, sign=-1, direction=1):
@@ -777,7 +778,7 @@ def _radial_special_entries():
     for q, m in quadrant_minus:
         entries.append(IdentityEntry(
             id=f"13.03@y={q}", mode=EXACT, caps=(10,), names=("z",),
-            lhs=(lambda caps, q=q: quadrant_radial_series(q, caps.limits[0])),
+            lhs=_quadrant(2, (0, -1), direction=1, mapping=(q, 0), names=("z",)),
             rhs=_pow(_ub({"z": 1}), cf.const(m)),
             tex_anchor=rf"(1-z)^{m}",
             note="finite-polynomial special"))
@@ -786,8 +787,7 @@ def _radial_special_entries():
     for q, m in quadrant_plus:
         entries.append(IdentityEntry(
             id=f"13.02@y={q}", mode=EXACT, caps=(10,), names=("z",),
-            lhs=(lambda caps, q=q: quadrant_radial_series(q, caps.limits[0],
-                                                          reciprocal=True)),
+            lhs=_quadrant(2, (0, -1), direction=-1, mapping=(q, 0), names=("z",)),
             rhs=_pow(_ub({"z": 1}), cf.const(m)),
             tex_anchor=rf"(1-z)^{m}",
             note="finite-polynomial special (continued geometric values)"))
@@ -1233,11 +1233,10 @@ def _binary_entries():
     entries = []
 
     # the distinct sides: prod (1 + X) over binary X, X in a pyramid for
-    # 12.1 (x^(2^j) y^(2^k), j <= k) and 12.08 (y dominant)
-    quadrant = _binary_powers_spec(2, sign=1, direction=1)
-
-    def unit_component(caps: Caps) -> Series:
-        return _unit_component_product(VARS[2], caps)
+    # 12.1 (x^(2^j) y^(2^k), j <= k) and 12.08 (y dominant); the unrestricted
+    # sides: prod 1/(1 - X) over binary X with one or more exponents equal to 1
+    quadrant = binary_powers_spec(2, sign=1, direction=1)
+    unit_component = binary_powers_spec(2, sign=-1, direction=-1, unit_counts=(1, 2))
 
     entries.append(IdentityEntry(
         id="7.23a", mode=EXACT, caps=(16, 16), names=VARS[2],
@@ -1249,15 +1248,16 @@ def _binary_entries():
         tex_anchor=r"\frac{1}{1-xy} \prod_{j \geq 1} \left( \frac{1}{(1- x^{2^j} y)(1- x y^{2^j})} \right)"))
     entries.append(IdentityEntry(
         id="12.1", mode=EXACT, caps=(8, 32), names=("x", "y"),
-        lhs=_binary_powers_spec(2, sign=1, direction=1, names=("x", "y"),
-                                order=ORDER_ALL_BELOW_LAST),
-        rhs=lambda caps: binary_mod.beta2_product_series(caps, ("x", "y")),
+        lhs=binary_powers_spec(2, sign=1, direction=1, names=("x", "y"),
+                               order=ORDER_ALL_BELOW_LAST),
+        rhs=beta2_spec(("x", "y")),
         tex_anchor=r"\frac{1}{(1-xy) (1-xy^2)(1-xy^4)"))
     entries.append(IdentityEntry(
         id="12.08", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=_binary_powers_spec(3, sign=1, direction=1, order=ORDER_ALL_BELOW_LAST,
-                                mapping=(0, 2, 1)),
-        rhs=binary_mod.pyramid3_unrestricted_series,
+        lhs=binary_powers_spec(3, sign=1, direction=1, order=ORDER_ALL_BELOW_LAST,
+                               mapping=(0, 2, 1)),
+        rhs=binary_powers_spec(3, sign=-1, direction=-1, order=ORDER_ALL_BELOW_LAST,
+                               mapping=(0, 2, 1), unit_counts=(1, 2, 3)),
         tex_anchor=r"3D pyramid binary product form"))
 
     def min_index(exponent, sign):
@@ -1266,7 +1266,7 @@ def _binary_entries():
     entries.append(IdentityEntry(
         id="7.24", mode=EXACT, caps=(12, 12), names=VARS[2],
         lhs=min_index(lambda e: e, 1),
-        rhs=_binary_powers_spec(2, sign=-1, direction=-1),
+        rhs=binary_powers_spec(2, sign=-1, direction=-1),
         tex_anchor=r"\prod (1+y^{2^m} z^{2^n})^{\min(m,n)+1}"))
     entries.append(IdentityEntry(
         id="7.25a", mode=EXACT, caps=(12, 12), names=VARS[2],
@@ -1275,19 +1275,14 @@ def _binary_entries():
 
     entries.append(IdentityEntry(
         id="11.06a", mode=EXACT, caps=(15,), names=("x",),
-        lhs=_binary_powers_spec(1, sign=1, direction=1, names=("x",)),
+        lhs=binary_powers_spec(1, sign=1, direction=1, names=("x",)),
         rhs=_frac_tree(cf.const(1), _ub({"x": 1})),
         tex_anchor=r"(1 + x) (1 + x^2) (1 + x^4)"))
 
-    def alt_lhs(caps: Caps) -> Series:
-        # (1 + x^(2^k))^(k+1)
-        powers = binary_mod.powers_upto(caps.limits[0])
-        return binomial_product((((p,), 1, k + 1, 1) for k, p in enumerate(powers)),
-                                ("x",), caps)
-
     entries.append(IdentityEntry(
         id="11.08", mode=EXACT, caps=(64,), names=("x",),
-        lhs=alt_lhs, rhs=_binary_powers_spec(1, sign=-1, direction=-1, names=("x",)),
+        lhs=multiplicity_capped_spec(),
+        rhs=binary_powers_spec(1, sign=-1, direction=-1, names=("x",)),
         tex_anchor=r"(1 + x) (1 + x^2)^2 (1 + x^4)^3"))
 
     def indicator_pair(eq, base, caps):
@@ -1325,49 +1320,29 @@ def _binary_entries():
 
     entries.append(IdentityEntry(
         id="12.01", mode=EXACT, caps=(13, 13), names=("q", "t"),
-        lhs=binary_mod.beta2_product_series, rhs=beta_rhs,
+        lhs=beta2_spec(), rhs=beta_rhs,
         tex_anchor=r"\sum_{\substack{2^j|k \\ j \geq 0}} 2^j q^{k/2^j}"))
 
     entries.append(IdentityEntry(
         id="12.05", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=lambda caps: _unit_component_product(VARS[3], caps),
-        rhs=_binary_powers_spec(3, sign=1, direction=1),
+        lhs=binary_powers_spec(3, sign=-1, direction=-1, unit_counts=(1, 2, 3)),
+        rhs=binary_powers_spec(3, sign=1, direction=1),
         tex_anchor=r"\frac{1}{1-xyz} \prod_{a,b \geq 1}",
         note="corrected: includes the chains with two unit components"))
     entries.append(IdentityEntry(
         id="12.05-printed", mode=EXACT, caps=(8, 8, 8), names=VARS[3],
-        lhs=lambda caps: _unit_component_product(VARS[3], caps, printed_form=True),
-        rhs=_binary_powers_spec(3, sign=1, direction=1),
+        lhs=binary_powers_spec(3, sign=-1, direction=-1, unit_counts=(1, 3)),
+        rhs=binary_powers_spec(3, sign=1, direction=1),
         expected="errata-probe",
         tex_anchor=r"\frac{1}{(1- x y^{2^a}z^{2^b})(1- x^{2^a}y z^{2^b})(1- x^{2^a}y^{2^b}z)}",
         note="printed display omits the (1,1,2^b)-type chains"))
     entries.append(IdentityEntry(
         id="12.03", mode=EXACT, caps=(13, 13), names=("q", "t"),
-        lhs=binary_mod.beta2_product_series,
-        rhs=_binary_powers_spec(2, sign=1, direction=1, names=("q", "t"),
-                                order=ORDER_ALL_BELOW_LAST),
+        lhs=beta2_spec(),
+        rhs=binary_powers_spec(2, sign=1, direction=1, names=("q", "t"),
+                               order=ORDER_ALL_BELOW_LAST),
         tex_anchor=r"= \sum_{j=0,k=0}^{\infty} \beta_2(j,k) q^j t^k"))
     return entries
-
-
-def _binary_powers_spec(n, sign, direction, names=None, order=ORDER_NONE,
-                        mapping=None) -> ProductSpec:
-    """prod (1 + sign X)^direction over X with every exponent a power of 2."""
-    return ProductSpec(
-        region=LatticeRegion(arity=n, order=order, base_powers=2),
-        factor=WeightExpr(sign=sign, direction=direction, powers=(0,) * n),
-        mapping=mapping, names=names or VARS[n])
-
-
-def _unit_component_product(names, caps: Caps, printed_form: bool = False) -> Series:
-    """prod 1/(1 - X) over binary X (every exponent a power of 2) with an
-    exponent equal to 1; the printed 12.05 display omits the X with exactly
-    two unit exponents."""
-    pows = binary_mod.powers_upto(max(caps.limits))
-    monos = (m for m in itertools.product(pows, repeat=len(names))
-             if 1 in m and not (printed_form and m.count(1) == 2))
-    # the builder drops factors whose monomial the caps do not admit
-    return binomial_product(((m, 1, -1, -1) for m in monos), names, caps)
 
 
 _CATALOG: dict | None = None

@@ -161,10 +161,10 @@ def _register_grids():
         return determinants.exact_parts_series(3, 2, caps, ("y", "z"))
 
     def beta2(caps):
-        return binary_mod.beta2_product_series(caps)
+        return product_series(binary_mod.beta2_spec(), caps)
 
     def binary_b2(caps):
-        return binary_mod.unrestricted_b2_series(caps)
+        return product_series(binary_mod.binary_powers_spec(2, -1, -1), caps)
 
     def weighted_814(caps):
         entry = catalog_mod.get_entry("8.14.03")

@@ -9,7 +9,7 @@ over multisets of parts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, prod
 
@@ -70,6 +70,7 @@ class LatticeRegion:
     coprime: bool = False
     base_powers: int | None = None  # every component a power of this base
     upper: tuple | None = None  # per-component maximum, None for no bound
+    unit_counts: tuple | None = None  # allowed numbers of components equal to 1
 
     def __post_init__(self):
         lower = self.lower if self.lower is not None else (1,) * self.arity
@@ -85,8 +86,18 @@ class LatticeRegion:
                                   "per component")
         if self.order not in _ORDERS:
             raise RegionError(f"unknown ordering {self.order!r}")
-        if self.base_powers is not None and self.base_powers < 2:
-            raise RegionError("base must be >= 2")
+        if type(self.coprime) is not bool:
+            raise RegionError("coprime must be true or false")
+        if self.base_powers is not None and (type(self.base_powers) is not int
+                                             or self.base_powers < 2):
+            raise RegionError("base_powers must be an integer >= 2")
+        counts = self.unit_counts
+        if counts is not None:
+            if not isinstance(counts, (list, tuple)) or not all(
+                    type(c) is int and 0 <= c <= self.arity for c in counts) \
+                    or len(set(counts)) != len(counts):
+                raise RegionError("unit_counts needs distinct integers in 0..arity")
+            object.__setattr__(self, "unit_counts", tuple(counts))
 
     def contains(self, vec) -> bool:
         if len(vec) != self.arity:
@@ -113,18 +124,23 @@ class LatticeRegion:
                     return False
         if self.coprime and gcd(*vec, 0) != 1:
             return False
+        if self.unit_counts is not None and vec.count(1) not in self.unit_counts:
+            return False
         return True
 
     def to_json(self) -> dict:
         return {"arity": self.arity, "lower": list(self.lower), "order": self.order,
                 "coprime": self.coprime, "base_powers": self.base_powers,
-                "upper": None if self.upper is None else list(self.upper)}
+                "upper": None if self.upper is None else list(self.upper),
+                "unit_counts": None if self.unit_counts is None
+                else list(self.unit_counts)}
 
     @classmethod
     def from_json(cls, doc: dict) -> "LatticeRegion":
         return cls(arity=doc["arity"], lower=tuple(doc.get("lower", [1] * doc["arity"])),
                    order=doc.get("order", ORDER_NONE), coprime=doc.get("coprime", False),
-                   base_powers=doc.get("base_powers"), upper=doc.get("upper"))
+                   base_powers=doc.get("base_powers"), upper=doc.get("upper"),
+                   unit_counts=doc.get("unit_counts"))
 
 
 def _is_base_power(v: int, base: int) -> bool:
@@ -549,6 +565,9 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     With `log` (exact mode only), the streamed factors give the product's
     log series through `binomial_log`, with no `exp`; the other families
     have no log form and raise `NoLogForm` before any work.
+
+    A component mapped to a scalar and bounded by nothing is summed over
+    all its values in closed form (see `_folded_log`).
     """
     names = spec.names
     if len(caps.limits) != len(names):
@@ -556,6 +575,9 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
                           f"{len(names)} variables")
     if log and mode != EXACT:
         raise NoLogForm("the log form is exact only")
+    folded = _folded_log(spec, caps, mode)
+    if folded is not None:
+        return folded if log else folded.exp()
     family = spec.factor
     if isinstance(family, WeightExpr):
         w = family
@@ -577,6 +599,48 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     if log:
         return binomial_log(factors, names, caps)
     return binomial_product(factors, names, caps, mode)
+
+
+def _folded_log(spec: ProductSpec, caps: Caps, mode: str) -> Series | None:
+    """The log of a product with one unbounded scalar component, or None.
+
+    Such a component i, mapped to a scalar q with no upper bound in a region
+    with no ordering, runs over every j >= 1; without this fold the region
+    is infinite.  The other components are walked as usual (component i held
+    at 1), each vector v giving an image X_v and a weight w_v.  Summed over
+    j, the log of (1 + sign q^j X_v)^(direction w_v) is the sum over h >= 1
+    of direction w_v (-(-sign)^h / h) G(q^h) X_v^h, where G(r) sums r^j over
+    the j >= 1 coprime to gcd(v) (to 1 in a region that is not coprime):
+    `coprime_geometric_value`, the rational continuation for |q| >= 1.
+    """
+    region, w = spec.region, spec.factor
+    upper = list(region.upper or (None,) * region.arity)
+    free = [i for i, (m, top) in enumerate(zip(spec.mapping, upper))
+            if isinstance(m, Fraction) and top is None]
+    if region.order != ORDER_NONE or not free:
+        return None
+    i, q = free[0], spec.mapping[free[0]]
+    if len(free) > 1 or not isinstance(w, WeightExpr) or region.lower[i] != 1 \
+            or region.base_powers is not None or w.powers[i] != 0 \
+            or w.phi_over == i:
+        raise RegionError("an unbounded scalar component folds only alone, with "
+                          "lower bound 1, no base_powers and a weight free of it")
+    if mode != EXACT:
+        raise RegionError("an unbounded scalar component folds in exact mode only")
+    upper[i] = 1
+    walk = replace(spec, region=replace(region, upper=tuple(upper)))
+    terms: dict = {}
+    for vec in walk.vectors(caps):
+        rest = vec[:i] + (0,) + vec[i + 1:]
+        expo, scalar = spec.image(rest, EXACT)
+        g = gcd(*rest) if region.coprime else 1
+        coeff = w.weight(vec, EXACT) * w.direction
+        h = 1
+        while caps.admits(power := tuple(e * h for e in expo)):
+            terms[power] = terms.get(power, 0) + coeff * -(-w.sign) ** h / h \
+                * coprime_geometric_value(q ** h, g) * scalar ** h
+            h += 1
+    return Series(spec.names, caps, EXACT, terms)
 
 
 def _unscaled(image):
@@ -681,7 +745,7 @@ def grid(source, caps: Caps | None = None, mode: str = EXACT) -> PartitionGrid:
     return PartitionGrid.from_series(source, caps)
 
 
-# -- exact radial-line specials ----------------------------------------------------
+# -- closed geometric values ----------------------------------------------------
 
 
 def coprime_geometric_value(q: Fraction, k: int) -> Fraction:
@@ -699,25 +763,3 @@ def coprime_geometric_value(q: Fraction, k: int) -> Fraction:
                 raise SeriesError("geometric value has a pole at q^d = 1")
             out += moebius(d) * qd / (1 - qd)
     return out
-
-
-def quadrant_radial_series(q: Fraction, cap: int, names=("z",), reciprocal=False) -> Series:
-    """prod over coprime (j,k), j,k >= 1 of (1 - q^j z^k)^(1/k), exactly.
-
-    The infinite j-range is folded through `coprime_geometric_value`;
-    `reciprocal=True` gives the (1/(1-...)) direction.
-    """
-    caps = Caps.of([cap])
-    log_terms: dict = {}
-    for n in range(1, cap + 1):
-        total = Fraction(0)
-        for k in range(1, n + 1):
-            if n % k == 0:
-                h = n // k
-                total += coprime_geometric_value(Fraction(q) ** h, k) / n
-        if total:
-            log_terms[(n,)] = -total
-    log_series = Series(names, caps, EXACT, log_terms)
-    if reciprocal:
-        log_series = -log_series
-    return log_series.exp()

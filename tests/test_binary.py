@@ -4,10 +4,11 @@ import pytest
 
 from vpvlab.binary import (b_indicator, b_indicator_series, beta2_grid,
                            beta2_oracle, binary_count, binary_count_series,
-                           distinct_b2_series, min_index_product, repunits,
-                           unrestricted_b2_series)
+                           binary_powers_spec, min_index_product, powers_upto,
+                           repunits)
 from vpvlab.catalog import get_entry
 from vpvlab.determinants import binary_Ak
+from vpvlab.lattice import DISTINCT, UNRESTRICTED, count_grid, product_series
 from vpvlab.series import Caps
 
 
@@ -108,6 +109,12 @@ class TestBetaGrid:
         assert beta2_oracle(3, 6) == 2
 
 
+def b2_series(caps, sign):
+    """B_2(y,z) = prod 1/(1 - y^(2^m) z^(2^n)) for sign -1, and its distinct
+    counterpart bold B_2(y,z) = prod (1 + y^(2^m) z^(2^n)) for sign +1."""
+    return product_series(binary_powers_spec(2, sign, sign), caps)
+
+
 def _transform_sides(entry_id, caps):
     entry = get_entry(entry_id)
     caps = Caps.of(caps)
@@ -117,7 +124,15 @@ def _transform_sides(entry_id, caps):
 class TestTransforms:
     def test_full_quadrant(self):
         lhs, rhs = _transform_sides("12.04", (16, 16))
-        assert lhs == rhs == distinct_b2_series(Caps.of([16, 16]))
+        assert lhs == rhs == b2_series(Caps.of([16, 16]), 1)
+
+    @pytest.mark.parametrize("sign,mode", [(-1, UNRESTRICTED), (1, DISTINCT)])
+    def test_b2_products_match_the_counting_oracle(self, sign, mode):
+        # the oracle counts partitions into binary parts with no series kernel
+        caps = Caps.of([12, 12])
+        parts = list(itertools.product(powers_upto(12), repeat=2))
+        counts = {e: c for e, c in count_grid(caps, parts, mode).items() if c}
+        assert b2_series(caps, sign).terms == counts
 
     def test_lower_diagonal(self):
         lhs, rhs = _transform_sides("12.1", (8, 32))
@@ -130,7 +145,7 @@ class TestTransforms:
     def test_min_plus_one(self):
         caps = Caps.of([12, 12])
         lhs = min_index_product(caps, lambda e: e, 1)
-        assert lhs == unrestricted_b2_series(caps)
+        assert lhs == b2_series(caps, -1) == product_series(get_entry("7.24").rhs, caps)
 
     def test_triangular_exponent_law(self):
         caps = Caps.of([12, 12])
@@ -141,7 +156,7 @@ class TestTransforms:
         # bold B2(y,z) = (1+yz) B2(y^2,z) B2(y,z^2) / B2(y^2,z^2)
         caps = Caps.of([12, 12])
         names = ("y", "z")
-        B = distinct_b2_series(caps)
+        B = b2_series(caps, 1)
 
         def subs(s, ym, zm):
             return s.substitute({"y": (1, {"y": ym}), "z": (1, {"z": zm})},
@@ -156,8 +171,8 @@ class TestTransforms:
         # bold B2 = B2(y,z) / B2(y^2,z^2)
         caps = Caps.of([10, 10])
         names = ("y", "z")
-        U = unrestricted_b2_series(caps)
-        D = distinct_b2_series(caps)
+        U = b2_series(caps, -1)
+        D = b2_series(caps, 1)
         squared = U.substitute({"y": (1, {"y": 2}), "z": (1, {"z": 2})},
                                names, caps)
         assert D == U * squared.inverse()

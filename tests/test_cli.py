@@ -408,6 +408,12 @@ class TestClosureSidesAsSpecs:
         # upper-bounded regions: coprime, all vectors with geometric factors,
         # and a weight 1/k
         ("8.08", "lhs"), ("8.18a", "lhs"), ("8.14.03", "lhs"),
+        # a folded scalar component, each sign of the exponent
+        ("13.03@y=1/2", "lhs"), ("13.02@y=3/2", "lhs"),
+        # a dropped component merging equal factors, unit-component counts,
+        # and a base-2 component held at 1
+        ("11.08", "lhs"), ("12.05", "lhs"), ("12.05-printed", "lhs"),
+        ("7.23a", "rhs"), ("12.08", "rhs"), ("12.01", "lhs"), ("12.1", "rhs"),
     ])
     def test_spec_roundtrip_and_expand(self, entry_id, side, tmp_path, capsys):
         entry = catalog_mod.get_entry(entry_id)
@@ -445,12 +451,24 @@ UNBOUNDED = {"region": {"arity": 2, "lower": [1, 1]},
              "mapping": [0, None], "vars": ["y", "z"]}
 
 
+REGION_KEYS = ("lower", "upper", "coprime", "base_powers", "unit_counts")
+
+
 def _bad_spec(**changes):
     """TestCapsArity.SPEC with region or weight fields replaced."""
     doc = json.loads(json.dumps(TestCapsArity.SPEC))
     for key, value in changes.items():
-        part = "region" if key in ("lower", "upper") else "weight"
+        part = "region" if key in REGION_KEYS else "weight"
         doc[part][key] = value
+    return doc
+
+
+def _folded_spec(mapping=("1/2", 0), **changes):
+    """The 13.03@y=1/2 side as a document: its first component, mapped to the
+    scalar 1/2, has no bound and is folded; fields replaced by `changes`."""
+    doc = _bad_spec(**changes)
+    doc["mapping"], doc["vars"] = list(mapping), ["z"]
+    doc["weight"]["direction"] = 1
     return doc
 
 
@@ -488,6 +506,39 @@ class TestSpecValueErrors:
                                      capsys)
             assert code == 2, command
             assert out == "" and err.startswith("error:"), command
+
+    @pytest.mark.parametrize("changes", [
+        {"coprime": "no"}, {"coprime": 1}, {"base_powers": 2.5},
+        {"base_powers": True}, {"unit_counts": [1, 1]}, {"unit_counts": [3]},
+        {"unit_counts": [-1]}, {"unit_counts": [1.0]}, {"unit_counts": 1},
+    ])
+    def test_malformed_region_fields_rejected(self, changes, tmp_path, capsys):
+        # a string "no" would read as coprime, and base 2.5 would give
+        # fractional exponents
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_bad_spec(**changes)))
+        for command in ("expand", "grid"):
+            code, out, err = run_cli([command, "--spec", str(path), "--caps", "2,2"],
+                                     capsys)
+            assert code == 2, command
+            assert out == "" and err.startswith("error: bad spec:"), command
+
+    @pytest.mark.parametrize("changes, args, message", [
+        ({}, ["--mode", "approx"], "error: an unbounded scalar component folds "
+         "in exact mode only\n"),
+        ({"lower": [0, 1]}, [], "error: an unbounded scalar component folds only"),
+        ({"powers": ["-1", "0"]}, [], "error: an unbounded scalar component folds only"),
+        ({"mapping": ["1", 0]}, [], "error: geometric value has a pole at q^d = 1\n"),
+    ], ids=["approx", "lower-0", "weight-power", "pole"])
+    def test_unfoldable_component_rejected(self, changes, args, message, tmp_path,
+                                           capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(_folded_spec(**changes)))
+        for command in ("expand", "grid"):
+            code, out, err = run_cli([command, "--spec", str(path), "--caps", "6",
+                                      *args], capsys)
+            assert code == 2, command
+            assert out == "" and err.startswith(message), (command, err)
 
     @pytest.mark.parametrize("changes", [
         {"upper": [None, None]}, {"upper": [2, 0]}, {"lower": [0, 1]},

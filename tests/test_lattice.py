@@ -16,7 +16,6 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             coprime_geometric_value, count_exactly_k, count_grid,
                             count_partitions, enumerate_region, euler_phi,
                             grid, moebius, product_series,
-                            quadrant_radial_series,
                             DISTINCT_BINOMIAL, GEOMETRIC, MULTIPLICITY, SQUARE,
                             ODD_ONLY)
 from vpvlab.series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
@@ -60,7 +59,8 @@ def regions_with_bounds(draw):
         lower=tuple(draw(st.integers(0, 1)) for _ in range(arity)),
         coprime=draw(st.booleans()),
         base_powers=draw(st.sampled_from([None, None, 2, 3])),
-        upper=draw(st.none() | st.tuples(*[st.none() | st.integers(0, 6)] * arity)))
+        upper=draw(st.none() | st.tuples(*[st.none() | st.integers(0, 6)] * arity)),
+        unit_counts=draw(st.none() | st.lists(st.integers(0, arity), unique=True)))
     return region, tuple(draw(st.integers(0, 5)) for _ in range(arity))
 
 
@@ -85,6 +85,15 @@ class TestEnumerateRegion:
         assert got == [(1, 1), (1, 2), (2, 1), (2, 2)]
         with pytest.raises(RegionError):
             LatticeRegion(arity=2, base_powers=1)
+
+    def test_unit_counts(self):
+        region = LatticeRegion(arity=3, lower=(1, 1, 1), unit_counts=(1, 3))
+        got = enumerate_region(region, (2, 2, 2))
+        assert got == [(1, 1, 1), (1, 2, 2), (2, 1, 2), (2, 2, 1)]
+        assert LatticeRegion.from_json(region.to_json()) == region
+        for bad in ((1, 1), (4,), (0.5,), ("1",), 1):
+            with pytest.raises(RegionError):
+                LatticeRegion(arity=3, unit_counts=bad)
 
     def test_upper_clips_axes_before_enumerating(self, monkeypatch):
         # only the 3 x 2 clipped box is tested, not the 1000 x 1000 one
@@ -495,12 +504,20 @@ def pyramid_radial_spec(q, direction, order=ORDER_ALL_BELOW_LAST):
                        mapping=(q, 0), names=("z",))
 
 
+def quadrant_radial_spec(q, direction):
+    """prod over coprime j, k >= 1 of (1 - q^j z^k)^(direction/k): the j-range
+    is unbounded, so `product_series` sums it in closed form."""
+    return ProductSpec(region=LatticeRegion(arity=2, coprime=True),
+                       factor=WeightExpr(sign=-1, direction=direction, powers=(0, -1)),
+                       mapping=(q, 0), names=("z",))
+
+
 class TestRadialSpecials:
     @pytest.mark.parametrize("q,m", [(Fraction(1, 2), 1), (Fraction(2, 3), 2),
                                      (Fraction(3, 4), 3), (Fraction(4, 5), 4),
                                      (Fraction(5, 6), 5)])
     def test_quadrant_minus_family(self, q, m):
-        got = quadrant_radial_series(q, 10)
+        got = product_series(quadrant_radial_spec(q, 1), Caps.of([10]))
         caps = Caps.of([10])
         expected = unit_binomial_pow((1,), m, ("z",), caps, sign=-1)
         assert got == expected
@@ -509,33 +526,40 @@ class TestRadialSpecials:
                                      (Fraction(4, 3), 4), (Fraction(5, 4), 5),
                                      (Fraction(6, 5), 6)])
     def test_quadrant_plus_family(self, q, m):
-        got = quadrant_radial_series(q, 10, reciprocal=True)
+        got = product_series(quadrant_radial_spec(q, -1), Caps.of([10]))
         caps = Caps.of([10])
         expected = unit_binomial_pow((1,), m, ("z",), caps, sign=-1)
         assert got == expected
 
     def test_quadrant_partial_products_converge(self):
-        # float cross-check of the closed geometric values for |q| < 1
-        import math
-        q = 0.5
-        cap = 6
-        logs = [0.0] * (cap + 1)
-        for j in range(1, 400):
-            for k in range(1, cap + 1):
-                if math.gcd(j, k) == 1:
-                    for h in range(1, cap // k + 1):
-                        logs[k * h] += -(q ** (j * h)) / (h * k)
-        series = [0.0] * (cap + 1)
-        series[0] = 1.0
-        # exponentiate the log coefficients
-        from vpvlab.series import APPROX
-        log_series = Series(("z",), Caps.of([cap]), APPROX,
-                            {(n,): logs[n] for n in range(1, cap + 1)})
-        got = log_series.exp()
-        expected = quadrant_radial_series(Fraction(1, 2), cap)
-        for n in range(cap + 1):
-            assert float(got.terms.get((n,), 0.0)) == pytest.approx(
-                float(expected.terms.get((n,), 0)), abs=1e-9)
+        # the exact fold against the float product with the scalar component
+        # cut at j <= 80, where |q|^j is below 1e-24: the coprime quadrant, a
+        # quadrant that is not coprime, and coprime arity-3 regions, one with
+        # a second, bounded scalar component
+        cases = [
+            (quadrant_radial_spec(Fraction(1, 3), 1), Caps.of([6])),
+            (dataclasses.replace(quadrant_radial_spec(Fraction(-1, 2), -1),
+                                 region=LatticeRegion(arity=2)), Caps.of([6])),
+            (ProductSpec(region=LatticeRegion(arity=3, lower=(1, 0, 1), coprime=True),
+                         factor=WeightExpr(sign=1, direction=-1, powers=(0, 0, -1)),
+                         mapping=(Fraction(1, 3), 0, 1), names=("y", "z")),
+             Caps.of([3, 4])),
+            (ProductSpec(region=LatticeRegion(arity=3, coprime=True,
+                                              upper=(None, 2, None)),
+                         factor=WeightExpr(sign=-1, direction=1, powers=(0, 1, -1)),
+                         mapping=(Fraction(1, 2), Fraction(-3), 0), names=("z",)),
+             Caps.of([5]))]
+        for spec, caps in cases:
+            region = spec.region
+            upper = (80,) + (region.upper or (None,) * region.arity)[1:]
+            cut = dataclasses.replace(spec, region=dataclasses.replace(region,
+                                                                       upper=upper))
+            got = product_series(spec, caps)
+            assert product_series(spec, caps, log=True).exp() == got
+            expected = product_series(cut, caps, APPROX)
+            for expo in set(got.terms) | set(expected.terms):
+                assert float(got.terms.get(expo, 0)) == pytest.approx(
+                    expected.terms.get(expo, 0.0), abs=1e-9), (spec, expo)
 
     def test_pyramid_special_expansion(self):
         # (2-2z)/(2-z) = 1 - z/2 - z^2/4 - z^3/8 - ...
