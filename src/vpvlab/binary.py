@@ -42,6 +42,11 @@ def beta2_spec(names=("q", "t")) -> ProductSpec:
     return binary_powers_spec(2, -1, -1, names, upper=(1, None))
 
 
+def beta2_distinct_spec(names=("q", "t")) -> ProductSpec:
+    """prod over 2^a <= 2^b of (1 + q^(2^a) t^(2^b)): the distinct side of beta_2."""
+    return binary_powers_spec(2, 1, 1, names, order=ORDER_ALL_BELOW_LAST)
+
+
 def multiplicity_capped_spec(names=("x",)) -> ProductSpec:
     """prod over k >= 0 of (1 + x^(2^k))^(k+1).
 
@@ -130,8 +135,7 @@ def beta2_grid(caps: Caps) -> PartitionGrid:
     polynomials A_k), and the enumeration oracle must agree cell by cell.
     """
     series = product_series(beta2_spec(), caps)
-    distinct = product_series(binary_powers_spec(2, 1, 1, ("q", "t"),
-                                                 order=ORDER_ALL_BELOW_LAST), caps)
+    distinct = product_series(beta2_distinct_spec(), caps)
     if series != distinct:
         raise AssertionError("beta2 product routes disagree")
     cap_q, cap_t = caps.limits

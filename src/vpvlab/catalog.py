@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import binary as binary_mod
 from . import closedform as cf
 from . import determinants
-from .binary import beta2_spec, binary_powers_spec, multiplicity_capped_spec
+from .binary import (beta2_distinct_spec, beta2_spec, binary_powers_spec,
+                     multiplicity_capped_spec)
 from .closedform import build_closed_form, build_log
 from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY,
@@ -1248,8 +1249,7 @@ def _binary_entries():
         tex_anchor=r"\frac{1}{1-xy} \prod_{j \geq 1} \left( \frac{1}{(1- x^{2^j} y)(1- x y^{2^j})} \right)"))
     entries.append(IdentityEntry(
         id="12.1", mode=EXACT, caps=(8, 32), names=("x", "y"),
-        lhs=binary_powers_spec(2, sign=1, direction=1, names=("x", "y"),
-                               order=ORDER_ALL_BELOW_LAST),
+        lhs=beta2_distinct_spec(("x", "y")),
         rhs=beta2_spec(("x", "y")),
         tex_anchor=r"\frac{1}{(1-xy) (1-xy^2)(1-xy^4)"))
     entries.append(IdentityEntry(
@@ -1339,8 +1339,7 @@ def _binary_entries():
     entries.append(IdentityEntry(
         id="12.03", mode=EXACT, caps=(13, 13), names=("q", "t"),
         lhs=beta2_spec(),
-        rhs=binary_powers_spec(2, sign=1, direction=1, names=("q", "t"),
-                               order=ORDER_ALL_BELOW_LAST),
+        rhs=beta2_distinct_spec(),
         tex_anchor=r"= \sum_{j=0,k=0}^{\infty} \beta_2(j,k) q^j t^k"))
     return entries
 

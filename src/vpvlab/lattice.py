@@ -605,8 +605,9 @@ def _folded_log(spec: ProductSpec, caps: Caps, mode: str) -> Series | None:
     """The log of a product with one unbounded scalar component, or None.
 
     Such a component i, mapped to a scalar q with no upper bound in a region
-    with no ordering, runs over every j >= 1; without this fold the region
-    is infinite.  The other components are walked as usual (component i held
+    with no ordering and no unit_counts, runs over every j >= 1; without this
+    fold the region is infinite.  (A unit_counts filter would look at j = 1
+    only, while the fold sums over every j, so it is refused.)  The other components are walked as usual (component i held
     at 1), each vector v giving an image X_v and a weight w_v.  Summed over
     j, the log of (1 + sign q^j X_v)^(direction w_v) is the sum over h >= 1
     of direction w_v (-(-sign)^h / h) G(q^h) X_v^h, where G(r) sums r^j over
@@ -621,10 +622,11 @@ def _folded_log(spec: ProductSpec, caps: Caps, mode: str) -> Series | None:
         return None
     i, q = free[0], spec.mapping[free[0]]
     if len(free) > 1 or not isinstance(w, WeightExpr) or region.lower[i] != 1 \
-            or region.base_powers is not None or w.powers[i] != 0 \
-            or w.phi_over == i:
+            or region.base_powers is not None or region.unit_counts is not None \
+            or w.powers[i] != 0 or w.phi_over == i:
         raise RegionError("an unbounded scalar component folds only alone, with "
-                          "lower bound 1, no base_powers and a weight free of it")
+                          "lower bound 1, no base_powers or unit_counts and a "
+                          "weight free of it")
     if mode != EXACT:
         raise RegionError("an unbounded scalar component folds in exact mode only")
     upper[i] = 1

@@ -529,7 +529,9 @@ class TestSpecValueErrors:
         ({"lower": [0, 1]}, [], "error: an unbounded scalar component folds only"),
         ({"powers": ["-1", "0"]}, [], "error: an unbounded scalar component folds only"),
         ({"mapping": ["1", 0]}, [], "error: geometric value has a pole at q^d = 1\n"),
-    ], ids=["approx", "lower-0", "weight-power", "pole"])
+        # a unit_counts filter sees the folded component at 1 only
+        ({"unit_counts": [2]}, [], "error: an unbounded scalar component folds only"),
+    ], ids=["approx", "lower-0", "weight-power", "pole", "unit-counts"])
     def test_unfoldable_component_rejected(self, changes, args, message, tmp_path,
                                            capsys):
         path = tmp_path / "spec.json"
