@@ -36,7 +36,8 @@ def _spec_errors():
         yield
     except KeyError as err:
         raise SeriesError(f"spec is missing key {err}") from err
-    except (AttributeError, TypeError, ValueError) as err:  # RegionError too
+    except (AttributeError, TypeError, ValueError,  # RegionError too
+            ArithmeticError) as err:  # "1/0", or a number that overflows to inf
         raise SeriesError(f"bad spec: {err}") from err
 
 
@@ -248,6 +249,8 @@ def cmd_expand(args) -> int:
             lhs = doc.get("lhs", doc)
             spec = ProductSpec.from_json(lhs) if "region" in lhs else None
             names = tuple(doc["vars"]) if spec is None else None
+            if names is not None and len(set(names)) != len(names):
+                raise SeriesError(f"duplicate variable names in {list(names)}")
         if caps is None:
             print("error: no caps given", file=sys.stderr)
             return EXIT_CONFIG

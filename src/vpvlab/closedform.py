@@ -165,7 +165,7 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
         raise
     except KeyError as err:
         raise ExprError(f"missing field {err}", _path + "." + op) from err
-    except (ValueError, TypeError, ZeroDivisionError) as err:  # SeriesError too
+    except (ValueError, TypeError, ArithmeticError) as err:  # SeriesError too
         raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)
 
@@ -217,7 +217,7 @@ def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
         raise
     except KeyError as err:
         raise ExprError(f"missing field {err}", _path + "." + op) from err
-    except (ValueError, TypeError, ZeroDivisionError) as err:  # SeriesError too
+    except (ValueError, TypeError, ArithmeticError) as err:  # SeriesError too
         raise ExprError(str(err), _path + "." + op) from err
     raise NoLogForm(f"no log form for this {op!r} node (at node {_path or 'root'})")
 

@@ -8,6 +8,7 @@ over multisets of parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -435,6 +436,8 @@ class ProductSpec:
     def __post_init__(self):
         names = tuple(self.names)
         object.__setattr__(self, "names", names)
+        if len(set(names)) != len(names):
+            raise RegionError(f"duplicate variable names in {list(names)}")
         mapping = self.mapping
         if mapping is None:
             mapping = tuple(range(self.region.arity))
@@ -480,15 +483,22 @@ class ProductSpec:
     def component_bounds(self, caps: Caps):
         """Upper bounds per component so the image monomial can fit the caps.
 
-        A component mapped to no variable is bounded by the region's `upper`.
+        A component mapped to variable m leaves room for the lower bounds of
+        the other components mapped to m (and, under a total cap, of every
+        other component mapped to a variable).  A component mapped to no
+        variable is bounded by the region's `upper`.
         """
         upper = self.region.upper or (None,) * self.region.arity
+        lower = self.region.lower
+        mapped = sum(lo for lo, m in zip(lower, self.mapping) if isinstance(m, int))
         bounds = []
-        for m, top in zip(self.mapping, upper):
+        for i, (m, top) in enumerate(zip(self.mapping, upper)):
             if isinstance(m, int):
-                limit = caps.limits[m]
+                shared = sum(lo for lo, n in zip(lower, self.mapping)
+                             if isinstance(n, int) and n == m)
+                limit = caps.limits[m] - shared + lower[i]
                 if caps.total is not None:
-                    limit = min(limit, caps.total)
+                    limit = min(limit, caps.total - mapped + lower[i])
                 bounds.append(limit)
             else:
                 bounds.append(top)
@@ -552,15 +562,100 @@ class ProductSpec:
                    names=tuple(doc["vars"]))
 
 
+def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
+    """{(image, scalar): [count, summed weight]} over `spec.vectors(caps)`, exactly.
+
+    One dynamic program over the components counts the region instead of
+    walking it: the last component comes first under an all-below-last
+    ordering.  A state is (partial image, partial scalar, ordering key,
+    running gcd, number of components equal to 1) and holds how many
+    partial vectors reach it and their summed partial weight, a product of
+    per-component factors (1 for a factor family).  The key is the last
+    component's value (all-below-last) or the previous one (strict chain).
+    Outside a coprime region the gcd is clipped to 0 or 1; either way the
+    origin ends at gcd 0 and drops out.  Values ascend, so a component's
+    loop stops once the partial image leaves the caps.
+    """
+    region, mapping = spec.region, spec.mapping
+    order, n = region.order, region.arity
+    bounds, upper = spec.component_bounds(caps), region.upper or (None,) * n
+    limits, total = caps.limits, caps.total
+    w = spec.factor if isinstance(spec.factor, WeightExpr) else None
+    below_last = order in (ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT)
+    chain, strict = order == ORDER_STRICT_CHAIN, order == ORDER_ALL_BELOW_LAST_STRICT
+    coprime, units = region.coprime, region.unit_counts is not None
+    states = {((0,) * len(spec.names), Fraction(1), -1, 0, 0): [1, 1]}
+    for step, i in enumerate((n - 1, *range(n - 1)) if below_last else range(n)):
+        m, hi = mapping[i], bounds[i] if upper[i] is None else min(bounds[i], upper[i])
+        values = _component_values(region.lower[i], hi, region.base_powers)
+        keyed, var = chain or (below_last and step == 0), isinstance(m, int)
+        factor = _weight_factor(w, i)
+        out = {}
+        for (expo, scalar, key, g, ones), (count, weight) in states.items():
+            top = hi
+            if var:
+                top = limits[m] - expo[m]
+                if total is not None:
+                    top = min(top, total - sum(expo))
+            if below_last and step:
+                top = min(top, key - strict)
+            for v in values:
+                if v > top:
+                    break
+                if chain and v <= key:
+                    continue
+                state = (expo[:m] + (expo[m] + v,) + expo[m + 1:] if var else expo,
+                         scalar if var or m is None else scalar * m ** v,
+                         v if keyed else key,
+                         gcd(g, v) if coprime else 1 if g or v else 0,
+                         ones + (v == 1) if units else 0)
+                part = weight if factor is None else weight * factor(v)
+                cell = out.get(state)
+                if cell is None:
+                    out[state] = [count, part]
+                else:
+                    cell[0] += count
+                    cell[1] += part
+        states = out
+    hist: dict = {}
+    for (expo, scalar, _, g, ones), (count, weight) in states.items():
+        if g != 1 or units and ones not in region.unit_counts:
+            continue
+        if not any(expo):
+            spec.vectors(caps)  # raises, naming the walk's first such vector
+        cell = hist.setdefault((expo, scalar), [0, Fraction(0)])
+        cell[0] += count
+        cell[1] += weight
+    if hist and w is not None and w.needs_approx():
+        raise SeriesError("irrational weight requires approx mode")
+    return hist
+
+
+def _weight_factor(w: WeightExpr | None, i: int):
+    """v -> the factor component i puts into an exact weight, or None for 1."""
+    if w is None or w.powers[i] == 0 and w.phi_over != i:
+        return None
+
+    @functools.cache
+    def factor(v):
+        f = v ** w.powers[i]
+        return f * Fraction(euler_phi(v), v) if w.phi_over == i else f
+
+    return factor
+
+
 def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
                    log: bool = False) -> Series:
     """Expand the truncated lattice product factor by factor, or build its log.
 
-    Weight-expression factors, and the closed forms of the geometric and
-    distinct-binomial families, stream into `binomial_product`, which merges
-    equal image monomials (their exponents add) before the binomial
-    expansion; the result is independent of factor order either way.  The
-    other families, and every defining sum, are multiplied one per vector.
+    Exact products count their region images with `image_histogram`; approx
+    products walk `spec.vectors`, one factor per vector in lex order, so
+    their float sums keep their order.  Weight-expression factors, and the
+    closed forms of the geometric and distinct-binomial families, stream
+    into `binomial_product`, which merges equal image monomials (their
+    exponents add) before the binomial expansion.  The other families, and
+    every defining sum, are multiplied once per region vector.  Exact
+    results do not depend on the order of the factors.
 
     With `log` (exact mode only), the streamed factors give the product's
     log series through `binomial_log`, with no `exp`; the other families
@@ -579,22 +674,32 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     if folded is not None:
         return folded if log else folded.exp()
     family = spec.factor
-    if isinstance(family, WeightExpr):
-        w = family
-        factors = (spec.image(vec, mode) + (w.weight(vec, mode) * w.direction, w.sign)
-                   for vec in spec.vectors(caps))
-    elif not family.defining_sum and family.kind in (GEOMETRIC, DISTINCT_BINOMIAL):
+    weighted = isinstance(family, WeightExpr)
+    streamed = weighted or not family.defining_sum and family.kind in (
+        GEOMETRIC, DISTINCT_BINOMIAL)
+    if log and not streamed:
+        raise NoLogForm(f"a {family.kind} factor family has no log form")
+    if mode == EXACT:
+        images = ((image, count, weight) for image, (count, weight)
+                  in image_histogram(spec, caps).items())
+    else:
+        images = ((spec.image(vec, mode), 1,
+                   family.weight(vec, mode) if weighted else 1)
+                  for vec in spec.vectors(caps))
+    if weighted:
+        factors = (image + (weight * family.direction, family.sign)
+                   for image, _, weight in images)
+    elif streamed:
         exponent, sign = (-1, -1) if family.kind == GEOMETRIC \
             else (family.exponent, family.sign)
-        factors = ((_unscaled(spec.image(vec, mode)), 1, exponent, sign)
-                   for vec in spec.vectors(caps))
-    elif log:
-        raise NoLogForm(f"a {family.kind} factor family has no log form")
+        factors = ((_unscaled(image), 1, count * exponent, sign)
+                   for image, count, _ in images)
     else:
         out = Series.one(names, caps, mode)
-        for vec in spec.vectors(caps):
-            out = out * family.series(_unscaled(spec.image(vec, mode)),
-                                      names, caps, mode)
+        for image, count, _ in images:
+            factor = family.series(_unscaled(image), names, caps, mode)
+            for _ in range(count):
+                out = out * factor
         return out
     if log:
         return binomial_log(factors, names, caps)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -7,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from vpvlab.catalog import (IdentityEntry, catalog, catalog_ids, entry_from_json,
-                            get_entry, oracle_series, verify_identity)
+from vpvlab import lattice
+from vpvlab.catalog import (IdentityEntry, OracleSide, catalog, catalog_ids,
+                            entry_from_json, get_entry, oracle_series,
+                            verify_identity)
 from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             UNRESTRICTED, LatticeRegion, ProductSpec, WeightExpr,
                             count_partitions, product_series)
@@ -303,6 +306,37 @@ class TestOracleSeries:
             if sum(expo) <= 6:
                 assert series.coefficient(expo) == \
                     count_partitions(expo, parts, mode, k), expo
+
+
+# the entries one side of which is the counting oracle (perfbench's
+# ORACLE_IDS); it is the right side except in 8.01, 8.01a and 8.01b
+ORACLE_IDS = (
+    "8.00a-1d", "8.00b-1d", "8.00a-2d", "8.00b-2d", "8.01", "8.01a", "8.01b",
+    "8.06", "8.07", "8.08", "8.08-neg", "8.09.03", "8.09.04", "8.10.03",
+    "8.11.03", "8.12.02", "8.13.03", "8.14", "8.15", "8.18a", "8.21a", "8.22",
+)
+
+
+def test_oracle_sides_walk_their_regions(monkeypatch):
+    """The oracle's part list comes from `ProductSpec.vectors`, never from
+    the counted histogram the product builder uses, so a fault in the count
+    cannot make a product agree with its own oracle."""
+    entries = []
+    for e in map(get_entry, ORACLE_IDS):
+        # the other side is built now, before the count is broken
+        key = "lhs" if isinstance(e.rhs, OracleSide) else "rhs"
+        assert isinstance(getattr(e, "rhs" if key == "lhs" else "lhs"), OracleSide)
+        side = getattr(e, f"build_{key}")(Caps.of(e.caps))
+        entries.append(dataclasses.replace(e, **{key: lambda caps, side=side: side}))
+
+    def refuse(spec, caps):
+        raise AssertionError("the region was counted")
+
+    monkeypatch.setattr(lattice, "image_histogram", refuse)
+    with pytest.raises(AssertionError, match="counted"):
+        product_series(get_entry("8.06").lhs, Caps.of((2, 2, 2)))
+    for e in entries:
+        assert verify_identity(e).passed, e.id
 
 
 class TestInvariantFamilies:

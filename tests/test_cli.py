@@ -279,7 +279,11 @@ class TestExpandCommand:
                          "factor": {"family": "bogus"}}, "caps": [3, 3]},
                 {"lhs": {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["x", "y"],
                          "factor": {"family": "distinct_binomial", "exponent": "1/2",
-                                    "defining_sum": True}}, "caps": [3, 3]}]
+                                    "defining_sum": True}}, "caps": [3, 3]},
+                # duplicate variable names, in a tree document and in a spec
+                {"vars": ["y", "y"], "caps": [3, 3],
+                 "rhs": {"op": "const", "value": "1"}},
+                {"lhs": dict(TestCapsArity.SPEC, vars=["y", "y"]), "caps": [3, 3]}]
         for i, doc in enumerate(docs):
             path = tmp_path / f"bad{i}.json"
             path.write_text(json.dumps(doc))
@@ -577,6 +581,56 @@ class TestSpecValueErrors:
                                  capsys)
         assert code == 2
         assert out == "" and err.startswith("error:")
+
+
+# a placeholder written to the file as the JSON number 1e400, which json
+# reads as a float that overflows to infinity
+OVERFLOW = "overflow"
+
+
+def _number_doc(field, value):
+    """A document with `value` in one numeric field."""
+    if field == "const":
+        return {"vars": ["z"], "caps": [3], "rhs": {"op": "const", "value": value}}
+    doc = _bad_spec()
+    if field == "powers":
+        doc["weight"]["powers"] = [value, "0"]
+    elif field == "exponent":
+        del doc["weight"]
+        doc["factor"] = {"family": "distinct_binomial", "exponent": value}
+    else:
+        doc["mapping"] = [value, 1]
+    return doc
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc).replace(json.dumps(OVERFLOW), "1e400"))
+
+
+class TestUnrepresentableNumbers:
+    """A rational Fraction cannot hold ("1/0", or 1e400 read as inf) is bad
+    input on every path that reads it: exit 2, with no traceback."""
+
+    @pytest.mark.parametrize("value", ["1/0", OVERFLOW])
+    @pytest.mark.parametrize("field", ["powers", "exponent", "mapping", "const"])
+    def test_rejected(self, field, value, tmp_path, capsys):
+        doc = _number_doc(field, value)
+        path, custom = tmp_path / "doc.json", tmp_path / "custom.json"
+        _write(path, doc)
+        if field == "const":
+            runs = [["expand", "--spec", str(path)]]
+            _write(custom, {"lhs": TestCapsArity.SPEC, "caps": [3, 3],
+                            "rhs": doc["rhs"]})
+        else:
+            runs = [[command, "--spec", str(path), "--caps", "3,3"]
+                    for command in ("expand", "grid")]
+            _write(custom, {"lhs": doc, "caps": [3, 3],
+                            "rhs": {"op": "const", "value": "1"}})
+        for args in runs + [["verify", "--custom", str(custom)]]:
+            code, out, err = run_cli(args, capsys)
+            assert code == 2, args
+            assert out == "" and err.startswith("error:"), args
+            assert "Traceback" not in err, args
 
 
 class TestInstalledEntryPoint:

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vpvlab import catalog as catalog_mod
+from vpvlab import lattice as lattice_mod
 from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             UNRESTRICTED,
                             LatticeRegion, LocalFactorFamily, PartitionGrid,
@@ -15,7 +17,7 @@ from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
                             ORDER_NONE, ORDER_STRICT_CHAIN,
                             coprime_geometric_value, count_exactly_k, count_grid,
                             count_partitions, enumerate_region, euler_phi,
-                            grid, moebius, product_series,
+                            grid, image_histogram, moebius, product_series,
                             DISTINCT_BINOMIAL, GEOMETRIC, MULTIPLICITY, SQUARE,
                             ODD_ONLY)
 from vpvlab.series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
@@ -356,8 +358,9 @@ class TestProductSeries:
     def test_per_vector_families_have_no_log_form(self, family, monkeypatch):
         spec = ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
                            factor=family, names=("y", "z"))
-        # refused before the region is walked
+        # refused before the region is walked or counted
         monkeypatch.setattr(ProductSpec, "vectors", None)
+        monkeypatch.setattr(lattice_mod, "image_histogram", None)
         with pytest.raises(NoLogForm):
             product_series(spec, Caps.of([3, 3]), log=True)
 
@@ -408,10 +411,19 @@ class TestProductSeries:
 
 
 def filtered_region(spec, caps):
-    """Reference vectors: the sorted region, then the members whose image the
-    caps admit."""
+    """Reference vectors: the sorted region in a loose box, then the members
+    whose image the caps admit.
+
+    The box is read from the caps alone: a component mapped to a variable
+    stops at that variable's cap, any other at the largest cap (in
+    `specs_with_caps` an ordering bounds it by the last component, which is
+    mapped to a variable).  `component_bounds` tightens this box, and the
+    comparison checks that it drops no member.
+    """
+    top = max(caps.limits)
+    bounds = [caps.limits[m] if isinstance(m, int) else top for m in spec.mapping]
     out = []
-    for vec in enumerate_region(spec.region, spec.component_bounds(caps)):
+    for vec in enumerate_region(spec.region, bounds):
         expo, _ = spec.image(vec, EXACT)
         if not any(expo):
             raise RegionError(f"region vector {vec} feeds no capped variable")
@@ -436,6 +448,78 @@ def specs_with_caps(draw):
     spec = ProductSpec(region=region, factor=WeightExpr(powers=(0,) * region.arity),
                        mapping=mapping, names=tuple("xyz"[:arity]))
     return spec, caps
+
+
+@st.composite
+def counted_specs(draw):
+    """A spec of arity 1-5 with caps: any ordering, bounds, base and
+    unit_counts; merging, scalar and dropped mappings; a weight or a family.
+
+    The last component feeds a variable, so an ordering bounds the others.
+    Without an ordering, a component that feeds no variable gets an upper
+    bound, except in about one case in ten, whose region is then unbounded.
+    """
+    arity = draw(st.integers(1, 5))
+    order = draw(st.sampled_from(ORDERS))
+    width = draw(st.integers(1, 3))
+    index = st.integers(0, width - 1)
+    target = index | st.sampled_from([Fraction(1, 2), Fraction(-3), None])
+    mapping = tuple(draw(target) for _ in range(arity - 1)) + (draw(index),)
+    free = order != ORDER_NONE or draw(st.integers(0, 9)) == 0
+    upper = tuple(draw(st.sampled_from([None, None, None, 1, 3, 5]))
+                  if isinstance(m, int) or free
+                  else draw(st.integers(0, 3)) for m in mapping)
+    lower = tuple(draw(st.sampled_from([0, 1, 0, 1, 2])) for _ in range(arity))
+    region = LatticeRegion(
+        arity=arity, lower=lower, order=order, coprime=draw(st.booleans()),
+        base_powers=draw(st.sampled_from([None, None, 2, 3])),
+        upper=upper if any(u is not None for u in upper) else None,
+        unit_counts=draw(st.none() | st.lists(st.integers(0, arity), min_size=1,
+                                               unique=True)))
+    limits = tuple(draw(st.integers(1, 6)) for _ in range(width))
+    caps = Caps.of(limits, draw(st.none() | st.integers(1, sum(limits))))
+    # a component that may be 0 takes no negative power and no phi
+    powers = tuple(draw(st.integers(-2 if lo else 0, 2)) for lo in lower)
+    phi_over = draw(st.none() | st.sampled_from(
+        [i for i, lo in enumerate(lower) if lo] or [None]))
+    factor = draw(st.sampled_from([WeightExpr(powers=powers, phi_over=phi_over),
+                                   LocalFactorFamily(kind=GEOMETRIC)]))
+    spec = ProductSpec(region=region, factor=factor, mapping=mapping,
+                       names=tuple("xyz"[:width]))
+    return spec, caps
+
+
+def walked_histogram(spec, caps):
+    """{(image, scalar): [count, summed weight]} from the walked vectors."""
+    out = {}
+    for vec in spec.vectors(caps):
+        cell = out.setdefault(spec.image(vec, EXACT), [0, 0])
+        cell[0] += 1
+        cell[1] += spec.factor.weight(vec, EXACT) \
+            if isinstance(spec.factor, WeightExpr) else 1
+    return out
+
+
+class TestImageHistogram:
+    @settings(max_examples=500, deadline=None)
+    @given(case=counted_specs())
+    def test_count_matches_walk(self, case):
+        spec, caps = case
+        try:
+            expected = walked_histogram(spec, caps)
+        except RegionError as err:
+            with pytest.raises(RegionError, match=re.escape(str(err))):
+                image_histogram(spec, caps)
+        else:
+            assert image_histogram(spec, caps) == expected
+
+    def test_merged_images(self):
+        # 14.23 at (12, 10): 7,715 region vectors on 97 image monomials
+        spec, caps = catalog_mod.get_entry("14.23").lhs, Caps.of((12, 10))
+        hist = image_histogram(spec, caps)
+        assert len(hist) == 97
+        assert sum(count for count, _ in hist.values()) == 7715
+        assert hist == walked_histogram(spec, caps)
 
 
 class TestSpecVectors:
