@@ -136,15 +136,16 @@ def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Se
 def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = None) -> IdentityCheckReport:
     """Compare both sides coefficient by coefficient.
 
-    An exact entry with a product left side and a tree right side, compared
-    with no tolerance, compares their logs (the "log" route): on the caps
-    window, a down-set, truncated `exp` and `log` are inverse bijections, so
-    the sides are equal exactly when their logs are.  If lhs = exp(B + D)
-    and rhs = exp(B), then lhs - rhs = exp(B)(exp(D) - 1), whose lex-first
-    term is D's, as lex order is a monomial order; so the lex-first mismatch
-    of the logs is that of the sides, and both sides are expanded on the box
-    below it to report their coefficients there.  Every other entry, and
-    one whose tree has no log form, expands both sides.
+    An exact entry with a product left side and a tree or product right
+    side, compared with no tolerance, compares their logs (the "log" route):
+    both sides have constant term 1, and on the caps window, a down-set,
+    truncated `exp` and `log` are inverse bijections, so the sides are equal
+    exactly when their logs are.  If lhs = exp(B + D) and rhs = exp(B), then
+    lhs - rhs = exp(B)(exp(D) - 1), whose lex-first term is D's, as lex
+    order is a monomial order; so the lex-first mismatch of the logs is that
+    of the sides, and both sides are expanded on the box below it to report
+    their coefficients there.  Every other entry, and one with a side that
+    has no log form, expands both sides.
     """
     limits = tuple(caps) if caps is not None else tuple(entry.caps)
     cap_obj = Caps.of(limits)
@@ -154,7 +155,7 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
     start = time.perf_counter()
     route = None
     if entry.mode == EXACT and tol == 0.0 and isinstance(entry.lhs, ProductSpec) \
-            and isinstance(entry.rhs, dict):
+            and isinstance(entry.rhs, (dict, ProductSpec)):
         try:
             lhs = entry.build_lhs(cap_obj, log=True)
             rhs = entry.build_rhs(cap_obj, log=True)

@@ -362,6 +362,12 @@ class LocalFactorFamily:
     def __post_init__(self):
         if self.kind not in _FAMILIES:
             raise RegionError(f"unknown family {self.kind!r}")
+        if type(self.sign) is not int or self.sign not in (1, -1):
+            raise RegionError("a family sign must be the integer 1 or -1")
+        if type(self.defining_sum) is not bool:
+            raise RegionError("defining_sum must be true or false")
+        if self.kind != DISTINCT_BINOMIAL and (self.exponent != 1 or self.sign != 1):
+            raise RegionError(f"a {self.kind} family takes no exponent or sign")
         if self.defining_sum and self.kind == DISTINCT_BINOMIAL:
             raise RegionError("a distinct_binomial family has no defining sum")
 
@@ -657,9 +663,12 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     every defining sum, are multiplied once per region vector.  Exact
     results do not depend on the order of the factors.
 
-    With `log` (exact mode only), the streamed factors give the product's
-    log series through `binomial_log`, with no `exp`; the other families
-    have no log form and raise `NoLogForm` before any work.
+    With `log` (exact mode only), the product's log series is built with no
+    `exp`: the streamed factors through `binomial_log`; every other family
+    factor, a series in one monomial X, as the one-variable log of the
+    factor at X = t (`_factor_log`, cached per family and length) mapped
+    onto the powers of X and multiplied by the image's count.  Approx mode
+    raises `NoLogForm` before any work.
 
     A component mapped to a scalar and bounded by nothing is summed over
     all its values in closed form (see `_folded_log`).
@@ -677,8 +686,6 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     weighted = isinstance(family, WeightExpr)
     streamed = weighted or not family.defining_sum and family.kind in (
         GEOMETRIC, DISTINCT_BINOMIAL)
-    if log and not streamed:
-        raise NoLogForm(f"a {family.kind} factor family has no log form")
     if mode == EXACT:
         images = ((image, count, weight) for image, (count, weight)
                   in image_histogram(spec, caps).items())
@@ -694,6 +701,14 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
             else (family.exponent, family.sign)
         factors = ((_unscaled(image), 1, count * exponent, sign)
                    for image, count, _ in images)
+    elif log:
+        terms: dict = {}
+        for image, count, _ in images:
+            mono = _unscaled(image)
+            for k, c in enumerate(_factor_log(family, _max_multiple(mono, caps)), 1):
+                key = tuple(e * k for e in mono)
+                terms[key] = terms.get(key, 0) + count * c
+        return Series(names, caps, EXACT, terms)
     else:
         out = Series.one(names, caps, mode)
         for image, count, _ in images:
@@ -704,6 +719,13 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     if log:
         return binomial_log(factors, names, caps)
     return binomial_product(factors, names, caps, mode)
+
+
+@functools.cache
+def _factor_log(family: LocalFactorFamily, k: int) -> tuple:
+    """The coefficients of t^1..t^k in the log of a family's factor at X = t."""
+    log = family.series((1,), ("t",), Caps.of((k,)), EXACT).log()
+    return tuple(log.coefficient((j,)) for j in range(1, k + 1))
 
 
 def _folded_log(spec: ProductSpec, caps: Caps, mode: str) -> Series | None:

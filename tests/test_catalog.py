@@ -188,12 +188,17 @@ class TestLogRoute:
                 assert report.mismatch == {
                     "e": list(expo), "lhs": f"{lhs.numerator}/{lhs.denominator}",
                     "rhs": f"{rhs.numerator}/{rhs.denominator}"}, entry.id
-            # every exact product-against-tree entry has a log form
+            # every exact entry with a product left side and a tree or
+            # product right side has a log form
             product_tree = isinstance(entry.lhs, ProductSpec) and \
-                isinstance(entry.rhs, dict)
+                isinstance(entry.rhs, (dict, ProductSpec))
             assert (report.route == "log") == product_tree, entry.id
             log_routed += product_tree
-        assert log_routed == 106
+        assert log_routed == 122
+        # a product-against-product probe keeps its recorded mismatch
+        report = verify_identity(get_entry("12.05-printed"))
+        assert report.route == "log"
+        assert report.mismatch == {"e": [1, 1, 2], "lhs": "0/1", "rhs": "1/1"}
 
     def test_tree_without_log_form_is_expanded(self):
         entry = get_entry("13.02")

@@ -280,6 +280,18 @@ class TestExpandCommand:
                 {"lhs": {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["x", "y"],
                          "factor": {"family": "distinct_binomial", "exponent": "1/2",
                                     "defining_sum": True}}, "caps": [3, 3]},
+                # a family sign other than the integer +-1, a non-bool
+                # defining_sum, and an exponent or sign on a kind without one
+                *({"lhs": {"region": {"arity": 2}, "mapping": [0, 1],
+                           "vars": ["x", "y"], "factor": factor}, "caps": [3, 3]}
+                  for factor in (
+                      {"family": "distinct_binomial", "sign": None},
+                      {"family": "distinct_binomial", "sign": "x"},
+                      {"family": "distinct_binomial", "sign": 1.5},
+                      {"family": "distinct_binomial", "sign": True},
+                      {"family": "geometric", "defining_sum": "false"},
+                      {"family": "square", "exponent": "2"},
+                      {"family": "multiplicity", "sign": -1})),
                 # duplicate variable names, in a tree document and in a spec
                 {"vars": ["y", "y"], "caps": [3, 3],
                  "rhs": {"op": "const", "value": "1"}},

@@ -304,6 +304,23 @@ class TestProductSeries:
                 .series((1, 1), names, caps, EXACT)
             assert closed == truncated, kind
 
+    def test_local_factor_family_validation(self):
+        families = [LocalFactorFamily(kind=kind, defining_sum=defining)
+                    for kind in (GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY)
+                    for defining in (False, True)]
+        families.append(LocalFactorFamily(kind=DISTINCT_BINOMIAL,
+                                          exponent=Fraction(-3, 2), sign=-1))
+        for family in families:
+            assert LocalFactorFamily.from_json(family.to_json()) == family
+        for bad in ({"sign": None}, {"sign": "x"}, {"sign": 1.5}, {"sign": True},
+                    {"sign": 2}, {"defining_sum": "false"}, {"defining_sum": 1}):
+            with pytest.raises(RegionError):
+                LocalFactorFamily.from_json({"family": DISTINCT_BINOMIAL, **bad})
+        for kind in (GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY):
+            for bad in ({"exponent": "2"}, {"sign": -1}):
+                with pytest.raises(RegionError):
+                    LocalFactorFamily.from_json({"family": kind, **bad})
+
     @pytest.mark.parametrize("family", [
         LocalFactorFamily(kind=GEOMETRIC),
         LocalFactorFamily(kind=DISTINCT_BINOMIAL, exponent=Fraction(1, 2), sign=-1),
@@ -346,6 +363,14 @@ class TestProductSeries:
                     factor=LocalFactorFamily(kind=DISTINCT_BINOMIAL,
                                              exponent=Fraction(1, 2), sign=-1),
                     names=("y", "z")),
+    ] + [
+        # every family kind, closed form and defining sum, with merged
+        # images: (a, b, c) -> y^(a+b) z^c with a, b <= c
+        ProductSpec(region=LatticeRegion(arity=3, order=ORDER_ALL_BELOW_LAST),
+                    factor=LocalFactorFamily(kind=kind, defining_sum=defining),
+                    mapping=(0, 0, 1), names=("y", "z"))
+        for kind in (GEOMETRIC, MULTIPLICITY, SQUARE, ODD_ONLY)
+        for defining in (False, True)
     ])
     def test_log_form_is_the_log_of_the_product(self, spec, caps):
         log = product_series(spec, caps, log=True)
@@ -355,14 +380,26 @@ class TestProductSeries:
     @pytest.mark.parametrize("family", [
         LocalFactorFamily(kind=MULTIPLICITY),
         LocalFactorFamily(kind=GEOMETRIC, defining_sum=True)])
-    def test_per_vector_families_have_no_log_form(self, family, monkeypatch):
+    def test_per_vector_families_have_no_approx_log_form(self, family,
+                                                         monkeypatch):
         spec = ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
                            factor=family, names=("y", "z"))
         # refused before the region is walked or counted
         monkeypatch.setattr(ProductSpec, "vectors", None)
         monkeypatch.setattr(lattice_mod, "image_histogram", None)
         with pytest.raises(NoLogForm):
-            product_series(spec, Caps.of([3, 3]), log=True)
+            product_series(spec, Caps.of([3, 3]), APPROX, log=True)
+
+    @pytest.mark.parametrize("family", [
+        LocalFactorFamily(kind=SQUARE),
+        LocalFactorFamily(kind=ODD_ONLY, defining_sum=True)])
+    def test_scalar_mapped_family_log_is_refused(self, family):
+        # (a, b) -> (1/2)^a y^b with a <= b
+        spec = ProductSpec(
+            region=LatticeRegion(arity=2, order=ORDER_ALL_BELOW_LAST),
+            factor=family, mapping=(Fraction(1, 2), 0), names=("y",))
+        with pytest.raises(RegionError, match="scalar mappings"):
+            product_series(spec, Caps.of([5]), log=True)
 
     def test_approx_mode_has_no_log_form(self):
         spec = ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1)),
