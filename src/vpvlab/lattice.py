@@ -298,8 +298,10 @@ class WeightExpr:
 
     def __post_init__(self):
         object.__setattr__(self, "powers", tuple(Fraction(p) for p in self.powers))
-        if self.sign not in (1, -1) or self.direction not in (1, -1):
-            raise RegionError("sign and direction must be +-1")
+        if any(type(x) is not int or x not in (1, -1) for x in (self.sign, self.direction)):
+            raise RegionError("sign and direction must be the integer 1 or -1")
+        if self.phi_over is not None and type(self.phi_over) is not int:
+            raise RegionError(f"phi_over {self.phi_over!r} is not a component index")
 
     def needs_approx(self) -> bool:
         return any(p.denominator != 1 for p in self.powers)
@@ -464,8 +466,7 @@ class ProductSpec:
         if isinstance(w, WeightExpr):
             if len(w.powers) != len(lower):
                 raise RegionError("weight powers arity mismatch")
-            if w.phi_over is not None and (type(w.phi_over) is not int
-                                           or w.phi_over not in range(len(lower))):
+            if w.phi_over is not None and w.phi_over not in range(len(lower)):
                 raise RegionError(f"phi_over {w.phi_over!r} is not a component index")
             # a component that may be 0 cannot divide the weight
             if any(lo == 0 and (p < 0 or i == w.phi_over)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -117,6 +118,74 @@ def _pack(terms, nums, rows, size: int, kb: int) -> int:
         else:
             neg[at:at + kb] = (-n).to_bytes(kb, "little")
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+# Packed-key codecs of the approx product, keyed by (limits, total cap).
+_CODECS: dict = {}
+
+
+def _key_codec(caps: Caps):
+    """encode, decode, bias and high of the approx product's packed keys.
+
+    An exponent vector is one int with a bit field per variable, plus one for
+    the total degree under a total cap.  A field is (2*cap).bit_length() + 1
+    bits wide, so adding the keys of two admitted terms never carries between
+    fields; `bias` puts 2^(w-1) - 1 - cap into each w-bit field, whose top
+    bit (set in `high`) is then set exactly when the field exceeds its cap.
+    `encode` gives the unbiased key of a vector, `decode` the vector of a
+    biased key.
+    """
+    codec = _CODECS.get((caps.limits, caps.total))
+    if codec is None:
+        limits = caps.limits if caps.total is None else caps.limits + (caps.total,)
+        fields, bias, high, at = [], 0, 0, 0
+        for cap in limits:
+            width = (2 * cap).bit_length() + 1
+            fields.append((at, (1 << width) - 1))
+            bias += ((1 << (width - 1)) - 1 - cap) << at
+            high |= 1 << (at + width - 1)
+            at += width
+        # a variable's weight in the key: its own field, and the total's
+        weights = [(1 << s) + (0 if caps.total is None else 1 << fields[-1][0])
+                   for s, _ in fields[:len(caps.limits)]]
+        fields = fields[:len(caps.limits)]
+
+        def encode(expo):
+            return sum(map(operator.mul, expo, weights))
+
+        def decode(k):
+            k -= bias
+            return tuple([(k >> s) & mask for s, mask in fields])
+
+        codec = _CODECS[(caps.limits, caps.total)] = (encode, decode, bias, high)
+    return codec
+
+
+def _keyed_product(a: dict, b: dict, high: int) -> dict:
+    """The approx product of two packed-key term dicts (see `_key_codec`).
+
+    The keys of exactly one operand carry the bias, so a pair's summed key
+    has a bit of `high` set exactly when it leaves the caps, and the
+    product's keys carry the bias too.  Every pair is multiplied in the
+    order of a tuple-keyed term loop: the smaller operand outside (the first
+    on a tie), and a sum that cancels to 0 leaves the dict.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    inner = list(b.items())
+    out: dict[int, Coeff] = {}
+    get, pop = out.get, out.pop
+    for ka, ca in a.items():
+        for kb, cb in inner:
+            k = ka + kb
+            if k & high:
+                continue
+            new = get(k, 0) + ca * cb
+            if new == 0:
+                pop(k, None)
+            else:
+                out[k] = new
+    return out
 
 
 class Series:
@@ -326,53 +395,14 @@ class Series:
     def _keyed_mul(self, other: "Series") -> "Series":
         """Approx product term by term, on exponent vectors packed into ints.
 
-        Floats cannot be packed exactly, so every pair of terms is multiplied,
-        in the same order as a tuple-keyed loop: the smaller operand outside,
-        and a sum that cancels to 0 leaves the dict.  Each exponent vector is
-        one int with a bit field per variable, plus one for the total degree
-        under a total cap.  A field is (2*cap).bit_length() + 1 bits wide, so
-        adding the keys of two admitted terms never carries between fields;
-        `bias` puts 2^(w-1) - 1 - cap into each w-bit field, whose top bit is
-        then set exactly when the field exceeds its cap, so one add and one
-        mask test a pair against the caps.
+        Floats cannot be packed exactly, so every pair of terms is multiplied
+        by `_keyed_product`; the keys are encoded once here and decoded once.
         """
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        caps = self.caps
-        limits = caps.limits if caps.total is None else caps.limits + (caps.total,)
-        fields, bias, high, at = [], 0, 0, 0
-        for cap in limits:
-            width = (2 * cap).bit_length() + 1
-            fields.append((at, (1 << width) - 1))
-            bias += ((1 << (width - 1)) - 1 - cap) << at
-            high |= 1 << (at + width - 1)
-            at += width
-        shifts = [s for s, _ in fields]
-        total = caps.total is not None
-
-        def key(expo):
-            k = sum(e << s for e, s in zip(expo, shifts))
-            return k + (sum(expo) << shifts[-1]) if total else k
-
-        keyed = [(key(eb), cb) for eb, cb in b.items()]
-        out: dict[int, Coeff] = {}
-        get, pop = out.get, out.pop
-        for ea, ca in a.items():
-            ka = key(ea) + bias
-            for kb, cb in keyed:
-                k = ka + kb
-                if k & high:
-                    continue
-                new = get(k, 0) + ca * cb
-                if new == 0:
-                    pop(k, None)
-                else:
-                    out[k] = new
-        fields = fields[:len(caps.limits)]
-        terms = {tuple([((k - bias) >> s) & mask for s, mask in fields]): c
-                 for k, c in out.items()}
-        return Series(self.names, self.caps, self.mode, terms, _trusted=True)
+        encode, decode, bias, high = _key_codec(self.caps)
+        out = _keyed_product({encode(e) + bias: c for e, c in self.terms.items()},
+                             {encode(e): c for e, c in other.terms.items()}, high)
+        return Series(self.names, self.caps, self.mode,
+                      {decode(k): c for k, c in out.items()}, _trusted=True)
 
     def scale(self, scalar) -> "Series":
         scalar = _as_coeff(scalar, self.mode)
@@ -624,14 +654,26 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
 
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
       in sorted key order, one product per factor (approx products always
-      take it, so they do not depend on the order the factors come in);
+      take it, so they do not depend on the order the factors come in; the
+      approx chain keeps its running product on packed keys throughout, one
+      `_keyed_product` per factor, and decodes it once at the end);
     - the log route (exact only): one log series, the sum over the factors
       of exponent * log(1 + s*X) = sum over k >= 1 of
       exponent * (-1)^(k+1) * (s*X)^k / k, and one `exp`, which needs at
       most max_order // (least total degree of the X) products.
     """
     kept = _kept_factors(factors, caps)
-    if mode == EXACT and kept:
+    if mode == APPROX:
+        encode, decode, bias, high = _key_codec(caps)
+        out = {encode((0,) * len(caps.limits)) + bias: 1.0}
+        for (mono, sign, scalar), exponent in kept:
+            factor = unit_binomial_pow(mono, exponent, names, caps, mode,
+                                       sign=sign, scalar=scalar)
+            out = _keyed_product(out, {encode(e): c for e, c in factor.terms.items()},
+                                 high)
+        return Series(names, caps, mode, {decode(k): c for k, c in out.items()},
+                      _trusted=True)
+    if kept:
         least = min(sum(mono) for (mono, _, _), _ in kept)
         if caps.max_order() // least < len(kept):
             return _log_sum(kept, names, caps).exp()

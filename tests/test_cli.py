@@ -292,6 +292,13 @@ class TestExpandCommand:
                       {"family": "geometric", "defining_sum": "false"},
                       {"family": "square", "exponent": "2"},
                       {"family": "multiplicity", "sign": -1})),
+                # a weight sign or direction other than the integer +-1, and a
+                # phi_over that is not an integer component index
+                *({"lhs": dict(TestCapsArity.SPEC, weight=dict(
+                    TestCapsArity.SPEC["weight"], **bad)), "caps": [3, 3]}
+                  for bad in ({"sign": 1.0}, {"sign": -1.0}, {"direction": True},
+                              {"direction": "-1"}, {"phi_over": True},
+                              {"phi_over": 1.0}, {"phi_over": "1"})),
                 # duplicate variable names, in a tree document and in a spec
                 {"vars": ["y", "y"], "caps": [3, 3],
                  "rhs": {"op": "const", "value": "1"}},

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import re
 import tracemalloc
 from fractions import Fraction
@@ -264,6 +265,20 @@ class TestWeightExpr:
         assert WeightExpr(powers=(2, 0, -3), phi_over=0).weight((12, 5, 2), EXACT) \
             == Fraction(144, 8) * Fraction(1, 3)
         assert WeightExpr(powers=(1, -1)).weight((0, 4), EXACT) == 0
+
+    def test_json_round_trip_and_validation(self):
+        for w in (WeightExpr(), WeightExpr(sign=1, direction=-1, powers=(0, -1)),
+                  WeightExpr(powers=(Fraction(-1, 2), Fraction(-1, 2))),
+                  WeightExpr(sign=1, powers=(0, 1, -2), phi_over=2)):
+            doc = w.to_json()
+            assert WeightExpr.from_json(json.loads(json.dumps(doc))) == w
+            assert all(type(doc[k]) is int for k in ("sign", "direction"))
+        for bad in ({"sign": 1.0}, {"sign": -1.0}, {"sign": True}, {"sign": 2},
+                    {"sign": None}, {"direction": True}, {"direction": -1.0},
+                    {"direction": "1"}, {"phi_over": True}, {"phi_over": False},
+                    {"phi_over": 1.0}, {"phi_over": "0"}):
+            with pytest.raises(RegionError):
+                WeightExpr.from_json({"powers": ["0", "-1"], **bad})
 
 
 class TestProductSeries:

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vpvlab.catalog import catalog, get_entry
+from vpvlab.lattice import ProductSpec, WeightExpr, product_series
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
                            first_mismatch, max_rel_error, polylog, to_approx,
                            unit_binomial_pow)
@@ -537,6 +539,26 @@ class TestKeyedProduct:
             assert list((full * full).terms.items()) == \
                 list(tuple_keyed_mul(full, full).items())
 
+    def test_chain_accumulator_changes_sides(self):
+        # the running product is outside while it is shorter than the factor
+        # (3 against 3 terms is a tie, which keeps it outside), then inside
+        caps = Caps.of([7, 2], total=8)
+        names = ("x", "y")
+        # in sorted order, the order the builder multiplies them in
+        factors = [((0, 1), 1.5, 0.5, 1), ((1, 0), 1.0, 2.0, 1),
+                   ((2, 0), 0.3, 2.0, -1), ((3, 1), 1.0, -0.5, -1)]
+        out = Series.one(names, caps, APPROX)
+        sides = []
+        for mono, scalar, exponent, sign in factors:
+            factor = unit_binomial_pow(mono, exponent, names, caps, APPROX,
+                                       sign=sign, scalar=scalar)
+            sides.append((len(out.terms), len(factor.terms)))
+            out = Series(names, caps, APPROX, tuple_keyed_mul(out, factor))
+        assert sides[0][0] < sides[0][1] and sides[1][0] == sides[1][1]
+        assert sides[2][0] > sides[2][1] and sides[3][0] > sides[3][1]
+        product = binomial_product(factors, names, caps, APPROX)
+        assert list(product.terms.items()) == list(out.terms.items())
+
 
 def binomial_chain(factors, names, caps, mode):
     """Reference product: one `unit_binomial_pow` per factor, in arrival order."""
@@ -547,18 +569,19 @@ def binomial_chain(factors, names, caps, mode):
     return out
 
 
-def sorted_chain(factors, names, caps, mode):
+def sorted_chain(factors, names, caps):
     """Reference approx product: exponents merged in arrival order, factors
-    multiplied in sorted (monomial, sign, scalar) order."""
+    multiplied in sorted (monomial, sign, scalar) order by `tuple_keyed_mul`."""
     merged = {}
     for mono, scalar, exponent, sign in factors:
-        key = (mono, sign, scalar)
+        key = (tuple(mono), sign, scalar)
         merged[key] = merged.get(key, 0) + exponent
-    out = Series.one(names, caps, mode)
+    out = Series.one(names, caps, APPROX)
     for (mono, sign, scalar), exponent in sorted(merged.items()):
         if exponent != 0:
-            out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
-                                          sign=sign, scalar=scalar)
+            factor = unit_binomial_pow(mono, exponent, names, caps, APPROX,
+                                       sign=sign, scalar=scalar)
+            out = Series(names, caps, APPROX, tuple_keyed_mul(out, factor))
     return out
 
 
@@ -606,7 +629,8 @@ class TestBinomialProduct:
     def test_approx_is_the_sorted_chain(self, case):
         caps, names, factors = case
         product = binomial_product(iter(factors), names, caps, APPROX)
-        assert product.terms == sorted_chain(factors, names, caps, APPROX).terms
+        assert list(product.terms.items()) == \
+            list(sorted_chain(factors, names, caps).terms.items())
         chain = binomial_chain(factors, names, caps, APPROX)
         assert max_rel_error(product, chain) < 1e-9
 
@@ -666,6 +690,48 @@ class TestBinomialProduct:
         out = binomial_product([((1,), 1, 1, 1), ((1,), 1, 1, -1), ((1,), 3, 1, 1)],
                                names, caps)
         assert out == (one + x) * (one - x) * (one + x.scale(3))
+
+
+def walked_side(spec, caps):
+    """Reference approx product side: the region walked vector by vector,
+    equal (monomial, sign, scalar) keys merged in arrival order, the factors
+    multiplied in sorted order by `tuple_keyed_mul`."""
+    weight = spec.factor
+    merged = {}
+    for vec in spec.vectors(caps):
+        mono, scalar = spec.image(vec, APPROX)
+        key = (mono, weight.sign, scalar)
+        merged[key] = merged.get(key, 0) + weight.weight(vec, APPROX) * weight.direction
+    out = Series.one(spec.names, caps, APPROX)
+    for (mono, sign, scalar), exponent in sorted(merged.items()):
+        if exponent != 0 and caps.admits(mono):
+            factor = unit_binomial_pow(mono, exponent, spec.names, caps, APPROX,
+                                       sign=sign, scalar=scalar)
+            out = Series(spec.names, caps, APPROX, tuple_keyed_mul(out, factor))
+    return out
+
+
+APPROX_SPEC_SIDES = [(e.id, e.caps) for e in catalog()
+                     if e.mode == APPROX and isinstance(e.lhs, ProductSpec)]
+
+
+class TestApproxProductSides:
+    """Every approx product side against the walked reference, in dict order:
+    this pins the approx bytes on any platform, since both run on one libm."""
+
+    def test_every_approx_spec_side_is_covered(self):
+        assert len(APPROX_SPEC_SIDES) == 13
+
+    @pytest.mark.parametrize("entry_id, caps", APPROX_SPEC_SIDES + [
+        ("13.05", (14, 14)), ("13.14", (6, 6, 7)), ("13.15", (4, 4, 4, 5))],
+        ids=lambda v: ",".join(map(str, v)) if isinstance(v, tuple) else v)
+    def test_matches_walked_chain(self, entry_id, caps):
+        spec = get_entry(entry_id).lhs
+        assert isinstance(spec.factor, WeightExpr)
+        caps = Caps.of(caps)
+        side = product_series(spec, caps, APPROX)
+        assert list(side.terms.items()) == list(walked_side(spec, caps).terms.items())
+        assert len(side.terms) > 1
 
 
 SMALL_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]))
