@@ -665,7 +665,7 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     kept = _kept_factors(factors, caps)
     if mode == APPROX:
         encode, decode, bias, high = _key_codec(caps)
-        out = {encode((0,) * len(caps.limits)) + bias: 1.0}
+        out = {bias: 1.0}  # the constant 1: the zero vector's key is 0
         for (mono, sign, scalar), exponent in kept:
             factor = unit_binomial_pow(mono, exponent, names, caps, mode,
                                        sign=sign, scalar=scalar)
