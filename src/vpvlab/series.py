@@ -103,15 +103,15 @@ def _layout(caps: Caps):
 
 
 def _scaled(terms: Mapping[Expo, Fraction]):
-    """The lcm of the denominators, and each coefficient times it."""
+    """The lcm of the denominators, and the terms with each coefficient times it."""
     den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, [c.numerator * (den // c.denominator) for c in terms.values()]
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
-def _pack(terms, nums, rows, size: int, kb: int) -> int:
-    """The integer with `nums[i]` in the `kb`-byte slot of the i-th term."""
+def _pack(terms: dict, rows, size: int, kb: int) -> int:
+    """The integer with each term's numerator in its cell's `kb`-byte slot."""
     pos, neg = bytearray(size * kb), bytearray(size * kb)
-    for expo, n in zip(terms, nums):
+    for expo, n in terms.items():
         at = (rows[expo[:-1]][0] + expo[-1]) * kb
         if n > 0:
             pos[at:at + kb] = n.to_bytes(kb, "little")
@@ -162,13 +162,14 @@ def _key_codec(caps: Caps):
 
 
 def _keyed_product(a: dict, b: dict, high: int) -> dict:
-    """The approx product of two packed-key term dicts (see `_key_codec`).
+    """The product of two packed-key term dicts (see `_key_codec`), term by term.
 
-    The keys of exactly one operand carry the bias, so a pair's summed key
-    has a bit of `high` set exactly when it leaves the caps, and the
-    product's keys carry the bias too.  Every pair is multiplied in the
-    order of a tuple-keyed term loop: the smaller operand outside (the first
-    on a tie), and a sum that cancels to 0 leaves the dict.
+    The term loop of both modes: float coefficients, or the int numerators
+    of `_exact_product`.  The keys of exactly one operand carry the bias, so
+    a pair's summed key has a bit of `high` set exactly when it leaves the
+    caps, and the product's keys carry the bias too.  Every pair is
+    multiplied in the order of a tuple-keyed term loop: the smaller operand
+    outside (the first on a tie), and a sum that cancels to 0 leaves the dict.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -185,6 +186,63 @@ def _keyed_product(a: dict, b: dict, high: int) -> dict:
                 pop(k, None)
             else:
                 out[k] = new
+    return out
+
+
+def _exact_product(a: dict, b: dict, caps: Caps) -> dict:
+    """The product of two exponent -> int numerator dicts, cut to the caps.
+
+    While the pairs of terms are no more than the slots of the packed layout,
+    prod(2*cap_i + 1), `_looped_product` multiplies them pair by pair; denser
+    operands take `_packed_product`, which pays for every slot.
+    """
+    if not a or not b:
+        return {}
+    if len(a) * len(b) <= math.prod(2 * c + 1 for c in caps.limits):
+        return _looped_product(a, b, caps)
+    return _packed_product(a, b, caps)
+
+
+def _looped_product(a: dict, b: dict, caps: Caps) -> dict:
+    """The product of two exponent-keyed term dicts by `_keyed_product`.
+
+    Exact operands come as int numerators, approx ones as floats; the keys
+    are encoded once here and decoded once.
+    """
+    encode, decode, bias, high = _key_codec(caps)
+    out = _keyed_product({encode(e) + bias: n for e, n in a.items()},
+                         {encode(e): n for e, n in b.items()}, high)
+    return {decode(k): n for k, n in out.items()}
+
+
+def _packed_product(a: dict, b: dict, caps: Caps) -> dict:
+    """`_exact_product` by Kronecker substitution: one big-integer multiply.
+
+    Each operand is packed, one `kb`-byte slot per cell of the layout (see
+    `_layout`), into a single int.  Slots are wide enough for any coefficient
+    of the product plus a sign bit, so adding half a slot's range to every
+    slot turns the signed product into plain bytes, and each admitted cell
+    is read back from its slot; rows of zero slots are skipped whole.
+    """
+    size, rows = _layout(caps)
+    kb = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
+          + min(len(a), len(b)).bit_length() + 8) // 8
+    half = 1 << (8 * kb - 1)
+    zero = bytes(kb - 1) + b"\x80"  # a slot holding 0
+    data = (_pack(a, rows, size, kb) * _pack(b, rows, size, kb)
+            + int.from_bytes(zero * size, "little")).to_bytes(size * kb, "little")
+    from_bytes = int.from_bytes
+    out = {}
+    for prefix, (slot, count) in rows.items():
+        at = slot * kb
+        # `count` slots of zeros tile the row only if every slot is zero
+        if data.count(zero, at, at + count * kb) == count:
+            continue
+        for e in range(count):
+            value = from_bytes(data[at:at + kb], "little") - half
+            if value:
+                out[prefix + (e,)] = value
+            at += kb
     return out
 
 
@@ -349,60 +407,17 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         if self.mode == EXACT:
-            return self._packed_mul(other)
-        return self._keyed_mul(other)
+            da, a = _scaled(self.terms)
+            db, b = _scaled(other.terms)
+            den = da * db
+            terms = {e: Fraction(v, den)
+                     for e, v in _exact_product(a, b, self.caps).items()}
+        else:
+            # floats cannot be packed exactly: every pair is multiplied
+            terms = _looped_product(self.terms, other.terms, self.caps)
+        return Series(self.names, self.caps, self.mode, terms, _trusted=True)
 
     __rmul__ = __mul__
-
-    def _packed_mul(self, other: "Series") -> "Series":
-        """Exact product by Kronecker substitution: one big-integer multiply.
-
-        Each operand is scaled to integers by the lcm of its denominators and
-        packed, one `kb`-byte slot per cell of the caps layout, into a single
-        int.  Slots are wide enough for any coefficient of the product plus a
-        sign bit, so adding half a slot's range to every slot turns the signed
-        product into plain bytes, and each admitted cell is read back from
-        its slot; rows of zero slots are skipped whole.
-        """
-        if not self.terms or not other.terms:
-            return Series.zero(self.names, self.caps, self.mode)
-        size, rows = _layout(self.caps)
-        da, na = _scaled(self.terms)
-        db, nb = _scaled(other.terms)
-        kb = (max(map(abs, na)).bit_length() + max(map(abs, nb)).bit_length()
-              + min(len(na), len(nb)).bit_length() + 8) // 8
-        a = _pack(self.terms, na, rows, size, kb)
-        b = _pack(other.terms, nb, rows, size, kb)
-        half = 1 << (8 * kb - 1)
-        zero = bytes(kb - 1) + b"\x80"  # a slot holding 0
-        data = (a * b + int.from_bytes(zero * size, "little")).to_bytes(
-            size * kb, "little")
-        den = da * db
-        from_bytes = int.from_bytes
-        out: dict[Expo, Coeff] = {}
-        for prefix, (slot, count) in rows.items():
-            at = slot * kb
-            # `count` slots of zeros tile the row only if every slot is zero
-            if data.count(zero, at, at + count * kb) == count:
-                continue
-            for e in range(count):
-                value = from_bytes(data[at:at + kb], "little") - half
-                if value:
-                    out[prefix + (e,)] = Fraction(value, den)
-                at += kb
-        return Series(self.names, self.caps, self.mode, out, _trusted=True)
-
-    def _keyed_mul(self, other: "Series") -> "Series":
-        """Approx product term by term, on exponent vectors packed into ints.
-
-        Floats cannot be packed exactly, so every pair of terms is multiplied
-        by `_keyed_product`; the keys are encoded once here and decoded once.
-        """
-        encode, decode, bias, high = _key_codec(self.caps)
-        out = _keyed_product({encode(e) + bias: c for e, c in self.terms.items()},
-                             {encode(e): c for e, c in other.terms.items()}, high)
-        return Series(self.names, self.caps, self.mode,
-                      {decode(k): c for k, c in out.items()}, _trusted=True)
 
     def scale(self, scalar) -> "Series":
         scalar = _as_coeff(scalar, self.mode)
@@ -419,22 +434,64 @@ class Series:
         exceed the caps' largest order (one product per k up to
         max_order // d), at a zero term, or at a ratio of 0 (where a binomial
         series with a non-negative integer exponent stops).
+
+        The sum and the term are each a denominator and coefficients over it.
+        Exact coefficients are int numerators: a step is one
+        `_exact_product`, a ratio p/q multiplies the numerators by p and the
+        denominator by q, and the content gcd is divided out; the sum is kept
+        over the lcm of the terms' denominators.  Approx coefficients are
+        floats over 1 on packed keys, and a step is one `_keyed_product` and
+        a multiply by the ratio: the float operations of the tuple-keyed loop,
+        in its order.
         """
-        out = Series.constant(start, self.names, self.caps, self.mode)
-        term = Series.one(self.names, self.caps, self.mode)
-        max_order = self.caps.max_order()
+        caps, exact = self.caps, self.mode == EXACT
+        if exact:
+            uden, u = _scaled(self.terms)
+            one, unit = (0,) * len(self.names), 1
+
+            def mul(t):
+                return _exact_product(t, u, caps)
+        else:
+            encode, decode, bias, high = _key_codec(caps)
+            uden, u = 1, {encode(e): c for e, c in self.terms.items()}
+            one, unit = bias, 1.0
+
+            def mul(t):
+                return _keyed_product(t, u, high)
+        oden, out = 1, ({one: start * unit} if start else {})
+        tden, term = 1, {one: unit}
+        max_order = caps.max_order()
         least = min(map(sum, self.terms), default=max_order + 1)
         for k in range(1, max_order // least + 1):
             r = ratio(k)
             if r == 0:
                 break
-            term = term * self
+            term, tden = mul(term), tden * uden
             if r != 1:
-                term = term.scale(r)
-            if term.is_zero():
+                p, q = (r.numerator, r.denominator) if exact else (r, 1)
+                if p != 1:
+                    term = {key: v * p for key, v in term.items()}
+                tden *= q
+            if exact and (g := math.gcd(tden, *term.values())) != 1:
+                tden //= g
+                term = {key: v // g for key, v in term.items()}
+            if not term:
                 break
-            out = out + term
-        return out
+            den = math.lcm(oden, tden)
+            if den != oden:
+                out = {key: v * (den // oden) for key, v in out.items()}
+                oden = den
+            m = den // tden
+            get, pop = out.get, out.pop
+            for key, v in term.items():
+                new = get(key, 0) + (v if m == 1 else v * m)
+                if new == 0:
+                    pop(key, None)
+                else:
+                    out[key] = new
+        terms = {e: Fraction(v, oden) for e, v in out.items()} if exact \
+            else {decode(key): v for key, v in out.items()}
+        return Series(self.names, caps, self.mode, terms, _trusted=True)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -619,9 +676,7 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
                       sign=1, scalar=1) -> Series:
     """(1 + sign*scalar*X)^exponent expanded directly by the binomial series."""
     names = tuple(names)
-    expo = tuple(mono)
-    if all(e == 0 for e in expo):
-        raise SeriesError("unit binomial needs a nonconstant monomial")
+    expo = _factor_monomial(mono, names, "unit binomial needs a nonconstant monomial")
     if not caps.admits(expo):
         return Series.one(names, caps, mode)
     scalar = _as_coeff(sign * scalar if mode == EXACT else float(sign) * scalar, mode)
@@ -630,6 +685,7 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
     binom = _as_coeff(1, mode)
     power = _as_coeff(1, mode)
     k = 0
+    # the loop stops at the first multiple the caps reject, so every key is admitted
     while True:
         k += 1
         key = tuple(e * k for e in expo)
@@ -639,8 +695,9 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
         power = power * scalar
         if binom == 0:
             break
-        terms[key] = binom * power
-    return Series(names, caps, mode, terms)
+        if value := binom * power:
+            terms[key] = value
+    return Series(names, caps, mode, terms, _trusted=True)
 
 
 def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) -> Series:
@@ -709,18 +766,43 @@ def _kept_factors(factors: Iterable, caps: Caps) -> list:
 
 
 def _log_sum(kept, names, caps: Caps) -> Series:
-    """sum of exponent * log(1 + sign*scalar*X) over the kept factors, exactly."""
-    terms: dict[Expo, Fraction] = {}
+    """sum of exponent * log(1 + sign*scalar*X) over the kept factors, exactly.
+
+    The coefficient at k*X is -exponent * (-sign*scalar)^k / k.  A factor with
+    n admitted multiples and sign*scalar = p/q has them all over its exponent's
+    denominator times q^n times lcm(1..n), so the sum is summed as int
+    numerators over one denominator: lcm(1..K), K the largest n, times the lcm
+    of the factors' exponent denominators times q^n.  The terms are keyed by
+    packed keys (see `_key_codec`): the key of k*X is k*encode(X), and a
+    multiple of an admitted X is admitted exactly when it sets no bit of `high`.
+    """
+    encode, decode, bias, high = _key_codec(caps)
+    runs = []
     for (mono, sign, scalar), exponent in kept:
-        ratio = -Fraction(sign * scalar)
-        # exponent * (-1)^(k+1) * (sign*scalar)^k, here at k = 0
-        power = -Fraction(exponent)
-        k = 1
-        while caps.admits(key := tuple(e * k for e in mono)):
-            power *= ratio
-            terms[key] = terms.get(key, 0) + power / k
-            k += 1
-    return Series(names, caps, EXACT, terms)
+        keys = []
+        if caps.admits(mono):
+            step = encode(mono)
+            key = bias + step
+            while not key & high:
+                keys.append(key)
+                key += step
+        runs.append((Fraction(sign * scalar), Fraction(exponent), keys))
+    top = max((len(keys) for *_, keys in runs), default=0)
+    lcm_k = math.lcm(*range(1, top + 1))
+    shares = [lcm_k // k for k in range(1, top + 1)]
+    base = math.lcm(*(e.denominator * s.denominator ** len(keys) for s, e, keys in runs))
+    acc: dict[int, int] = {}
+    get = acc.get
+    for s, e, keys in runs:
+        p, q = -s.numerator, s.denominator
+        # -exponent * p^k * q^(n-k) over base, here at k = 0
+        power = -e.numerator * (base // e.denominator)
+        for key, share in zip(keys, shares):
+            power = power // q * p
+            acc[key] = get(key, 0) + power * share
+    den = base * lcm_k
+    return Series(names, caps, EXACT, {decode(key): Fraction(v, den)
+                                       for key, v in acc.items() if v}, _trusted=True)
 
 
 def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:
@@ -740,16 +822,29 @@ def polylog(s, mono, names, caps: Caps, mode: str = EXACT) -> Series:
     The truncated sum is exact for every integer s, s <= 0 included (there
     Li_s(X) is a rational function of X); rational s needs approx mode.
     """
-    expo = tuple(mono)
-    if all(e == 0 for e in expo):
-        raise SeriesError("polylog needs a nonconstant argument")
+    names = tuple(names)
+    expo = _factor_monomial(mono, names, "polylog needs a nonconstant argument")
     s = Fraction(s)
     terms: dict[Expo, Coeff] = {}
     k = 1
+    # the loop stops at the first multiple the caps reject, so every key is admitted
     while caps.admits(key := tuple(e * k for e in expo)):
-        terms[key] = _power_coeff(k, s, mode)
+        if value := _power_coeff(k, s, mode):
+            terms[key] = value
         k += 1
-    return Series(names, caps, mode, terms)
+    return Series(names, caps, mode, terms, _trusted=True)
+
+
+def _factor_monomial(mono, names, constant_error: str) -> Expo:
+    """The X of a stock factor, checked as `Series` checks exponents, and nonconstant."""
+    expo = tuple(mono)
+    if not any(expo):
+        raise SeriesError(constant_error)
+    if len(expo) != len(names):
+        raise SeriesError(f"exponent {expo} does not match arity {len(names)}")
+    if any(e < 0 for e in expo):
+        raise SeriesError(f"negative exponent in {expo}")
+    return expo
 
 
 # -- comparison helpers ---------------------------------------------------------

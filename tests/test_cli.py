@@ -323,7 +323,9 @@ class TestExpandCommand:
 
     @pytest.mark.parametrize("tree", [
         {"op": "const", "value": "x"}, {"op": "const", "value": "1/0"},
-        {"op": "mono", "exps": {"z": "a"}}, {"op": "add", "args": 5}])
+        {"op": "mono", "exps": {"z": "a"}}, {"op": "add", "args": 5},
+        # every multiple of a negative exponent is under the caps: no end
+        {"op": "polylog", "s": "1", "exps": {"z": -1}}])
     def test_closed_form_bad_value_is_config_error(self, tree, tmp_path, capsys):
         path = tmp_path / "tree.json"
         path.write_text(json.dumps({"vars": ["z"], "caps": [3], "rhs": tree}))

@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from vpvlab.catalog import catalog, get_entry
 from vpvlab.lattice import ProductSpec, WeightExpr, product_series
-from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, binomial_product,
-                           first_mismatch, max_rel_error, polylog, to_approx,
-                           unit_binomial_pow)
+from vpvlab import series
+from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, _exact_product,
+                           _looped_product, _packed_product, _scaled, binomial_log,
+                           binomial_product, first_mismatch, max_rel_error, polylog,
+                           to_approx, unit_binomial_pow)
 
 
 def sser(names, caps, mode=EXACT):
@@ -460,6 +462,74 @@ class TestPackedProduct:
         assert (x * Series.zero(("y", "z"), caps)).is_zero()
 
 
+def route_products(a, b):
+    """`a * b` through `_exact_product` and, for nonempty operands, through
+    each of its routes called directly: int numerators over da * db, in
+    both operand orders."""
+    da, na = _scaled(a.terms)
+    db, nb = _scaled(b.terms)
+    routes = [_exact_product] + ([_looped_product, _packed_product] if na and nb else [])
+    for route in routes:
+        for x, y in ((na, nb), (nb, na)):
+            out = route(x, y, a.caps)
+            assert all(type(v) is int and v for v in out.values())
+            yield {e: Fraction(v, da * db) for e, v in out.items()}
+
+
+class TestExactProductRoutes:
+    """The term loop and the packing of the exact product, each called
+    directly, against the term-by-term reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=operand_pairs())
+    def test_matches_reference(self, pair):
+        a, b = pair
+        reference = naive_mul(a, b)
+        for product in route_products(a, b):
+            assert product == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=caps_and_names(), data=st.data())
+    def test_cancelling_product(self, shape, data):
+        caps, names = shape
+        mono = data.draw(st.tuples(*(st.integers(0, c) for c in caps.limits))
+                         .filter(any))
+        r = data.draw(st.builds(Fraction, NUMERATORS.filter(bool), DENOMINATORS))
+        a = unit_binomial_pow(mono, 1, names, caps, EXACT, sign=-1)
+        b = geometric_sum(mono, names, caps).scale(r)
+        for product in route_products(a, b):
+            assert product == {(0,) * len(names): r}
+
+    def test_wide_numerators_and_truncation(self):
+        caps = Caps.of([3, 2], total=4)
+        names = ("y", "z")
+        a = Series(names, caps, EXACT, {(0, 0): 2 ** 70 + 1, (1, 1): -(2 ** 70),
+                                        (3, 0): Fraction(-5, 3)})
+        b = Series(names, caps, EXACT, {(0, 1): Fraction(2 ** 69, 7), (1, 1): 3,
+                                        (2, 1): -1})
+        for product in route_products(a, b):
+            assert product == naive_mul(a, b)
+        assert _exact_product({}, {(0, 0): 1}, caps) == {} == \
+            _exact_product({(1, 0): 1}, {}, caps)
+
+    def test_route_rule(self, monkeypatch):
+        # caps (1, 1) have 3 * 3 = 9 slots: 3 by 3 terms is pairs == slots, so
+        # the term loop; 4 by 3 terms is more pairs than slots, so the packing
+        taken = []
+        for name in ("_looped_product", "_packed_product"):
+            def spy(a, b, caps, route=getattr(series, name), name=name):
+                taken.append(name)
+                return route(a, b, caps)
+            monkeypatch.setattr(series, name, spy)
+        caps = Caps.of([1, 1])
+        names = ("y", "z")
+        three = Series(names, caps, EXACT, {(0, 0): 1, (1, 0): -2, (0, 1): Fraction(1, 3)})
+        four = three + Series.monomial((1, 1), names, caps, coeff=5)
+        assert (three * three).terms == naive_mul(three, three)
+        assert (four * three).terms == naive_mul(four, three)
+        assert taken == ["_looped_product", "_packed_product"]
+
+
 def tuple_keyed_mul(a, b):
     """Reference approx product: the term loop on exponent tuples, the smaller
     operand outside, a sum that cancels to 0 popped."""
@@ -799,3 +869,118 @@ class TestSeriesFunctions:
     @given(g=small_series(st.just(0.0), mode=APPROX))
     def test_approx_exp_is_the_running_term_sum(self, g):
         assert list(g.exp().terms.items()) == list(running_exp(g).terms.items())
+
+
+def fraction_power_sum(u, ratio, start):
+    """Reference power sum: start + sum of t_k, t_k = t_(k-1)*u*ratio(k), on
+    Fraction coefficients, every product by `naive_mul`."""
+    out = Series.constant(start, u.names, u.caps)
+    term = Series.one(u.names, u.caps)
+    max_order = u.caps.max_order()
+    least = min(map(sum, u.terms), default=max_order + 1)
+    for k in range(1, max_order // least + 1):
+        r = ratio(k)
+        if r == 0:
+            break
+        term = Series(u.names, u.caps, EXACT, naive_mul(term, u))
+        if r != 1:
+            term = term.scale(r)
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def fraction_inverse(f):
+    inv0 = 1 / f.constant_term()
+    u = Series.one(f.names, f.caps) - f.scale(inv0)
+    return fraction_power_sum(u, lambda k: 1, 1).scale(inv0)
+
+
+def fraction_exp(g):
+    return fraction_power_sum(g, lambda k: Fraction(1, k), 1)
+
+
+def fraction_log(f):
+    return fraction_power_sum(f - Series.one(f.names, f.caps),
+                              lambda k: Fraction(1 - k, k) if k > 1 else 1, 0)
+
+
+def fraction_pow(f, r):
+    return fraction_power_sum(f - Series.one(f.names, f.caps),
+                              lambda k: (Fraction(r) - (k - 1)) / k, 1)
+
+
+def fraction_log_sum(factors, names, caps):
+    """Reference `binomial_log`: exponent * log(1 + sign*scalar*X) summed
+    factor by factor and term by term in Fractions."""
+    terms = {}
+    for mono, scalar, exponent, sign in factors:
+        ratio = -Fraction(sign * scalar)
+        power = -Fraction(exponent)
+        k = 1
+        while caps.admits(key := tuple(e * k for e in mono)):
+            power *= ratio
+            terms[key] = terms.get(key, 0) + power / k
+            k += 1
+    return Series(names, caps, EXACT, terms)
+
+
+def same_fraction_terms(got, reference):
+    return got.terms == reference.terms and \
+        all(type(c) is Fraction for c in got.terms.values())
+
+
+class TestExactSeriesFunctions:
+    """The exact series functions, on integer numerators, against the Fraction
+    power sum and the Fraction log sum, term for term."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=small_series(SMALL_COEFFS.filter(bool)))
+    def test_inverse(self, f):
+        assert same_fraction_terms(f.inverse(), fraction_inverse(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=small_series(st.just(0)), f=small_series(st.just(1)))
+    def test_exp_and_log(self, g, f):
+        assert same_fraction_terms(g.exp(), fraction_exp(g))
+        assert same_fraction_terms(f.log(), fraction_log(f))
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=small_series(st.just(1)),
+           r=st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(5, 2), 3, -2, 0]))
+    def test_constant_pow(self, f, r):
+        assert same_fraction_terms(f.pow(r), fraction_pow(f, r))
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=factor_lists())
+    def test_binomial_log(self, case):
+        # rational exponents, and scalars 1/2 and -3/2 whose denominator
+        # enters the common denominator to the power of the multiples' count
+        caps, names, factors = case
+        assert same_fraction_terms(binomial_log(factors, names, caps),
+                                   fraction_log_sum(factors, names, caps))
+
+
+class TestStockFactors:
+    """`unit_binomial_pow` and `polylog` build their series trusted."""
+
+    def test_zero_coefficients_are_dropped(self):
+        caps = Caps.of([4, 3], total=5)
+        names = ("y", "z")
+        for mode in (EXACT, APPROX):
+            one = Series.one(names, caps, mode)
+            assert unit_binomial_pow((1, 1), Fraction(1, 2), names, caps, mode,
+                                     scalar=0).terms == one.terms
+        # 3^-800 underflows to 0.0, 2^-800 does not
+        got = polylog(800, (1,), ("x",), Caps.of([3]), APPROX)
+        assert list(got.terms) == [(1,), (2,)]
+
+    def test_monomials_are_checked(self):
+        caps = Caps.of([3, 3])
+        names = ("y", "z")
+        for mono in ((-1, 1), (1, 1, 1), (0, 0)):
+            with pytest.raises(SeriesError):
+                unit_binomial_pow(mono, 2, names, caps)
+            with pytest.raises(SeriesError):
+                polylog(1, mono, names, caps)
