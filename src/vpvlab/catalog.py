@@ -27,7 +27,8 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       ORDER_STRICT_CHAIN, count_grid, product_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
-                     binomial_product, first_mismatch, max_rel_error)
+                     binomial_product, decimal_str, first_mismatch, max_rel_error,
+                     read_choice, read_str)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -188,15 +189,14 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
 
 def _coeff_str(c):
     if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
+        return f"{decimal_str(c.numerator)}/{decimal_str(c.denominator)}"
     return repr(float(c))
 
 
 # -- construction helpers -----------------------------------------------------
 
 
-def _ub(name_powers, sign=-1, scalar=1):
-    return cf.unit_binomial(name_powers, sign=sign, scalar=scalar)
+_ub, _li, _pow, _frac_tree = cf.unit_binomial, cf.polylog_expr, cf.pow_expr, cf.div_unit
 
 
 def _one_minus(*names):
@@ -205,18 +205,22 @@ def _one_minus(*names):
     return factors[0] if len(factors) == 1 else cf.mul(*factors)
 
 
-def _quadrant(n, weight_powers, sign=-1, direction=-1, lower=None, phi_over=None,
-              mapping=None, names=None):
-    # the hyperquadrant exp-family needs weight exponents summing to 1,
-    # i.e. component powers summing to -1; reject violations up front
-    if sum(Fraction(p) for p in weight_powers) != -1:
+def _weight_sum_checked(spec: ProductSpec) -> ProductSpec:
+    """The hyperquadrant exp family needs weight exponents summing to 1, i.e.
+    component powers summing to -1: a spec that breaks this is refused."""
+    if not isinstance(spec.factor, WeightExpr) or sum(spec.factor.powers) != -1:
         raise SeriesError("weight exponents must sum to 1 for the "
                           "hyperquadrant exp family")
+    return spec
+
+
+def _quadrant(n, weight_powers, sign=-1, direction=-1, lower=None, phi_over=None,
+              mapping=None, names=None):
     region = LatticeRegion(arity=n, lower=lower or (1,) * n, coprime=True)
     w = WeightExpr(sign=sign, direction=direction, powers=weight_powers,
                    phi_over=phi_over)
-    return ProductSpec(region=region, factor=w, names=names or VARS[n],
-                       mapping=mapping)
+    return _weight_sum_checked(ProductSpec(region=region, factor=w, names=names or VARS[n],
+                                           mapping=mapping))
 
 
 def _axes_quadrant(n, sign=-1, direction=1):
@@ -244,20 +248,8 @@ def _pyramid_axes(n):
                       lower=(0,) * (n - 1) + (1,))
 
 
-def _li(s, exps):
-    return cf.polylog_expr(s, exps)
-
-
 def _exp(*nodes):
     return cf.exp_expr(nodes[0] if len(nodes) == 1 else cf.add(*nodes))
-
-
-def _pow(base, exponent):
-    return cf.pow_expr(base, exponent)
-
-
-def _frac_tree(num, den):
-    return cf.div_unit(num, den)
 
 
 def _subset_closed_form(leading, driver="z", merged=None):
@@ -1389,18 +1381,12 @@ def entry_from_json(doc: dict) -> IdentityEntry:
     exponents summing to 1) is asserted and violating documents rejected.
     """
     spec = ProductSpec.from_json(doc["lhs"])
-    if doc.get("enforce_weight_sum"):
-        if not isinstance(spec.factor, WeightExpr) or \
-                sum(spec.factor.powers) != -1:
-            raise SeriesError("weight exponents must sum to 1 for the "
-                              "hyperquadrant exp family")
+    if read_choice(doc.get("enforce_weight_sum", False), (True, False), "enforce_weight_sum"):
+        _weight_sum_checked(spec)
     if not isinstance(doc["rhs"], dict):
         raise SeriesError("rhs must be an expression tree object")
-    entry_id = doc.get("id", "custom")
-    if not isinstance(entry_id, str):
-        raise SeriesError("id must be a string")
-    mode = doc.get("mode", EXACT)
-    caps = Caps.of(doc["caps"]).limits
-    return IdentityEntry(id=entry_id, mode=mode, caps=caps,
-                         names=spec.names, lhs=spec, rhs=doc["rhs"],
-                         tex_anchor=doc.get("tex_anchor", ""))
+    return IdentityEntry(id=read_str(doc.get("id", "custom"), "id"),
+                         mode=read_choice(doc.get("mode", EXACT), (EXACT, APPROX), "mode"),
+                         caps=Caps.of(doc["caps"]).limits, names=spec.names, lhs=spec,
+                         rhs=doc["rhs"], tex_anchor=read_str(doc.get("tex_anchor", ""),
+                                                             "tex_anchor"))

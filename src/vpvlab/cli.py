@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import json
 import math
 import os
@@ -15,7 +14,7 @@ from . import catalog as catalog_mod
 from . import determinants
 from .closedform import build_closed_form
 from .lattice import PartitionGrid, ProductSpec, product_series
-from .series import APPROX, Caps, EXACT, Series, SeriesError
+from .series import APPROX, Caps, EXACT, SeriesError, read_names
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -29,16 +28,29 @@ def _parse_caps(text: str):
         raise SeriesError(f"bad caps {text!r}") from err
 
 
-@contextlib.contextmanager
-def _spec_errors():
-    """Turn a malformed --spec document into bad input (exit 2), not a crash."""
+def _read_document(path: str, read):
+    """`read` of the JSON document at `path`; any fault in it is bad input (exit 2)."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            doc = json.load(handle)
+        # bad JSON or UTF-8, an integer past the digit limit, or deep nesting
+        except (ValueError, RecursionError) as err:
+            raise SeriesError(f"cannot read {path}: {err}") from None
     try:
-        yield
+        return read(doc)
     except KeyError as err:
         raise SeriesError(f"spec is missing key {err}") from err
-    except (AttributeError, TypeError, ValueError,  # RegionError too
-            ArithmeticError) as err:  # "1/0", or a number that overflows to inf
+    except (AttributeError, TypeError, ValueError) as err:  # a bad field, or not an object
         raise SeriesError(f"bad spec: {err}") from err
+
+
+def _emit(payload: str, out: str | None):
+    """Write a command's output to `out`, or to standard output."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(payload)
+    else:
+        sys.stdout.write(payload)
 
 
 def _default_jobs(args) -> int:
@@ -77,18 +89,13 @@ def _reports_csv(reports) -> str:
 
 def cmd_verify(args) -> int:
     if args.mode and not args.all:
-        print("error: --mode needs --all", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SeriesError("--mode needs --all")
     if args.tolerance is not None and not 0 <= args.tolerance < math.inf:
-        print("error: --tolerance must be finite and non-negative", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SeriesError("--tolerance must be finite and non-negative")
     entries = catalog_mod.catalog()
     custom = None
     if args.custom:
-        with open(args.custom, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        with _spec_errors():
-            custom = catalog_mod.entry_from_json(doc)
+        custom = _read_document(args.custom, catalog_mod.entry_from_json)
         selected = [custom]
     elif args.all:
         selected = [e for e in entries if e.expected == "pass"]
@@ -96,24 +103,19 @@ def cmd_verify(args) -> int:
             selected = [e for e in selected if e.mode == args.mode]
     else:
         if not args.id:
-            print("error: verify needs --id, --all or --custom", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError("verify needs --id, --all or --custom")
         known = {e.id: e for e in entries}
         missing = [i for i in args.id if i not in known]
         if missing:
-            print(f"error: unknown entry {', '.join(missing)}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError(f"unknown entry {', '.join(missing)}")
         selected = [known[i] for i in args.id]
     if not selected:
-        print("error: no entries selected", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SeriesError("no entries selected")
     caps = _parse_caps(args.caps) if args.caps else None
     if caps is not None:
         wrong = [e.id for e in selected if len(e.caps) != len(caps)]
         if wrong:
-            print(f"error: caps arity does not fit entries {', '.join(wrong)}",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError(f"caps arity does not fit entries {', '.join(wrong)}")
     jobs = _default_jobs(args)
     if custom is not None:
         report = catalog_mod.verify_identity(custom, caps=caps,
@@ -129,15 +131,8 @@ def cmd_verify(args) -> int:
         else:
             reports = [_verify_one(i, caps, args.tolerance) for i in ids]
     reports.sort(key=lambda r: r["id"])
-    if args.format == "csv":
-        payload = _reports_csv(reports)
-    else:
-        payload = "\n".join(json.dumps(r, sort_keys=True) for r in reports) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(_reports_csv(reports) if args.format == "csv" else
+          "\n".join(json.dumps(r, sort_keys=True) for r in reports) + "\n", args.out)
     bad = [r for r in reports
            if r["verdict"] != "pass" and r["expected"] == "pass"]
     if args.format == "text":
@@ -148,77 +143,40 @@ def cmd_verify(args) -> int:
     return EXIT_FAIL if bad else EXIT_OK
 
 
-_GRID_BUILDERS = {}
-
-
-def _register_grids():
-    if _GRID_BUILDERS:
-        return
-
-    def spade2(caps):
-        return determinants.exact_parts_series(2, 2, caps, ("y", "z"))
-
-    def club2(caps):
-        return determinants.exact_parts_series(3, 2, caps, ("y", "z"))
-
-    def beta2(caps):
-        return product_series(binary_mod.beta2_spec(), caps)
-
-    def binary_b2(caps):
-        return product_series(binary_mod.binary_powers_spec(2, -1, -1), caps)
-
-    def weighted_814(caps):
-        entry = catalog_mod.get_entry("8.14.03")
-        return entry.build_lhs(caps)
-
-    _GRID_BUILDERS.update({
-        "spade2": spade2, "club2": club2, "beta2": beta2,
-        "binary-B2": binary_b2, "weighted-8.14": weighted_814,
-    })
-    for order in (2, 3, 4, 5):
-        key = {2: "8.08", 3: "8.09.03", 4: "8.10.03", 5: "8.12.02"}[order]
-        _GRID_BUILDERS[f"vpv-upper-distinct-{order}"] = \
-            (lambda caps, key=key: catalog_mod.get_entry(key).build_lhs(caps))
+_GRID_BUILDERS = {
+    "spade2": lambda caps: determinants.exact_parts_series(2, 2, caps, ("y", "z")),
+    "club2": lambda caps: determinants.exact_parts_series(3, 2, caps, ("y", "z")),
+    "beta2": lambda caps: product_series(binary_mod.beta2_spec(), caps),
+    "binary-B2": lambda caps: product_series(binary_mod.binary_powers_spec(2, -1, -1), caps),
+    "weighted-8.14": lambda caps: catalog_mod.get_entry("8.14.03").build_lhs(caps),
+    **{f"vpv-upper-distinct-{order}":
+       lambda caps, key=key: catalog_mod.get_entry(key).build_lhs(caps)
+       for order, key in ((2, "8.08"), (3, "8.09.03"), (4, "8.10.03"), (5, "8.12.02"))},
+}
 
 
 def cmd_grid(args) -> int:
-    _register_grids()
     caps = Caps.of(_parse_caps(args.caps)) if args.caps else None
     if args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        with _spec_errors():
-            spec = ProductSpec.from_json(doc)
+        spec = _read_document(args.spec, ProductSpec.from_json)
         if caps is None:
-            print("error: --caps required for a custom spec", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError("--caps required for a custom spec")
         series = product_series(spec, caps, args.mode or EXACT)
     else:
         if args.mode:
-            print("error: --mode applies only to --spec", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError("--mode applies only to --spec")
         builder = _GRID_BUILDERS.get(args.name or "")
         if builder is None:
             known = ", ".join(sorted(_GRID_BUILDERS))
-            print(f"error: unknown grid {args.name!r} (known: {known})",
-                  file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError(f"unknown grid {args.name!r} (known: {known})")
         if caps is None:
             caps = Caps.of((8, 8))
         series = builder(caps)
     if len(series.names) > 3:
-        print("error: grids support arity <= 3", file=sys.stderr)
-        return EXIT_CONFIG
+        raise SeriesError("grids support arity <= 3")
     g = PartitionGrid.from_series(series, caps)
-    if args.format == "json":
-        payload = json.dumps(g.to_json(), sort_keys=True, indent=2) + "\n"
-    else:
-        payload = g.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+    _emit(json.dumps(g.to_json(), sort_keys=True, indent=2) + "\n" if args.format == "json"
+          else g.to_csv(), args.out)
     return EXIT_OK
 
 
@@ -227,47 +185,35 @@ def cmd_expand(args) -> int:
     mode = args.mode or EXACT
     if args.entry:
         if args.mode:
-            print("error: --mode applies only to --spec", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError("--mode applies only to --spec")
         try:
             entry = catalog_mod.get_entry(args.entry)
         except KeyError:
-            print(f"error: unknown entry {args.entry!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError(f"unknown entry {args.entry!r}")
         cap_obj = caps or Caps.of(entry.caps)
         if len(cap_obj.limits) != len(entry.caps):
-            print(f"error: caps arity does not fit entry {entry.id}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError(f"caps arity does not fit entry {entry.id}")
         series = entry.build_rhs(cap_obj) if args.side == "rhs" \
             else entry.build_lhs(cap_obj)
     elif args.spec:
-        with open(args.spec, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        with _spec_errors():
-            if caps is None and "caps" in doc:
-                caps = Caps.of(doc["caps"])
+        def read(doc):
             lhs = doc.get("lhs", doc)
             spec = ProductSpec.from_json(lhs) if "region" in lhs else None
-            names = tuple(doc["vars"]) if spec is None else None
-            if names is not None and len(set(names)) != len(names):
-                raise SeriesError(f"duplicate variable names in {list(names)}")
+            # the document's caps are read even where --caps overrides them
+            return (doc, spec, Caps.of(doc["caps"]) if "caps" in doc else None,
+                    read_names(doc["vars"], "vars") if spec is None else None)
+        doc, spec, doc_caps, names = _read_document(args.spec, read)
+        caps = caps or doc_caps
         if caps is None:
-            print("error: no caps given", file=sys.stderr)
-            return EXIT_CONFIG
+            raise SeriesError("no caps given")
         if spec is not None:
             series = product_series(spec, caps, mode)
         else:
             series = build_closed_form(doc["rhs"] if "rhs" in doc else doc,
                                        names, caps, mode)
     else:
-        print("error: expand needs --entry or --spec", file=sys.stderr)
-        return EXIT_CONFIG
-    payload = series.dumps(indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
-    else:
-        sys.stdout.write(payload)
+        raise SeriesError("expand needs --entry or --spec")
+    _emit(series.dumps(indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -316,7 +262,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SeriesError, OSError, json.JSONDecodeError) as err:
+    except (SeriesError, OSError, OverflowError) as err:  # a float past its range
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -7,10 +7,12 @@ Evaluation errors carry the node path for diagnosis.
 
 from __future__ import annotations
 
+import contextlib
 from fractions import Fraction
 
 from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _log_sum,
-                     _power_coeff, polylog)
+                     _power_coeff, check_power, polylog, read_choice, read_exps,
+                     read_rational)
 
 
 class ExprError(SeriesError):
@@ -18,19 +20,26 @@ class ExprError(SeriesError):
         super().__init__(f"{message} (at node {path or 'root'})")
 
 
-def _frac(value):
-    if isinstance(value, str) and "/" in value:
-        return Fraction(value)
-    return Fraction(value)
+@contextlib.contextmanager
+def _node(node, path: str):
+    """A tree node's op; a fault while it is read becomes an ExprError at it."""
+    if not isinstance(node, dict) or "op" not in node:
+        raise ExprError("malformed node", path)
+    try:
+        yield node["op"]
+    except ExprError:
+        raise
+    except KeyError as err:
+        raise ExprError(f"missing field {err}", f"{path}.{node['op']}") from err
+    except (ValueError, TypeError, ArithmeticError) as err:  # SeriesError too
+        raise ExprError(str(err), f"{path}.{node['op']}") from err
 
 
-def _mono_expo(mono: dict, names) -> tuple:
-    expo = [0] * len(names)
-    for name, power in mono.items():
-        if name not in names:
-            raise SeriesError(f"unknown variable {name!r}")
-        expo[names.index(name)] += int(power)
-    return tuple(expo)
+def _unit_binomial(node: dict, names) -> tuple:
+    """(X, sign, scalar) of a unit_binomial node, 1 + sign * scalar * X."""
+    return (read_exps(node["exps"], names, "exps"),
+            read_choice(node.get("sign", -1), (1, -1), "sign"),
+            read_rational(node.get("scalar", 1), "scalar"))
 
 
 # -- node constructors (plain dicts keep the JSON form primary) -----------------
@@ -110,24 +119,15 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
                       _path: str = "") -> Series:
     """Evaluate an expression tree to a truncated Series."""
     names = tuple(names)
-    if not isinstance(node, dict) or "op" not in node:
-        raise ExprError("malformed node", _path)
-    op = node["op"]
-    try:
+    with _node(node, _path) as op:
         if op == "const":
-            value = _frac(node["value"])
-            return Series.constant(value if mode == EXACT else float(value),
-                                   names, caps, mode)
+            return Series.constant(read_rational(node["value"], "value"), names, caps, mode)
         if op == "mono":
-            expo = _mono_expo(node["exps"], names)
+            expo = read_exps(node["exps"], names, "exps")
             return Series.monomial(expo, names, caps, mode)
         if op == "unit_binomial":
-            expo = _mono_expo(node["exps"], names)
-            scalar = _frac(node.get("scalar", 1))
-            sign = int(node.get("sign", -1))
-            coeff = sign * (scalar if mode == EXACT else float(scalar))
-            terms = {(0,) * len(names): 1, expo: coeff}
-            return Series(names, caps, mode, terms)
+            expo, sign, scalar = _unit_binomial(node, names)
+            return Series(names, caps, mode, {(0,) * len(names): 1, expo: sign * scalar})
         if op == "add":
             out = Series.zero(names, caps, mode)
             for i, arg in enumerate(node["args"]):
@@ -145,28 +145,19 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
         if op == "pow":
             base = build_closed_form(node["base"], names, caps, mode, _path + ".base")
             exponent = node["exponent"]
-            if isinstance(exponent, (str, int)):
-                value = _frac(exponent)
-                return base.pow(value if mode == EXACT else
-                                (value if value.denominator == 1 else float(value)))
-            return base.pow(build_closed_form(exponent, names, caps, mode,
-                                              _path + ".exponent"))
+            if isinstance(exponent, dict):
+                return base.pow(build_closed_form(exponent, names, caps, mode,
+                                                  _path + ".exponent"))
+            return base.pow(read_rational(exponent, "exponent"))
         if op == "exp":
             return build_closed_form(node["arg"], names, caps, mode, _path + ".arg").exp()
         if op == "log":
             return build_closed_form(node["arg"], names, caps, mode, _path + ".arg").log()
         if op == "polylog":
-            s = _frac(node["s"])
-            expo = _mono_expo(node["exps"], names)
-            return polylog(s if s.denominator != 1 else int(s), expo, names, caps, mode)
+            return polylog(read_rational(node["s"], "s"),
+                           read_exps(node["exps"], names, "exps"), names, caps, mode)
         if op == "partial_sum":
             return _partial_sum(node, names, caps, mode)
-    except ExprError:
-        raise
-    except KeyError as err:
-        raise ExprError(f"missing field {err}", _path + "." + op) from err
-    except (ValueError, TypeError, ArithmeticError) as err:  # SeriesError too
-        raise ExprError(str(err), _path + "." + op) from err
     raise ExprError(f"unknown op {op!r}", _path)
 
 
@@ -183,10 +174,7 @@ def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
     monomial raises `NoLogForm`, and the caller expands the tree instead.
     """
     names = tuple(names)
-    if not isinstance(node, dict) or "op" not in node:
-        raise ExprError("malformed node", _path)
-    op = node["op"]
-    try:
+    with _node(node, _path) as op:
         if op == "exp":
             arg = build_closed_form(node["arg"], names, caps, EXACT, _path + ".arg")
             if arg.constant_term() == 0:
@@ -202,41 +190,34 @@ def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
         elif op == "pow":
             base = build_log(node["base"], names, caps, _path + ".base")
             exponent = node["exponent"]
-            if isinstance(exponent, (str, int)):
-                return base.scale(_frac(exponent))
-            return base * build_closed_form(exponent, names, caps, EXACT,
-                                            _path + ".exponent")
+            if isinstance(exponent, dict):
+                return base * build_closed_form(exponent, names, caps, EXACT,
+                                                _path + ".exponent")
+            return base.scale(read_rational(exponent, "exponent"))
         elif op == "unit_binomial":
-            expo = _mono_expo(node["exps"], names)
-            if any(expo) and min(expo) >= 0:
-                key = (expo, int(node.get("sign", -1)), _frac(node.get("scalar", 1)))
-                return _log_sum([(key, 1)], names, caps)
-        elif op == "const" and _frac(node["value"]) == 1:
+            expo, sign, scalar = _unit_binomial(node, names)
+            if any(expo):
+                return _log_sum([((expo, sign, scalar), 1)], names, caps)
+        elif op == "const" and read_rational(node["value"], "value") == 1:
             return Series.zero(names, caps)
-    except ExprError:
-        raise
-    except KeyError as err:
-        raise ExprError(f"missing field {err}", _path + "." + op) from err
-    except (ValueError, TypeError, ArithmeticError) as err:  # SeriesError too
-        raise ExprError(str(err), _path + "." + op) from err
     raise NoLogForm(f"no log form for this {op!r} node (at node {_path or 'root'})")
 
 
 def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:
     driver = node["driver"]
-    dvar = driver["var"]
-    db = _frac(driver["b"])
-    if dvar not in names:
-        raise SeriesError(f"unknown driver variable {dvar!r}")
-    didx = names.index(dvar)
-    kmax = caps.limits[didx]
-    if caps.total is not None:
-        kmax = min(kmax, caps.total)
+    if driver["var"] not in names:
+        raise SeriesError(f"unknown driver variable {driver['var']!r}")
+    didx = names.index(driver["var"])
+    kmax = caps.limits[didx] if caps.total is None else min(caps.limits[didx], caps.total)
+
+    def power(b, field):  # the exponent of 1/k^b, whose k^b is built up to kmax
+        b = read_rational(b, field)
+        check_power(kmax, b, field)
+        return b
+    db = power(driver["b"], "driver.b")
+    partials = [[spec["var"], power(spec["b"], f"factors[{i}].b"),
+                 Series.zero(names, caps, mode)] for i, spec in enumerate(node["factors"])]
     out = Series.zero(names, caps, mode)
-    partials = []
-    for spec in node["factors"]:
-        partials.append([spec["var"], _frac(spec["b"]),
-                         Series.zero(names, caps, mode)])
     for k in range(1, kmax + 1):
         term = Series.monomial(tuple(k if i == didx else 0 for i in range(len(names))),
                                names, caps, mode).scale(_power_coeff(k, db, mode))

@@ -14,8 +14,10 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, prod
 
-from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError,
-                     binomial_log, binomial_product, unit_binomial_pow)
+from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _count,
+                     binomial_log, binomial_product, check_power, decimal_str,
+                     read_choice, read_int, read_list, read_names, read_rational,
+                     unit_binomial_pow)
 
 # ordering constraint names
 ORDER_NONE = "none"
@@ -29,6 +31,16 @@ _ORDERS = (ORDER_NONE, ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
 
 class RegionError(SeriesError):
     """A malformed or unbounded region, weight or product spec (exit 2)."""
+
+
+def _region_checks(post_init):
+    """A constructor's field checks, with every bad field raising RegionError."""
+    def checked(self):
+        try:
+            post_init(self)
+        except SeriesError as err:
+            raise err if isinstance(err, RegionError) else RegionError(str(err)) from None
+    return checked
 
 
 def euler_phi(n: int) -> int:
@@ -73,32 +85,24 @@ class LatticeRegion:
     upper: tuple | None = None  # per-component maximum, None for no bound
     unit_counts: tuple | None = None  # allowed numbers of components equal to 1
 
+    @_region_checks
     def __post_init__(self):
-        lower = self.lower if self.lower is not None else (1,) * self.arity
-        object.__setattr__(self, "lower", tuple(lower))
-        if len(self.lower) != self.arity or not all(
-                type(b) is int and b >= 0 for b in self.lower):
-            raise RegionError("lower bounds need one integer >= 0 per component")
+        n = read_int(self.arity, "region.arity", 1)
+        put = functools.partial(object.__setattr__, self)
+        put("lower", read_list((1,) * n if self.lower is None else self.lower,
+                               "region.lower", _count, n))
         if self.upper is not None:
-            object.__setattr__(self, "upper", tuple(self.upper))
-            if len(self.upper) != self.arity or not all(
-                    u is None or (type(u) is int and u >= 0) for u in self.upper):
-                raise RegionError("upper bounds need one null or integer >= 0 "
-                                  "per component")
-        if self.order not in _ORDERS:
-            raise RegionError(f"unknown ordering {self.order!r}")
-        if type(self.coprime) is not bool:
-            raise RegionError("coprime must be true or false")
-        if self.base_powers is not None and (type(self.base_powers) is not int
-                                             or self.base_powers < 2):
-            raise RegionError("base_powers must be an integer >= 2")
-        counts = self.unit_counts
-        if counts is not None:
-            if not isinstance(counts, (list, tuple)) or not all(
-                    type(c) is int and 0 <= c <= self.arity for c in counts) \
-                    or len(set(counts)) != len(counts):
-                raise RegionError("unit_counts needs distinct integers in 0..arity")
-            object.__setattr__(self, "unit_counts", tuple(counts))
+            put("upper", read_list(self.upper, "region.upper", lambda u, field:
+                                   u if u is None else _count(u, field), n))
+        read_choice(self.order, _ORDERS, "region.order")
+        read_choice(self.coprime, (True, False), "region.coprime")
+        if self.base_powers is not None:
+            read_int(self.base_powers, "region.base_powers", 2)
+        if self.unit_counts is not None:
+            put("unit_counts", read_list(self.unit_counts, "region.unit_counts",
+                                         lambda c, field: read_int(c, field, 0, n)))
+            if len(set(self.unit_counts)) != len(self.unit_counts):
+                raise SeriesError(f"region.unit_counts {list(self.unit_counts)} repeats a count")
 
     def contains(self, vec) -> bool:
         if len(vec) != self.arity:
@@ -138,7 +142,7 @@ class LatticeRegion:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LatticeRegion":
-        return cls(arity=doc["arity"], lower=tuple(doc.get("lower", [1] * doc["arity"])),
+        return cls(arity=doc["arity"], lower=doc.get("lower"),
                    order=doc.get("order", ORDER_NONE), coprime=doc.get("coprime", False),
                    base_powers=doc.get("base_powers"), upper=doc.get("upper"),
                    unit_counts=doc.get("unit_counts"))
@@ -296,12 +300,14 @@ class WeightExpr:
     powers: tuple = ()
     phi_over: int | None = None
 
+    @_region_checks
     def __post_init__(self):
-        object.__setattr__(self, "powers", tuple(Fraction(p) for p in self.powers))
-        if any(type(x) is not int or x not in (1, -1) for x in (self.sign, self.direction)):
-            raise RegionError("sign and direction must be the integer 1 or -1")
-        if self.phi_over is not None and type(self.phi_over) is not int:
-            raise RegionError(f"phi_over {self.phi_over!r} is not a component index")
+        object.__setattr__(self, "powers", read_list(self.powers, "weight.powers",
+                                                     read_rational))
+        read_choice(self.sign, (1, -1), "weight.sign")
+        read_choice(self.direction, (1, -1), "weight.direction")
+        if self.phi_over is not None:
+            read_int(self.phi_over, "weight.phi_over", 0)
 
     def needs_approx(self) -> bool:
         return any(p.denominator != 1 for p in self.powers)
@@ -314,9 +320,9 @@ class WeightExpr:
             num = den = 1
             for v, p in zip(vec, self.powers):
                 if p > 0:
-                    num *= v ** int(p)
+                    num *= v ** p.numerator
                 elif p < 0:
-                    den *= v ** -int(p)
+                    den *= v ** -p.numerator
             if self.phi_over is not None:
                 num *= euler_phi(vec[self.phi_over])
                 den *= vec[self.phi_over]
@@ -336,8 +342,7 @@ class WeightExpr:
     @classmethod
     def from_json(cls, doc: dict) -> "WeightExpr":
         return cls(sign=doc.get("sign", -1), direction=doc.get("direction", 1),
-                   powers=tuple(Fraction(p) for p in doc.get("powers", [])),
-                   phi_over=doc.get("phi_over"))
+                   powers=doc.get("powers", ()), phi_over=doc.get("phi_over"))
 
 
 GEOMETRIC = "geometric"
@@ -361,13 +366,12 @@ class LocalFactorFamily:
     sign: int = 1
     defining_sum: bool = False
 
+    @_region_checks
     def __post_init__(self):
-        if self.kind not in _FAMILIES:
-            raise RegionError(f"unknown family {self.kind!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise RegionError("a family sign must be the integer 1 or -1")
-        if type(self.defining_sum) is not bool:
-            raise RegionError("defining_sum must be true or false")
+        read_choice(self.kind, _FAMILIES, "factor.family")
+        object.__setattr__(self, "exponent", read_rational(self.exponent, "factor.exponent"))
+        read_choice(self.sign, (1, -1), "factor.sign")
+        read_choice(self.defining_sum, (True, False), "factor.defining_sum")
         if self.kind != DISTINCT_BINOMIAL and (self.exponent != 1 or self.sign != 1):
             raise RegionError(f"a {self.kind} family takes no exponent or sign")
         if self.defining_sum and self.kind == DISTINCT_BINOMIAL:
@@ -392,8 +396,7 @@ class LocalFactorFamily:
         if self.kind == DISTINCT_BINOMIAL:
             return unit_binomial_pow(mono, self.exponent, names, caps, mode, sign=self.sign)
         if self.defining_sum:
-            kmax = _max_multiple(mono, caps)
-            coeffs = self.defining_terms(kmax, mode)
+            coeffs = self.defining_terms(caps.multiples(mono), mode)
             terms = {tuple(e * n for e in mono): c
                      for n, c in enumerate(coeffs) if c != 0}
             return Series(names, caps, mode, terms)
@@ -416,15 +419,8 @@ class LocalFactorFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LocalFactorFamily":
-        return cls(kind=doc["family"], exponent=Fraction(doc.get("exponent", 1)),
+        return cls(kind=doc["family"], exponent=doc.get("exponent", 1),
                    sign=doc.get("sign", 1), defining_sum=doc.get("defining_sum", False))
-
-
-def _max_multiple(mono, caps: Caps) -> int:
-    k = 0
-    while caps.admits(tuple(e * (k + 1) for e in mono)):
-        k += 1
-    return k
 
 
 @dataclass(frozen=True)
@@ -441,33 +437,25 @@ class ProductSpec:
     mapping: tuple = None  # per component: int index | Fraction scalar
     names: tuple = ()
 
+    @_region_checks
     def __post_init__(self):
-        names = tuple(self.names)
+        names = read_names(self.names, "vars")
         object.__setattr__(self, "names", names)
-        if len(set(names)) != len(names):
-            raise RegionError(f"duplicate variable names in {list(names)}")
-        mapping = self.mapping
-        if mapping is None:
-            mapping = tuple(range(self.region.arity))
-        norm = []
-        for m in mapping:
-            if isinstance(m, int) and not isinstance(m, bool):
-                if not 0 <= m < len(names):
-                    raise RegionError(f"variable index {m} out of range")
-                norm.append(m)
-            elif m is None:
-                norm.append(None)
-            else:
-                norm.append(Fraction(m))
-        object.__setattr__(self, "mapping", tuple(norm))
-        if len(self.mapping) != self.region.arity:
-            raise RegionError("mapping arity mismatch")
+
+        def target(m, field):  # a variable index, a rational scalar, or None (dropped)
+            if m is None:
+                return None
+            if isinstance(m, (str, Fraction)):
+                return read_rational(m, field)
+            return read_int(m, field, 0, len(names) - 1)
+        n = self.region.arity
+        object.__setattr__(self, "mapping", tuple(range(n)) if self.mapping is None
+                           else read_list(self.mapping, "mapping", target, n))
         w, lower = self.factor, self.region.lower
         if isinstance(w, WeightExpr):
-            if len(w.powers) != len(lower):
-                raise RegionError("weight powers arity mismatch")
-            if w.phi_over is not None and w.phi_over not in range(len(lower)):
-                raise RegionError(f"phi_over {w.phi_over!r} is not a component index")
+            read_list(w.powers, "weight.powers", n=n)
+            if w.phi_over is not None:
+                read_int(w.phi_over, "weight.phi_over", 0, n - 1)
             # a component that may be 0 cannot divide the weight
             if any(lo == 0 and (p < 0 or i == w.phi_over)
                    for i, (lo, p) in enumerate(zip(lower, w.powers))):
@@ -530,6 +518,10 @@ class ProductSpec:
             # earlier components sit strictly below later ones
             for i in range(len(bounds) - 2, -1, -1):
                 bounds[i] = min(bounds[i], bounds[i + 1] - 1)
+        if isinstance(self.factor, WeightExpr):
+            # the largest exact weight power k^p is built at the bound
+            for i, (p, b) in enumerate(zip(self.factor.powers, bounds)):
+                check_power(max(b, 0), p, f"weight.powers[{i}]")
         return tuple(bounds)
 
     def vectors(self, caps: Caps) -> list:
@@ -558,15 +550,13 @@ class ProductSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProductSpec":
-        region = LatticeRegion.from_json(doc["region"])
-        if "weight" in doc:
-            factor = WeightExpr.from_json(doc["weight"])
-        else:
-            factor = LocalFactorFamily.from_json(doc["factor"])
-        mapping = tuple(m if isinstance(m, int) or m is None else Fraction(m)
-                        for m in doc["mapping"])
-        return cls(region=region, factor=factor, mapping=mapping,
-                   names=tuple(doc["vars"]))
+        # the arity sizes the per-component lists: check it before any is built
+        read_int(doc["region"]["arity"], "region.arity", 1,
+                 len(read_list(doc["mapping"], "mapping")))
+        factor = WeightExpr.from_json(doc["weight"]) if "weight" in doc \
+            else LocalFactorFamily.from_json(doc["factor"])
+        return cls(region=LatticeRegion.from_json(doc["region"]), factor=factor,
+                   mapping=doc["mapping"], names=doc["vars"])
 
 
 def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
@@ -706,7 +696,7 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
         terms: dict = {}
         for image, count, _ in images:
             mono = _unscaled(image)
-            for k, c in enumerate(_factor_log(family, _max_multiple(mono, caps)), 1):
+            for k, c in enumerate(_factor_log(family, caps.multiples(mono)), 1):
                 key = tuple(e * k for e in mono)
                 terms[key] = terms.get(key, 0) + count * c
         return Series(names, caps, EXACT, terms)
@@ -823,11 +813,11 @@ class PartitionGrid:
 
     def _format_cell(self, value) -> str:
         if isinstance(value, Fraction):
-            return str(value.numerator) if value.denominator == 1 else \
-                f"{value.numerator}/{value.denominator}"
+            return decimal_str(value.numerator) if value.denominator == 1 else \
+                f"{decimal_str(value.numerator)}/{decimal_str(value.denominator)}"
         if isinstance(value, float):
             return repr(value)
-        return str(value)
+        return decimal_str(value)
 
     def to_csv(self) -> str:
         """CSV: header row = first axis values, first column = second axis values."""

@@ -10,9 +10,11 @@ two series require identical variable names, caps and mode.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -32,6 +34,111 @@ class NoLogForm(Exception):
     """A side whose log series is not built directly; verify expands it instead."""
 
 
+# -- document readers -------------------------------------------------------------
+#
+# Every leaf of an input document (a product spec, a closed-form tree, a custom
+# identity) is read by one of these, which returns it in its Python form or
+# raises SeriesError naming the field.  An integer is a JSON integer, never a
+# bool; a rational is a string in Fraction syntax, an integer, or (from Python
+# callers) a Fraction.  A float or bool is never read as a number.
+
+
+def _bad(field: str, want: str, value) -> SeriesError:
+    shown = f"an integer of {value.bit_length()} bits" if isinstance(value, int) \
+        and value.bit_length() > 64 else repr(value)[:40]
+    return SeriesError(f"{field} must be {want}, got {shown}")
+
+
+def read_int(value, field: str, low: int | None = None, high: int | None = None) -> int:
+    if type(value) is int and (low is None or value >= low) \
+            and (high is None or value <= high):
+        return value
+    raise _bad(field, "an integer" + ("" if low is None else f" >= {low}" if high is None
+                                      else f" in {low}..{high}"), value)
+
+
+def _count(value, field: str) -> int:
+    return read_int(value, field, 0)
+
+
+def read_choice(value, choices: tuple, field: str):
+    """One of `choices`, of its type too: a sign (1, -1), a bool, a name."""
+    if any(type(value) is type(c) and value == c for c in choices):
+        return value
+    raise _bad(field, "one of " + ", ".join(map(json.dumps, choices)), value)
+
+
+def read_rational(value, field: str) -> Fraction:
+    # Fraction would expand a long decimal exponent ("1e99999") in full
+    if type(value) in (str, int, Fraction) and not (
+            isinstance(value, str) and re.search(r"[eE][-+]?[\d_]{5}", value)):
+        with contextlib.suppress(ValueError, ZeroDivisionError):
+            return Fraction(value)
+    raise _bad(field, 'a rational string such as "-3/2" or an integer', value)
+
+
+def read_str(value, field: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise _bad(field, "a string", value)
+
+
+def read_list(value, field: str, read=None, n: int | None = None) -> tuple:
+    """An array, of `n` items if given, each read by `read(item, field[i])`."""
+    if not isinstance(value, (list, tuple)):
+        raise _bad(field, "an array", value)
+    if n is not None and len(value) != n:
+        raise SeriesError(f"{field} needs one entry per component ({n}), got {len(value)}")
+    return tuple(value if read is None else (read(v, f"{field}[{i}]")
+                                             for i, v in enumerate(value)))
+
+
+def read_names(value, field: str) -> tuple:
+    names = read_list(value, field, read_str)
+    if len(set(names)) != len(names):
+        raise SeriesError(f"duplicate variable names in {list(names)}")
+    return names
+
+
+def read_exps(value, names: tuple, field: str) -> Expo:
+    """An exponent map {name: integer >= 0} as the exponent vector over `names`."""
+    if not isinstance(value, dict):
+        raise _bad(field, "an object", value)
+    expo = [0] * len(names)
+    for name, power in value.items():
+        if name not in names:
+            raise SeriesError(f"unknown variable {name!r}")
+        expo[names.index(name)] += read_int(power, f"{field}.{name}", 0)
+    return tuple(expo)
+
+
+# The largest exact power k^p a document may ask for, in bits: |p| times the bit
+# length of the largest k the caps allow (a weight's component bound, or the
+# last multiple of a polylog or a partial sum).  Measured in-process at caps
+# (3, 3), a weight power of 16k bits builds in 0.02 s, 158k in 0.7 s and 1.6M in
+# 21 s, and at (8, 8) 42k bits take 5 s; a polylog of 490k bits takes 0.2 s at
+# cap 30.  The catalog's largest estimate is 20 bits (4 at the deep caps).
+POWER_BITS = 1 << 16
+
+
+def check_power(k: int, p: Fraction, field: str):
+    """Refuse to build k^p past `POWER_BITS` bits: the document asks too much."""
+    if (bits := math.ceil(abs(p) * k.bit_length())) > POWER_BITS:
+        raise SeriesError(f"{field}: k^p for k up to {k} needs about "
+                          f"{decimal_str(bits)} bits, over the budget of {POWER_BITS}")
+
+
+def decimal_str(n: int) -> str:
+    """str(n) past the int-to-string digit limit, which guards parsing only: n
+    is split into parts of under 600 digits, which every limit allows."""
+    if n.bit_length() <= 1990:
+        return str(n)
+    if n < 0:
+        return "-" + decimal_str(-n)
+    high, low = divmod(n, 10 ** (half := n.bit_length() * 3 // 20))  # half the digits
+    return decimal_str(high) + decimal_str(low).zfill(half)
+
+
 @dataclass(frozen=True)
 class Caps:
     """Truncation window: per-variable maxima plus an optional total cap."""
@@ -40,15 +147,19 @@ class Caps:
     total: int | None = None
 
     def __post_init__(self):
-        if any(c < 0 for c in self.limits):
-            raise SeriesError("caps must be non-negative")
-        if self.total is not None and self.total < 0:
-            raise SeriesError("total cap must be non-negative")
+        object.__setattr__(self, "limits", read_list(self.limits, "caps", _count))
+        if self.total is not None:
+            read_int(self.total, "total cap", 0)
 
     def admits(self, expo: Expo) -> bool:
         if any(e > c for e, c in zip(expo, self.limits)):
             return False
         return self.total is None or sum(expo) <= self.total
+
+    def multiples(self, expo: Expo) -> int:
+        """The largest k the caps admit k * expo for (expo nonzero, >= 0)."""
+        k = min(c // e for c, e in zip(self.limits, expo) if e)
+        return k if self.total is None else min(k, self.total // sum(expo))
 
     def max_order(self) -> int:
         """Largest total degree any retained term can have."""
@@ -57,7 +168,7 @@ class Caps:
 
     @staticmethod
     def of(limits: Sequence[int], total: int | None = None) -> "Caps":
-        return Caps(tuple(int(c) for c in limits), total)
+        return Caps(limits, total)
 
 
 def _as_coeff(value, mode: str) -> Coeff:
@@ -266,11 +377,7 @@ class Series:
             return
         clean: dict[Expo, Coeff] = {}
         for expo, value in terms.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != len(names):
-                raise SeriesError(f"exponent {expo} does not match arity {len(names)}")
-            if any(e < 0 for e in expo):
-                raise SeriesError(f"negative exponent in {expo}")
+            expo = _checked_expo(expo, len(names))
             if not caps.admits(expo):
                 continue
             value = _as_coeff(value, mode)
@@ -315,17 +422,10 @@ class Series:
     @classmethod
     def from_terms(cls, terms: Iterable, names, caps: Caps, mode: str = EXACT) -> "Series":
         """Normalize a (monomial, coefficient) list into a Series."""
-        acc: dict[Expo, list] = {}
-        data = {}
+        acc: dict[Expo, Coeff] = {}
         for expo, value in terms:
-            expo = tuple(expo)
-            acc.setdefault(expo, []).append(value)
-        for expo, values in acc.items():
-            total = values[0]
-            for v in values[1:]:
-                total = total + v
-            data[expo] = total
-        return cls(names, caps, mode, data)
+            acc[tuple(expo)] = acc.get(tuple(expo), 0) + value
+        return cls(names, caps, mode, acc)
 
     # -- helpers -----------------------------------------------------------
 
@@ -642,8 +742,8 @@ class Series:
         for expo in sorted(self.terms):
             coeff = self.terms[expo]
             if self.mode == EXACT:
-                terms.append({"e": list(expo), "n": str(coeff.numerator),
-                              "d": str(coeff.denominator)})
+                terms.append({"e": list(expo), "n": decimal_str(coeff.numerator),
+                              "d": decimal_str(coeff.denominator)})
             else:
                 terms.append({"e": list(expo), "v": coeff})
         doc = {"vars": list(self.names), "caps": list(self.caps.limits),
@@ -658,15 +758,16 @@ class Series:
     @classmethod
     def from_json(cls, doc: dict) -> "Series":
         caps = Caps.of(doc["caps"], doc.get("total_cap"))
-        mode = doc["mode"]
+        mode = read_choice(doc["mode"], (EXACT, APPROX), "mode")
         terms = {}
-        for item in doc["terms"]:
-            expo = tuple(item["e"])
+        for i, item in enumerate(doc["terms"]):
+            expo = read_list(item["e"], f"terms[{i}].e", _count)
             if mode == EXACT:
-                terms[expo] = Fraction(int(item["n"]), int(item["d"]))
+                terms[expo] = read_rational(item["n"], f"terms[{i}].n") \
+                    / read_rational(item["d"], f"terms[{i}].d")
             else:
                 terms[expo] = float(item["v"])
-        return cls(doc["vars"], caps, mode, terms)
+        return cls(read_names(doc["vars"], "vars"), caps, mode, terms)
 
 
 # -- stock factors -------------------------------------------------------------
@@ -677,26 +778,18 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
     """(1 + sign*scalar*X)^exponent expanded directly by the binomial series."""
     names = tuple(names)
     expo = _factor_monomial(mono, names, "unit binomial needs a nonconstant monomial")
-    if not caps.admits(expo):
-        return Series.one(names, caps, mode)
     scalar = _as_coeff(sign * scalar if mode == EXACT else float(sign) * scalar, mode)
     r = _as_coeff(exponent, mode)
     terms: dict[Expo, Coeff] = {(0,) * len(names): _as_coeff(1, mode)}
     binom = _as_coeff(1, mode)
     power = _as_coeff(1, mode)
-    k = 0
-    # the loop stops at the first multiple the caps reject, so every key is admitted
-    while True:
-        k += 1
-        key = tuple(e * k for e in expo)
-        if not caps.admits(key):
-            break
+    for k in range(1, caps.multiples(expo) + 1):
         binom = binom * (r - (k - 1)) / k
         power = power * scalar
         if binom == 0:
             break
         if value := binom * power:
-            terms[key] = value
+            terms[tuple(e * k for e in expo)] = value
     return Series(names, caps, mode, terms, _trusted=True)
 
 
@@ -808,7 +901,7 @@ def _log_sum(kept, names, caps: Caps) -> Series:
 def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:
     """1 / j^b as a coefficient: exact for integer b, approx-only otherwise."""
     if b.denominator == 1:
-        e = int(b)
+        e = b.numerator
         value = Fraction(1, j ** e) if e >= 0 else Fraction(j ** (-e))
         return value if mode == EXACT else float(value)
     if mode == EXACT:
@@ -824,26 +917,29 @@ def polylog(s, mono, names, caps: Caps, mode: str = EXACT) -> Series:
     """
     names = tuple(names)
     expo = _factor_monomial(mono, names, "polylog needs a nonconstant argument")
-    s = Fraction(s)
+    s, kmax = Fraction(s), caps.multiples(expo)
+    check_power(kmax, s, "polylog s")
     terms: dict[Expo, Coeff] = {}
-    k = 1
-    # the loop stops at the first multiple the caps reject, so every key is admitted
-    while caps.admits(key := tuple(e * k for e in expo)):
+    for k in range(1, kmax + 1):
         if value := _power_coeff(k, s, mode):
-            terms[key] = value
-        k += 1
+            terms[tuple(e * k for e in expo)] = value
     return Series(names, caps, mode, terms, _trusted=True)
+
+
+def _checked_expo(expo, n: int) -> Expo:
+    """An exponent vector of n integers >= 0, as `Series` takes them."""
+    expo = tuple(int(e) for e in expo)
+    if len(expo) != n:
+        raise SeriesError(f"exponent {expo} does not match arity {n}")
+    if any(e < 0 for e in expo):
+        raise SeriesError(f"negative exponent in {expo}")
+    return expo
 
 
 def _factor_monomial(mono, names, constant_error: str) -> Expo:
     """The X of a stock factor, checked as `Series` checks exponents, and nonconstant."""
-    expo = tuple(mono)
-    if not any(expo):
+    if not any(expo := _checked_expo(mono, len(names))):
         raise SeriesError(constant_error)
-    if len(expo) != len(names):
-        raise SeriesError(f"exponent {expo} does not match arity {len(names)}")
-    if any(e < 0 for e in expo):
-        raise SeriesError(f"negative exponent in {expo}")
     return expo
 
 

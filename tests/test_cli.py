@@ -1,14 +1,18 @@
+import contextlib
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from vpvlab import catalog as catalog_mod
+from vpvlab import lattice as lattice_mod
+from vpvlab import series as series_mod
 from vpvlab.cli import main
 from vpvlab.lattice import ProductSpec
-from vpvlab.series import Caps, Series, unit_binomial_pow
+from vpvlab.series import POWER_BITS, Caps, Series, decimal_str, unit_binomial_pow
 
 try:
     import jsonschema
@@ -652,6 +656,177 @@ class TestUnrepresentableNumbers:
             assert code == 2, args
             assert out == "" and err.startswith("error:"), args
             assert "Traceback" not in err, args
+
+
+def _set(doc, path, value):
+    """A deep copy of `doc` with the leaf at `path` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    node = doc
+    for key in head:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _side_1303():
+    return catalog_mod.get_entry("13.03").lhs.to_json()
+
+
+def _tree_1303(tree=None):
+    entry = catalog_mod.get_entry("13.03")
+    return {"vars": list(entry.names), "rhs": entry.rhs if tree is None else tree}
+
+
+POLYLOG = {"op": "polylog", "s": "2", "exps": {"z": 1}}
+PARTIAL_SUM = {"op": "partial_sum", "factors": [{"var": "y", "b": "0"}],
+               "driver": {"var": "z", "b": "1"}}
+
+
+def _custom_1303(**fields):
+    entry = catalog_mod.get_entry("13.03")
+    return {"lhs": entry.lhs.to_json(), "rhs": entry.rhs, "caps": [3, 3], **fields}
+
+
+# (document, command, field): each document has one leaf of a type its field
+# does not take, or a value outside its set; the run exits 2 naming the field
+LEAF_PROBES = [
+    *((_set(_side_1303(), ("vars", 0), v), "expand", "vars[0]")
+      for v in (True, 1.0, None, -1)),
+    (dict(_tree_1303(), vars="yz1"), "expand", "vars"),
+    *((_set(_side_1303(), ("weight", "powers", 1), v), "expand", "weight.powers[1]")
+      for v in (True, 1.0)),
+    (_set(_side_1303(), ("mapping", 0), 0.5), "expand", "mapping[0]"),
+    *((_set(_tree_1303(), ("rhs", "base", "sign"), v), "expand", "sign")
+      for v in (True, 1.0, 2, 2 ** 70)),
+    *((_set(_tree_1303(), ("rhs", "base", "exps", "z"), v), "expand", "exps.z")
+      for v in (True, 1.0, 1.5)),
+    (_set(_tree_1303(), ("rhs", "base", "scalar"), True), "expand", "scalar"),
+    (_tree_1303(dict(POLYLOG, s=True)), "expand", "s"),
+    (_tree_1303({"op": "const", "value": True}), "expand", "value"),
+    (_set(_tree_1303(), ("rhs", "exponent"), True), "expand", "exponent"),
+    (_set(_tree_1303(PARTIAL_SUM), ("rhs", "driver", "b"), True), "expand", "driver.b"),
+    *(({"lhs": _side_1303(), "caps": [3, v]}, "expand", "caps[1]") for v in (3.7, True)),
+    *((_custom_1303(enforce_weight_sum=v), "verify", "enforce_weight_sum")
+      for v in ("yes", [1])),
+    (_custom_1303(mode="bogus"), "verify", "mode"),
+    # checked against the mapping before any per-component list is built
+    (_set(_side_1303(), ("region", "arity"), 10 ** 15), "expand", "region.arity"),
+]
+
+
+class TestLeafTypes:
+    """Each document leaf is read by one typed reader: a bad value is bad
+    input (exit 2), and the message names its field."""
+
+    @pytest.mark.parametrize("doc, command, field", LEAF_PROBES,
+                             ids=[f"{c}-{f}-{i}" for i, (_, c, f) in enumerate(LEAF_PROBES)])
+    def test_rejected_naming_the_field(self, doc, command, field, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = ["verify", "--custom", str(path)] if command == "verify" else \
+            ["expand", "--spec", str(path)] + ([] if "caps" in doc else ["--caps", "3,3"])
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "", err
+        assert f"{field} must be" in err, err
+
+    def test_catalog_sides_roundtrip(self):
+        sides = [side for entry in catalog_mod.catalog()
+                 for side in (entry.lhs, entry.rhs, getattr(entry.rhs, "spec", None))
+                 if isinstance(side, ProductSpec)]
+        assert len(sides) > 100
+        for side in sides:
+            assert ProductSpec.from_json(json.loads(json.dumps(side.to_json()))) == side
+
+
+class TestPowerBudget:
+    """An exact power k^p past `series.POWER_BITS` bits is refused before it is
+    built: exit 2, with the estimate, instead of running on."""
+
+    @pytest.mark.parametrize("doc, field", [
+        (_set(_side_1303(), ("weight", "powers"), [2 ** 70, "-1"]), "weight.powers[0]"),
+        (_tree_1303(dict(POLYLOG, s=2 ** 70)), "polylog s"),
+        (_set(_tree_1303(PARTIAL_SUM), ("rhs", "driver", "b"), 2 ** 70), "driver.b"),
+        (_set(_tree_1303(PARTIAL_SUM), ("rhs", "factors", 0, "b"), str(-2 ** 70)),
+         "factors[0].b"),
+    ], ids=["weight", "polylog", "partial-sum-driver", "partial-sum-factor"])
+    def test_refused_with_the_estimate(self, doc, field, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3"], capsys)
+        assert code == 2 and out == "", err
+        # |p| * bit_length(3) bits
+        assert err.startswith(f"error: {field}: k^p for k up to 3 needs about "
+                              f"{2 ** 71} bits, over the budget of {POWER_BITS}"), err
+
+    def test_approx_power_past_the_float_range(self, tmp_path, capsys):
+        # within the budget, but 3.0 ** 3000 is no float
+        side = catalog_mod.get_entry("13.05").lhs.to_json()
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_set(side, ("weight", "powers"), ["3000", "-1/2"])))
+        code, out, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3",
+                                  "--mode", "approx"], capsys)
+        assert code == 2 and out == "" and err.startswith("error:"), err
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's int-to-string digit limit, where it has one."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+class TestDigitLimit:
+    """Input parsing keeps the interpreter's int-to-string digit limit; exact
+    output does not depend on it.  CI also runs this class under
+    `python -X int_max_str_digits=640`, the smallest limit Python allows."""
+
+    def test_decimal_str_is_str(self):
+        rng = random.Random(7)
+        with _no_digit_limit():
+            for digits in (1, 599, 600, 601, 640, 641, 1300, 4301, 9999, 20001):
+                for n in (10 ** digits - 1, 10 ** (digits - 1), rng.randrange(10 ** digits)):
+                    assert decimal_str(n) == str(n) and decimal_str(-n) == str(-n)
+
+    def test_long_integer_literal_is_bad_input(self, tmp_path, capsys):
+        # json cannot read a 5000-digit literal under the digit limit
+        text = json.dumps(_custom_1303()).replace('"caps": [3, 3]',
+                                                  '"caps": [3, ' + "9" * 5000 + "]")
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for args in (["expand", "--spec", str(path)], ["grid", "--spec", str(path)],
+                     ["verify", "--custom", str(path)]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2 and out == "", args
+            assert err.startswith(f"error: cannot read {path}:"), err
+
+    def test_exact_output_does_not_depend_on_it(self, tmp_path, capsys, monkeypatch):
+        # weights a^10000 / b: numerators past 4300 digits
+        side = _set(_side_1303(), ("weight", "powers"), ["10000", "-1"])
+        path, custom = tmp_path / "side.json", tmp_path / "custom.json"
+        path.write_text(json.dumps(side))
+        custom.write_text(json.dumps(dict(_custom_1303(), lhs=side)))
+        runs = [["expand", "--spec", str(path), "--caps", "3,3"],
+                ["grid", "--spec", str(path), "--caps", "3,3"],
+                ["grid", "--spec", str(path), "--caps", "3,3", "--format", "json"],
+                ["verify", "--custom", str(custom)]]
+        got = [run_cli(args, capsys)[:2] for args in runs]
+        assert [code for code, _ in got] == [0, 0, 0, 1]
+        assert max(len(t["n"]) for t in json.loads(got[0][1])["terms"]) > 4300
+        # the same outputs with plain str() and no limit
+        with _no_digit_limit():
+            for module in (series_mod, lattice_mod, catalog_mod):
+                monkeypatch.setattr(module, "decimal_str", str)
+            expected = [run_cli(args, capsys)[:2] for args in runs]
+        mismatch = json.loads(got[3][1])["mismatch"]
+        assert [out for _, out in got[:3]] == [out for _, out in expected[:3]]
+        assert mismatch == json.loads(expected[3][1])["mismatch"]
 
 
 class TestInstalledEntryPoint:

@@ -372,6 +372,20 @@ class TestSerialization:
         s = Series(("z",), caps, APPROX, {(1,): 0.5, (2,): 2 ** -0.5})
         assert Series.from_json(s.to_json()) == s
 
+    @pytest.mark.parametrize("field, value", [
+        ("e", [1.5]), ("e", [True]), ("e", [-1]), ("n", 1.0), ("n", True), ("d", "x"),
+        ("mode", "bogus"), ("vars", ["z", "z"]), ("vars", "z")])
+    def test_leaves_are_read_by_the_readers(self, field, value):
+        # an exponent 1.5 read as 1, or true read as 1, would change the series
+        doc = {"vars": ["z"], "caps": [3], "mode": "exact",
+               "terms": [{"e": [1], "n": "2", "d": "1"}]}
+        if field in ("e", "n", "d"):
+            doc["terms"][0][field] = value
+        else:
+            doc[field] = value
+        with pytest.raises(SeriesError):
+            Series.from_json(doc)
+
 
 class TestModeAgreement:
     def test_exact_vs_approx_on_shared_identity(self):
