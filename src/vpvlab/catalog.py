@@ -28,7 +28,7 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
                      binomial_product, decimal_str, first_mismatch, max_rel_error,
-                     read_choice, read_str)
+                     read_choice, read_keys, read_str)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -1374,12 +1374,17 @@ def get_entry(entry_id: str) -> IdentityEntry:
     raise KeyError(f"unknown entry {entry_id!r}")
 
 
+# The fields of a custom identity document.
+IDENTITY_FIELDS = ("id", "mode", "caps", "enforce_weight_sum", "tex_anchor", "lhs", "rhs")
+
+
 def entry_from_json(doc: dict) -> IdentityEntry:
     """Custom identity: JSON region + weight/factor + closed-form tree.
 
     With "enforce_weight_sum" set, the exp-family condition (weight
     exponents summing to 1) is asserted and violating documents rejected.
     """
+    read_keys(doc, IDENTITY_FIELDS, "custom identity")
     spec = ProductSpec.from_json(doc["lhs"])
     if read_choice(doc.get("enforce_weight_sum", False), (True, False), "enforce_weight_sum"):
         _weight_sum_checked(spec)

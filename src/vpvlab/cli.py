@@ -14,7 +14,7 @@ from . import catalog as catalog_mod
 from . import determinants
 from .closedform import build_closed_form
 from .lattice import PartitionGrid, ProductSpec, product_series
-from .series import APPROX, Caps, EXACT, SeriesError, read_names
+from .series import APPROX, Caps, EXACT, SeriesError, read_keys, read_names
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -197,20 +197,22 @@ def cmd_expand(args) -> int:
             else entry.build_lhs(cap_obj)
     elif args.spec:
         def read(doc):
-            lhs = doc.get("lhs", doc)
-            spec = ProductSpec.from_json(lhs) if "region" in lhs else None
+            if "region" in doc:  # the document is a product spec, which may hold caps
+                spec = ProductSpec.from_json({k: v for k, v in doc.items() if k != "caps"})
+            else:
+                read_keys(doc, catalog_mod.IDENTITY_FIELDS + ("vars",), "expand document")
+                spec = ProductSpec.from_json(doc["lhs"]) if "lhs" in doc else None
             # the document's caps are read even where --caps overrides them
-            return (doc, spec, Caps.of(doc["caps"]) if "caps" in doc else None,
-                    read_names(doc["vars"], "vars") if spec is None else None)
-        doc, spec, doc_caps, names = _read_document(args.spec, read)
+            return (spec, Caps.of(doc["caps"]) if "caps" in doc else None,
+                    None if spec else (doc["rhs"], read_names(doc["vars"], "vars")))
+        spec, doc_caps, tree = _read_document(args.spec, read)
         caps = caps or doc_caps
         if caps is None:
             raise SeriesError("no caps given")
         if spec is not None:
             series = product_series(spec, caps, mode)
         else:
-            series = build_closed_form(doc["rhs"] if "rhs" in doc else doc,
-                                       names, caps, mode)
+            series = build_closed_form(*tree, caps, mode)
     else:
         raise SeriesError("expand needs --entry or --spec")
     _emit(series.dumps(indent=2) + "\n", args.out)

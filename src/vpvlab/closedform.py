@@ -12,12 +12,19 @@ from fractions import Fraction
 
 from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _log_sum,
                      _power_coeff, check_power, polylog, read_choice, read_exps,
-                     read_rational)
+                     read_keys, read_rational)
 
 
 class ExprError(SeriesError):
     def __init__(self, message, path=""):
         super().__init__(f"{message} (at node {path or 'root'})")
+
+
+# The fields of each node kind besides `op`.
+_FIELDS = {"const": ("value",), "mono": ("exps",), "unit_binomial": ("exps", "sign", "scalar"),
+           "add": ("args",), "mul": ("args",), "div_unit": ("num", "den"),
+           "pow": ("base", "exponent"), "exp": ("arg",), "log": ("arg",),
+           "polylog": ("s", "exps"), "partial_sum": ("factors", "driver")}
 
 
 @contextlib.contextmanager
@@ -26,6 +33,8 @@ def _node(node, path: str):
     if not isinstance(node, dict) or "op" not in node:
         raise ExprError("malformed node", path)
     try:
+        if node["op"] in _FIELDS:
+            read_keys(node, ("op",) + _FIELDS[node["op"]], f"{node['op']} node")
         yield node["op"]
     except ExprError:
         raise
@@ -204,7 +213,7 @@ def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
 
 
 def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:
-    driver = node["driver"]
+    driver = read_keys(node["driver"], ("var", "b"), "driver")
     if driver["var"] not in names:
         raise SeriesError(f"unknown driver variable {driver['var']!r}")
     didx = names.index(driver["var"])
@@ -215,8 +224,9 @@ def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:
         check_power(kmax, b, field)
         return b
     db = power(driver["b"], "driver.b")
-    partials = [[spec["var"], power(spec["b"], f"factors[{i}].b"),
-                 Series.zero(names, caps, mode)] for i, spec in enumerate(node["factors"])]
+    partials = [[read_keys(spec, ("var", "b"), f"factors[{i}]")["var"],
+                 power(spec["b"], f"factors[{i}].b"), Series.zero(names, caps, mode)]
+                for i, spec in enumerate(node["factors"])]
     out = Series.zero(names, caps, mode)
     for k in range(1, kmax + 1):
         term = Series.monomial(tuple(k if i == didx else 0 for i in range(len(names))),

@@ -12,12 +12,12 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, inf, isinf, prod
 
 from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _count,
                      binomial_log, binomial_product, check_power, decimal_str,
-                     read_choice, read_int, read_list, read_names, read_rational,
-                     unit_binomial_pow)
+                     read_choice, read_int, read_keys, read_list, read_names,
+                     read_rational, unit_binomial_pow)
 
 # ordering constraint names
 ORDER_NONE = "none"
@@ -142,6 +142,8 @@ class LatticeRegion:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LatticeRegion":
+        read_keys(doc, ("arity", "lower", "upper", "order", "coprime", "base_powers",
+                        "unit_counts"), "region")
         return cls(arity=doc["arity"], lower=doc.get("lower"),
                    order=doc.get("order", ORDER_NONE), coprime=doc.get("coprime", False),
                    base_powers=doc.get("base_powers"), upper=doc.get("upper"),
@@ -165,18 +167,9 @@ def _component_values(lo: int, hi: int, base: int | None):
     return vals
 
 
-def enumerate_region(region: LatticeRegion, bounds) -> list:
-    """All region members within per-component bounds, lex sorted.
-
-    `bounds` gives the maximum admissible value per component (derived by the
-    caller from the truncation caps and the variable mapping); components may
-    not be unbounded, so a bound <= 0 with lower bound 0 still terminates.
-    """
-    return sorted(_members(region, bounds))
-
-
 def _members(region: LatticeRegion, bounds):
-    """The region members within the bounds, one at a time, unsorted."""
+    """The region members within the bounds (each component's largest value),
+    one at a time, unsorted."""
     if len(bounds) != region.arity:
         raise RegionError("bounds arity mismatch")
     # each axis stops at the smaller of its bound and the region's upper bound
@@ -328,8 +321,14 @@ class WeightExpr:
                 den *= vec[self.phi_over]
             return Fraction(num, den)
         w = 1.0
-        for v, p in zip(vec, self.powers):
-            w *= float(v) ** float(p)
+        for i, (v, p) in enumerate(zip(vec, self.powers)):
+            try:
+                w *= float(v) ** float(p)
+            except OverflowError:
+                w = inf
+            if isinf(w):  # the power, or the product so far, is no float
+                raise SeriesError(f"weight.powers[{i}]: component value {v} to the power "
+                                  f"{p} takes the weight past the float range")
         if self.phi_over is not None:
             v = vec[self.phi_over]
             w = w * euler_phi(v) / v
@@ -341,6 +340,7 @@ class WeightExpr:
 
     @classmethod
     def from_json(cls, doc: dict) -> "WeightExpr":
+        read_keys(doc, ("sign", "direction", "powers", "phi_over"), "weight")
         return cls(sign=doc.get("sign", -1), direction=doc.get("direction", 1),
                    powers=doc.get("powers", ()), phi_over=doc.get("phi_over"))
 
@@ -419,6 +419,7 @@ class LocalFactorFamily:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LocalFactorFamily":
+        read_keys(doc, ("family", "exponent", "sign", "defining_sum"), "factor")
         return cls(kind=doc["family"], exponent=doc.get("exponent", 1),
                    sign=doc.get("sign", 1), defining_sum=doc.get("defining_sum", False))
 
@@ -550,6 +551,7 @@ class ProductSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ProductSpec":
+        read_keys(doc, ("region", "weight", "factor", "mapping", "vars"), "product spec")
         # the arity sizes the per-component lists: check it before any is built
         read_int(doc["region"]["arity"], "region.arity", 1,
                  len(read_list(doc["mapping"], "mapping")))

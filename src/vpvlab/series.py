@@ -11,6 +11,7 @@ two series require identical variable names, caps and mode.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -77,6 +78,17 @@ def read_rational(value, field: str) -> Fraction:
     raise _bad(field, 'a rational string such as "-3/2" or an integer', value)
 
 
+def read_keys(value, keys: tuple, field: str) -> dict:
+    """An object whose keys are all in `keys`: a misspelt optional key would
+    otherwise take its default without a word."""
+    if not isinstance(value, dict):
+        raise _bad(field, "an object", value)
+    for key in value:
+        if key not in keys:
+            raise SeriesError(f"unknown key {key!r} in {field} (known: {', '.join(keys)})")
+    return value
+
+
 def read_str(value, field: str) -> str:
     if isinstance(value, str):
         return value
@@ -139,6 +151,13 @@ def decimal_str(n: int) -> str:
     return decimal_str(high) + decimal_str(low).zfill(half)
 
 
+# The most slots, prod(2*cap_i + 1), a caps window's layout (see `_layout`) may
+# have; they size every per-cell table and packed operand.  Measured in-process,
+# 13.02 takes 0.8 s at (200, 200) (160,801 slots) and 7.7 s with a 246 MB peak at
+# (511, 511); the catalog's largest window has 50,625 slots (11b31).
+SLOT_BUDGET = 1 << 20
+
+
 @dataclass(frozen=True)
 class Caps:
     """Truncation window: per-variable maxima plus an optional total cap."""
@@ -150,6 +169,9 @@ class Caps:
         object.__setattr__(self, "limits", read_list(self.limits, "caps", _count))
         if self.total is not None:
             read_int(self.total, "total cap", 0)
+        if (slots := math.prod(2 * c + 1 for c in self.limits)) > SLOT_BUDGET:
+            raise SeriesError(f"caps {list(self.limits)} need {decimal_str(slots)} slots, "
+                              f"prod(2*cap + 1), over the budget of {SLOT_BUDGET}")
 
     def admits(self, expo: Expo) -> bool:
         if any(e > c for e, c in zip(expo, self.limits)):
@@ -179,108 +201,68 @@ def _as_coeff(value, mode: str) -> Coeff:
     return float(value)
 
 
-# Slot layouts of the packed exact product, keyed by (limits, total cap).
+# Slot layouts of the caps windows, keyed by (limits, total cap).
 _LAYOUTS: dict = {}
 
 
 def _layout(caps: Caps):
-    """Slot count and rows of admitted cells of the packed layout for the caps.
+    """encode, decode, admitted and rows of the caps' slot layout.
 
-    Variable i has radix 2*cap_i + 1 and the last variable varies fastest, so
-    adding the exponents of two admitted cells never carries into the next
-    variable: every cell of a product has a slot of its own.  A row is the
-    run of admitted cells that share all exponents but the last; `rows` maps
-    those exponents to the slot of the row's first cell and its length.
+    A cell's slot is the one exponent key of the kernels.  Variable i has
+    radix 2*cap_i + 1 and the last variable varies fastest, so adding the
+    keys of two admitted cells never carries into the next variable: the sum
+    is the key of the summed exponents.  `admitted` holds 1 at the slot of
+    every cell the caps admit (the total cap lives only here), and `rows`
+    lists the first key and length of each run of admitted cells that share
+    all exponents but the last.
     """
-    key = (caps.limits, caps.total)
-    layout = _LAYOUTS.get(key)
+    layout = _LAYOUTS.get(key := (caps.limits, caps.total))
     if layout is None:
+        *lead, last = caps.limits or (0,)  # no variables: one cell, key 0, tail ()
+        tails = [(e,) for e in range(last + 1)] if caps.limits else [()]
         weights, size = (), 1
         for cap in reversed(caps.limits):
             weights = (size,) + weights
             size *= 2 * cap + 1
-        *lead, last = caps.limits
-        prefixes = [()]
-        for cap in lead:
-            prefixes = [p + (e,) for p in prefixes for e in range(cap + 1)]
-        rows = {}
-        for p in prefixes:
+        radix = 2 * last + 1
+        admitted, rows, prefixes = bytearray(size), [], {}
+        for prefix in itertools.product(*(range(cap + 1) for cap in lead)):
+            start = sum(map(operator.mul, prefix, weights))
             count = last + 1 if caps.total is None \
-                else min(last, caps.total - sum(p)) + 1
+                else min(last, caps.total - sum(prefix)) + 1
             if count > 0:
-                rows[p] = (sum(e * w for e, w in zip(p, weights)), count)
-        layout = _LAYOUTS[key] = (size, rows)
-    return layout
-
-
-def _scaled(terms: Mapping[Expo, Fraction]):
-    """The lcm of the denominators, and the terms with each coefficient times it."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
-def _pack(terms: dict, rows, size: int, kb: int) -> int:
-    """The integer with each term's numerator in its cell's `kb`-byte slot."""
-    pos, neg = bytearray(size * kb), bytearray(size * kb)
-    for expo, n in terms.items():
-        at = (rows[expo[:-1]][0] + expo[-1]) * kb
-        if n > 0:
-            pos[at:at + kb] = n.to_bytes(kb, "little")
-        else:
-            neg[at:at + kb] = (-n).to_bytes(kb, "little")
-    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-# Packed-key codecs of the approx product, keyed by (limits, total cap).
-_CODECS: dict = {}
-
-
-def _key_codec(caps: Caps):
-    """encode, decode, bias and high of the approx product's packed keys.
-
-    An exponent vector is one int with a bit field per variable, plus one for
-    the total degree under a total cap.  A field is (2*cap).bit_length() + 1
-    bits wide, so adding the keys of two admitted terms never carries between
-    fields; `bias` puts 2^(w-1) - 1 - cap into each w-bit field, whose top
-    bit (set in `high`) is then set exactly when the field exceeds its cap.
-    `encode` gives the unbiased key of a vector, `decode` the vector of a
-    biased key.
-    """
-    codec = _CODECS.get((caps.limits, caps.total))
-    if codec is None:
-        limits = caps.limits if caps.total is None else caps.limits + (caps.total,)
-        fields, bias, high, at = [], 0, 0, 0
-        for cap in limits:
-            width = (2 * cap).bit_length() + 1
-            fields.append((at, (1 << width) - 1))
-            bias += ((1 << (width - 1)) - 1 - cap) << at
-            high |= 1 << (at + width - 1)
-            at += width
-        # a variable's weight in the key: its own field, and the total's
-        weights = [(1 << s) + (0 if caps.total is None else 1 << fields[-1][0])
-                   for s, _ in fields[:len(caps.limits)]]
-        fields = fields[:len(caps.limits)]
+                prefixes[start] = prefix
+                admitted[start:start + count] = b"\x01" * count
+                rows.append((start, count))
 
         def encode(expo):
             return sum(map(operator.mul, expo, weights))
 
-        def decode(k):
-            k -= bias
-            return tuple([(k >> s) & mask for s, mask in fields])
+        def decode(key):
+            e = key % radix
+            return prefixes[key - e] + tails[e]
 
-        codec = _CODECS[(caps.limits, caps.total)] = (encode, decode, bias, high)
-    return codec
+        layout = _LAYOUTS[key] = (encode, decode, admitted, rows)
+    return layout
 
 
-def _keyed_product(a: dict, b: dict, high: int) -> dict:
-    """The product of two packed-key term dicts (see `_key_codec`), term by term.
+def _scaled(terms: Mapping[Expo, Coeff], encode, exact: bool = True):
+    """A denominator and the terms by key over it: the lcm of the exact
+    denominators and int numerators, or 1 and the approx floats."""
+    if not exact:
+        return 1, {encode(e): c for e, c in terms.items()}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return den, {encode(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _keyed_product(a: dict, b: dict, admitted: bytearray) -> dict:
+    """The product of two key -> coefficient dicts (see `_layout`), term by term.
 
     The term loop of both modes: float coefficients, or the int numerators
-    of `_exact_product`.  The keys of exactly one operand carry the bias, so
-    a pair's summed key has a bit of `high` set exactly when it leaves the
-    caps, and the product's keys carry the bias too.  Every pair is
-    multiplied in the order of a tuple-keyed term loop: the smaller operand
-    outside (the first on a tie), and a sum that cancels to 0 leaves the dict.
+    of `_exact_product`.  A pair's summed key is its product cell's slot,
+    kept where `admitted`.  Every pair is multiplied in the order of a
+    tuple-keyed term loop: the smaller operand outside (the first on a tie),
+    and a sum that cancels to 0 leaves the dict.
     """
     if len(a) > len(b):
         a, b = b, a
@@ -290,7 +272,7 @@ def _keyed_product(a: dict, b: dict, high: int) -> dict:
     for ka, ca in a.items():
         for kb, cb in inner:
             k = ka + kb
-            if k & high:
+            if not admitted[k]:
                 continue
             new = get(k, 0) + ca * cb
             if new == 0:
@@ -301,58 +283,60 @@ def _keyed_product(a: dict, b: dict, high: int) -> dict:
 
 
 def _exact_product(a: dict, b: dict, caps: Caps) -> dict:
-    """The product of two exponent -> int numerator dicts, cut to the caps.
+    """The product of two key -> int numerator dicts, cut to the caps.
 
-    While the pairs of terms are no more than the slots of the packed layout,
-    prod(2*cap_i + 1), `_looped_product` multiplies them pair by pair; denser
+    While the pairs of terms are no more than the slots of the layout,
+    prod(2*cap_i + 1), `_keyed_product` multiplies them pair by pair; denser
     operands take `_packed_product`, which pays for every slot.
     """
     if not a or not b:
         return {}
-    if len(a) * len(b) <= math.prod(2 * c + 1 for c in caps.limits):
-        return _looped_product(a, b, caps)
+    admitted = _layout(caps)[2]
+    if len(a) * len(b) <= len(admitted):
+        return _keyed_product(a, b, admitted)
     return _packed_product(a, b, caps)
 
 
-def _looped_product(a: dict, b: dict, caps: Caps) -> dict:
-    """The product of two exponent-keyed term dicts by `_keyed_product`.
-
-    Exact operands come as int numerators, approx ones as floats; the keys
-    are encoded once here and decoded once.
-    """
-    encode, decode, bias, high = _key_codec(caps)
-    out = _keyed_product({encode(e) + bias: n for e, n in a.items()},
-                         {encode(e): n for e, n in b.items()}, high)
-    return {decode(k): n for k, n in out.items()}
+def _pack(terms: dict, size: int, kb: int) -> int:
+    """The integer with each term's numerator in its key's `kb`-byte slot."""
+    pos, neg = bytearray(size * kb), bytearray(size * kb)
+    for key, n in terms.items():
+        at = key * kb
+        if n > 0:
+            pos[at:at + kb] = n.to_bytes(kb, "little")
+        else:
+            neg[at:at + kb] = (-n).to_bytes(kb, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 def _packed_product(a: dict, b: dict, caps: Caps) -> dict:
     """`_exact_product` by Kronecker substitution: one big-integer multiply.
 
-    Each operand is packed, one `kb`-byte slot per cell of the layout (see
-    `_layout`), into a single int.  Slots are wide enough for any coefficient
-    of the product plus a sign bit, so adding half a slot's range to every
-    slot turns the signed product into plain bytes, and each admitted cell
-    is read back from its slot; rows of zero slots are skipped whole.
+    Each operand is packed, one `kb`-byte slot per key of the layout, into a
+    single int.  Slots are wide enough for any coefficient of the product
+    plus a sign bit, so adding half a slot's range to every slot turns the
+    signed product into plain bytes, and each admitted slot is read back;
+    rows of zero slots are skipped whole.
     """
-    size, rows = _layout(caps)
+    _, _, admitted, rows = _layout(caps)
+    size = len(admitted)
     kb = (max(map(abs, a.values())).bit_length() + max(map(abs, b.values())).bit_length()
           + min(len(a), len(b)).bit_length() + 8) // 8
     half = 1 << (8 * kb - 1)
     zero = bytes(kb - 1) + b"\x80"  # a slot holding 0
-    data = (_pack(a, rows, size, kb) * _pack(b, rows, size, kb)
+    data = (_pack(a, size, kb) * _pack(b, size, kb)
             + int.from_bytes(zero * size, "little")).to_bytes(size * kb, "little")
     from_bytes = int.from_bytes
     out = {}
-    for prefix, (slot, count) in rows.items():
-        at = slot * kb
+    for start, count in rows:
+        at = start * kb
         # `count` slots of zeros tile the row only if every slot is zero
         if data.count(zero, at, at + count * kb) == count:
             continue
-        for e in range(count):
+        for key in range(start, start + count):
             value = from_bytes(data[at:at + kb], "little") - half
             if value:
-                out[prefix + (e,)] = value
+                out[key] = value
             at += kb
     return out
 
@@ -506,15 +490,14 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        if self.mode == EXACT:
-            da, a = _scaled(self.terms)
-            db, b = _scaled(other.terms)
-            den = da * db
-            terms = {e: Fraction(v, den)
-                     for e, v in _exact_product(a, b, self.caps).items()}
-        else:
-            # floats cannot be packed exactly: every pair is multiplied
-            terms = _looped_product(self.terms, other.terms, self.caps)
+        encode, decode, admitted, _ = _layout(self.caps)
+        exact = self.mode == EXACT
+        da, a = _scaled(self.terms, encode, exact)
+        db, b = _scaled(other.terms, encode, exact)
+        # floats cannot be packed exactly: every pair is multiplied
+        out = _exact_product(a, b, self.caps) if exact else _keyed_product(a, b, admitted)
+        den = da * db
+        terms = {decode(k): Fraction(v, den) if exact else v for k, v in out.items()}
         return Series(self.names, self.caps, self.mode, terms, _trusted=True)
 
     __rmul__ = __mul__
@@ -535,38 +518,28 @@ class Series:
         max_order // d), at a zero term, or at a ratio of 0 (where a binomial
         series with a non-negative integer exponent stops).
 
-        The sum and the term are each a denominator and coefficients over it.
-        Exact coefficients are int numerators: a step is one
-        `_exact_product`, a ratio p/q multiplies the numerators by p and the
-        denominator by q, and the content gcd is divided out; the sum is kept
-        over the lcm of the terms' denominators.  Approx coefficients are
-        floats over 1 on packed keys, and a step is one `_keyed_product` and
-        a multiply by the ratio: the float operations of the tuple-keyed loop,
-        in its order.
+        The sum and the term are each a denominator and coefficients over it,
+        keyed by slot (see `_layout`).  Exact coefficients are int
+        numerators: a step is one `_exact_product`, a ratio p/q multiplies
+        the numerators by p and the denominator by q, and the content gcd is
+        divided out; the sum is kept over the lcm of the terms'
+        denominators.  Approx coefficients are floats over 1, and a step is
+        one `_keyed_product` and a multiply by the ratio: the float
+        operations of the tuple-keyed loop, in its order.
         """
         caps, exact = self.caps, self.mode == EXACT
-        if exact:
-            uden, u = _scaled(self.terms)
-            one, unit = (0,) * len(self.names), 1
-
-            def mul(t):
-                return _exact_product(t, u, caps)
-        else:
-            encode, decode, bias, high = _key_codec(caps)
-            uden, u = 1, {encode(e): c for e, c in self.terms.items()}
-            one, unit = bias, 1.0
-
-            def mul(t):
-                return _keyed_product(t, u, high)
-        oden, out = 1, ({one: start * unit} if start else {})
-        tden, term = 1, {one: unit}
+        encode, decode, admitted, _ = _layout(caps)
+        uden, u = _scaled(self.terms, encode, exact)
+        step, arg, unit = (_exact_product, caps, 1) if exact else (_keyed_product, admitted, 1.0)
+        oden, out = 1, ({0: start * unit} if start else {})
+        tden, term = 1, {0: unit}
         max_order = caps.max_order()
         least = min(map(sum, self.terms), default=max_order + 1)
         for k in range(1, max_order // least + 1):
             r = ratio(k)
             if r == 0:
                 break
-            term, tden = mul(term), tden * uden
+            term, tden = step(term, u, arg), tden * uden
             if r != 1:
                 p, q = (r.numerator, r.denominator) if exact else (r, 1)
                 if p != 1:
@@ -589,8 +562,7 @@ class Series:
                     pop(key, None)
                 else:
                     out[key] = new
-        terms = {e: Fraction(v, oden) for e, v in out.items()} if exact \
-            else {decode(key): v for key, v in out.items()}
+        terms = {decode(key): Fraction(v, oden) if exact else v for key, v in out.items()}
         return Series(self.names, caps, self.mode, terms, _trusted=True)
 
     def inverse(self) -> "Series":
@@ -757,10 +729,12 @@ class Series:
 
     @classmethod
     def from_json(cls, doc: dict) -> "Series":
+        read_keys(doc, ("vars", "caps", "total_cap", "mode", "terms"), "series document")
         caps = Caps.of(doc["caps"], doc.get("total_cap"))
         mode = read_choice(doc["mode"], (EXACT, APPROX), "mode")
         terms = {}
         for i, item in enumerate(doc["terms"]):
+            read_keys(item, ("e", "n", "d") if mode == EXACT else ("e", "v"), f"terms[{i}]")
             expo = read_list(item["e"], f"terms[{i}].e", _count)
             if mode == EXACT:
                 terms[expo] = read_rational(item["n"], f"terms[{i}].n") \
@@ -805,7 +779,7 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
       in sorted key order, one product per factor (approx products always
       take it, so they do not depend on the order the factors come in; the
-      approx chain keeps its running product on packed keys throughout, one
+      approx chain keeps its running product on slot keys throughout, one
       `_keyed_product` per factor, and decodes it once at the end);
     - the log route (exact only): one log series, the sum over the factors
       of exponent * log(1 + s*X) = sum over k >= 1 of
@@ -814,13 +788,13 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     """
     kept = _kept_factors(factors, caps)
     if mode == APPROX:
-        encode, decode, bias, high = _key_codec(caps)
-        out = {bias: 1.0}  # the constant 1: the zero vector's key is 0
+        encode, decode, admitted, _ = _layout(caps)
+        out = {0: 1.0}  # the constant 1: the zero vector's key is 0
         for (mono, sign, scalar), exponent in kept:
             factor = unit_binomial_pow(mono, exponent, names, caps, mode,
                                        sign=sign, scalar=scalar)
             out = _keyed_product(out, {encode(e): c for e, c in factor.terms.items()},
-                                 high)
+                                 admitted)
         return Series(names, caps, mode, {decode(k): c for k, c in out.items()},
                       _trusted=True)
     if kept:
@@ -866,17 +840,17 @@ def _log_sum(kept, names, caps: Caps) -> Series:
     denominator times q^n times lcm(1..n), so the sum is summed as int
     numerators over one denominator: lcm(1..K), K the largest n, times the lcm
     of the factors' exponent denominators times q^n.  The terms are keyed by
-    packed keys (see `_key_codec`): the key of k*X is k*encode(X), and a
-    multiple of an admitted X is admitted exactly when it sets no bit of `high`.
+    slot (see `_layout`): the key of k*X is k*encode(X) while (k-1)*X is
+    admitted, as two admitted keys never carry, so the multiples of an
+    admitted X run until the first key that is not `admitted`.
     """
-    encode, decode, bias, high = _key_codec(caps)
+    encode, decode, admitted, _ = _layout(caps)
     runs = []
     for (mono, sign, scalar), exponent in kept:
         keys = []
         if caps.admits(mono):
-            step = encode(mono)
-            key = bias + step
-            while not key & high:
+            key = step = encode(mono)
+            while admitted[key]:
                 keys.append(key)
                 key += step
         runs.append((Fraction(sign * scalar), Fraction(exponent), keys))

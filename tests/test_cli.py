@@ -12,7 +12,8 @@ from vpvlab import lattice as lattice_mod
 from vpvlab import series as series_mod
 from vpvlab.cli import main
 from vpvlab.lattice import ProductSpec
-from vpvlab.series import POWER_BITS, Caps, Series, decimal_str, unit_binomial_pow
+from vpvlab.series import (POWER_BITS, Caps, Series, SeriesError, decimal_str,
+                           unit_binomial_pow)
 
 try:
     import jsonschema
@@ -264,6 +265,17 @@ class TestExpandCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["vars"] == ["y", "z"]
+
+    def test_zero_variable_document(self, tmp_path, capsys):
+        # exp(3 * 0) over no variables: one slot, the constant
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"vars": [], "caps": [], "rhs": {
+            "op": "exp", "arg": {"op": "mul", "args": [{"op": "const", "value": "3"},
+                                                     {"op": "const", "value": "0"}]}}}))
+        code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out) == {"vars": [], "caps": [], "mode": "exact",
+                                   "terms": [{"e": [], "n": "1", "d": "1"}]}
 
     def test_missing_input_is_config_error(self, capsys):
         code, _, _ = run_cli(["expand"], capsys)
@@ -766,7 +778,114 @@ class TestPowerBudget:
         path.write_text(json.dumps(_set(side, ("weight", "powers"), ["3000", "-1/2"])))
         code, out, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3",
                                   "--mode", "approx"], capsys)
-        assert code == 2 and out == "" and err.startswith("error:"), err
+        assert code == 2 and out == "" and err.startswith(
+            "error: weight.powers[0]: component value 2 to the power 3000 takes the "
+            "weight past the float range"), err
+
+    def test_approx_weight_past_the_float_range(self, tmp_path, capsys):
+        # 3.0 ** 400 is a float, but 2^400 * 3^400 is not: no inf in the output
+        side = catalog_mod.get_entry("13.05").lhs.to_json()
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_set(side, ("weight", "powers"), ["400", "400"])))
+        code, out, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3",
+                                  "--mode", "approx"], capsys)
+        assert code == 2 and out == "" and err.startswith(
+            "error: weight.powers[1]: component value 3 to the power 400 takes the "
+            "weight past the float range"), err
+
+
+class TestSlotBudget:
+    """A caps window of more than `series.SLOT_BUDGET` slots, prod(2*cap + 1),
+    is refused before any work: exit 2, with the slot count."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--id", "13.02", "--caps", "1000000000,1"],
+        ["expand", "--entry", "13.02", "--caps", "1000000000,1"],
+        ["grid", "club2", "--caps", "1000000000,1"]], ids=["verify", "expand", "grid"])
+    def test_refused_with_the_estimate(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "", err
+        assert err.startswith("error: caps [1000000000, 1] need 6000000003 slots"), err
+
+    def test_document_caps(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_custom_1303(caps=[10 ** 6, 10 ** 6])))
+        for args in (["verify", "--custom", str(path)], ["expand", "--spec", str(path)]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2 and out == "", err
+            assert "need 4000004000001 slots" in err, err
+
+    def test_budget_edge(self):
+        assert Caps.of([511, 511]).limits == (511, 511)  # 1023^2 = 1,046,529 slots
+        with pytest.raises(SeriesError, match="need 1050625 slots"):
+            Caps.of([512, 512])
+
+
+# (document, command, key, object): one key that its object's row of the
+# README field table does not list; the run exits 2 naming the key and object
+UNIT = {"op": "const", "value": "1"}
+NODES = {"const": UNIT, "mono": {"op": "mono", "exps": {"z": 1}},
+         "unit_binomial": {"op": "unit_binomial", "exps": {"z": 1}},
+         "add": {"op": "add", "args": [UNIT]}, "mul": {"op": "mul", "args": [UNIT]},
+         "div_unit": {"op": "div_unit", "num": UNIT, "den": UNIT},
+         "pow": {"op": "pow", "base": UNIT, "exponent": "2"},
+         "exp": {"op": "exp", "arg": {"op": "const", "value": "0"}},
+         "log": {"op": "log", "arg": UNIT}, "polylog": POLYLOG, "partial_sum": PARTIAL_SUM}
+FACTOR_SPEC = {"region": {"arity": 2}, "mapping": [0, 1], "vars": ["y", "z"],
+               "factor": {"family": "geometric"}}
+UNKNOWN_KEYS = [
+    (_set(_side_1303(), ("region", "coprme"), True), "expand", "coprme", "region"),
+    (_set(_side_1303(), ("weight", "phi"), 0), "expand", "phi", "weight"),
+    (_set(FACTOR_SPEC, ("factor", "sgn"), -1), "expand", "sgn", "factor"),
+    (dict(_side_1303(), mode="exact"), "expand", "mode", "product spec"),
+    (_custom_1303(lhs=dict(_side_1303(), caps=[3, 3])), "verify", "caps", "product spec"),
+    (_custom_1303(note="x"), "verify", "note", "custom identity"),
+    (_custom_1303(vars=["y", "z"]), "verify", "vars", "custom identity"),
+    (_custom_1303(note="x"), "expand", "note", "expand document"),
+    (dict(_tree_1303(), total_cap=3), "expand", "total_cap", "expand document"),
+    *((_tree_1303(dict(node, sgn=1)), "expand", "sgn", f"{op} node")
+      for op, node in NODES.items()),
+    (_set(_tree_1303(PARTIAL_SUM), ("rhs", "driver", "power"), "1"), "expand", "power",
+     "driver"),
+    (_set(_tree_1303(PARTIAL_SUM), ("rhs", "factors", 0, "power"), "1"), "expand",
+     "power", "factors[0]"),
+]
+
+
+class TestUnknownKeys:
+    """A key outside its object's row of the field table is bad input, so a
+    misspelt optional key cannot take its default unseen."""
+
+    @pytest.mark.parametrize("doc, command, key, obj", UNKNOWN_KEYS,
+                             ids=[f"{c}-{o}-{k}" for _, c, k, o in UNKNOWN_KEYS])
+    def test_refused_naming_key_and_object(self, doc, command, key, obj, tmp_path,
+                                           capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = ["verify", "--custom", str(path)] if command == "verify" else \
+            ["expand", "--spec", str(path)] + ([] if "caps" in doc else ["--caps", "3,3"])
+        code, out, err = run_cli(args, capsys)
+        assert code == 2 and out == "", err
+        assert f"unknown key {key!r} in {obj}" in err, err
+
+    def test_the_same_documents_without_the_key(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        for doc in (FACTOR_SPEC, _custom_1303(), _tree_1303(),
+                    *(_tree_1303(node) for node in NODES.values())):
+            path.write_text(json.dumps(doc))
+            code, _, err = run_cli(["expand", "--spec", str(path), "--caps", "3,3"], capsys)
+            assert code == 0, (doc, err)
+
+    def test_a_spec_document_may_hold_caps_for_expand_only(self, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(dict(_side_1303(), caps=[3, 3])))
+        code, by_doc, _ = run_cli(["expand", "--spec", str(path)], capsys)
+        path.write_text(json.dumps(_side_1303()))
+        assert (code, by_doc) == run_cli(["expand", "--spec", str(path), "--caps", "3,3"],
+                                         capsys)[:2]
+        path.write_text(json.dumps(dict(_side_1303(), caps=[3, 3])))
+        code, out, err = run_cli(["grid", "--spec", str(path), "--caps", "3,3"], capsys)
+        assert code == 2 and out == "" and "unknown key 'caps' in product spec" in err
 
 
 @contextlib.contextmanager

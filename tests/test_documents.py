@@ -7,7 +7,8 @@ no exception, write nothing to standard output when it exits 2, and exit 0
 only if the README's field table lists the new value's JSON type for that
 field (or marks the dropped key optional).  `verify --custom` may also exit
 1: a document of the documented types whose identity no longer holds is a
-failing entry, which is what exit 1 means.
+failing entry, which is what exit 1 means.  A key inserted into any object
+of a side, which no row lists, must exit 2.
 """
 
 import json
@@ -187,6 +188,44 @@ def test_mutated_sides_keep_the_exit_code_contract(data, tmp_path, capsys):
         assert allowed, context
         if code == 1:
             assert json.loads(out)["verdict"] == "fail", context
+
+
+def object_points(doc, path=()):
+    """The path of every object in `doc`, `doc` itself included."""
+    if isinstance(doc, dict):
+        yield path
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        if isinstance(value, (dict, list)):
+            yield from object_points(value, path + (key,))
+
+
+@settings(max_examples=80, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_an_inserted_unknown_key_is_refused(data, tmp_path, capsys):
+    """One key no row of the field table lists, put into any object of a side
+    (an exponent map reads it as an unknown variable), exits 2 naming it."""
+    doc, entry, custom = data.draw(st.sampled_from(CASES))
+    path = data.draw(st.sampled_from(list(object_points(doc))))
+    changed = json.loads(json.dumps(doc))
+    target = changed
+    for key in path:
+        target = target[key]
+    target["colour"] = 1
+    caps = ",".join(str(min(c, 3)) for c in entry.caps)
+    spec, custom_path = tmp_path / "doc.json", tmp_path / "custom.json"
+    _write(spec, changed)
+    runs = [["expand", "--spec", str(spec), "--caps", caps, "--mode", entry.mode]]
+    if "rhs" not in doc:
+        runs.append(["grid", "--spec", str(spec), "--caps", caps, "--mode", entry.mode])
+    # a tree document's custom identity takes only its tree
+    if custom is not None and ("rhs" not in doc or path[:1] == ("rhs",)):
+        _write(custom_path, dict(custom(changed), caps=list(entry.caps), mode=entry.mode))
+        runs.append(["verify", "--custom", str(custom_path), "--caps", caps])
+    for args in runs:
+        code = main(args)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "'colour'" in err, (path, args[0], entry.id, err)
 
 
 def _readme_identity() -> str:

@@ -1,17 +1,19 @@
 import itertools
 import json
+import math
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vpvlab.catalog import catalog, get_entry
 from vpvlab.lattice import ProductSpec, WeightExpr, product_series
 from vpvlab import series
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, _exact_product,
-                           _looped_product, _packed_product, _scaled, binomial_log,
-                           binomial_product, first_mismatch, max_rel_error, polylog,
-                           to_approx, unit_binomial_pow)
+                           _keyed_product, _layout, _log_sum, _packed_product, _scaled,
+                           binomial_log, binomial_product, first_mismatch, max_rel_error,
+                           polylog, to_approx, unit_binomial_pow)
 
 
 def sser(names, caps, mode=EXACT):
@@ -386,6 +388,19 @@ class TestSerialization:
         with pytest.raises(SeriesError):
             Series.from_json(doc)
 
+    @pytest.mark.parametrize("where, key, obj", [
+        ("doc", "total", "series document"), ("term", "v", "terms[0]"),
+        ("term", "x", "terms[0]")])
+    def test_unknown_keys_are_refused(self, where, key, obj):
+        # a misspelt total cap would read as no total cap; an exact term's
+        # float value would be dropped
+        doc = {"vars": ["z"], "caps": [3], "total_cap": 2, "mode": "exact",
+               "terms": [{"e": [1], "n": "2", "d": "1"}]}
+        assert Series.from_json(doc).caps == Caps.of([3], 2)
+        (doc if where == "doc" else doc["terms"][0])[key] = 1
+        with pytest.raises(SeriesError, match=f"unknown key {key!r} in {re.escape(obj)}"):
+            Series.from_json(doc)
+
 
 class TestModeAgreement:
     def test_exact_vs_approx_on_shared_identity(self):
@@ -478,16 +493,18 @@ class TestPackedProduct:
 
 def route_products(a, b):
     """`a * b` through `_exact_product` and, for nonempty operands, through
-    each of its routes called directly: int numerators over da * db, in
-    both operand orders."""
-    da, na = _scaled(a.terms)
-    db, nb = _scaled(b.terms)
-    routes = [_exact_product] + ([_looped_product, _packed_product] if na and nb else [])
-    for route in routes:
+    each of its routes called directly: int numerators over da * db on slot
+    keys, in both operand orders."""
+    encode, decode, admitted, _ = _layout(a.caps)
+    da, na = _scaled(a.terms, encode)
+    db, nb = _scaled(b.terms, encode)
+    routes = [(_exact_product, a.caps)] + ([(_keyed_product, admitted),
+                                            (_packed_product, a.caps)] if na and nb else [])
+    for route, arg in routes:
         for x, y in ((na, nb), (nb, na)):
-            out = route(x, y, a.caps)
+            out = route(x, y, arg)
             assert all(type(v) is int and v for v in out.values())
-            yield {e: Fraction(v, da * db) for e, v in out.items()}
+            yield {decode(k): Fraction(v, da * db) for k, v in out.items()}
 
 
 class TestExactProductRoutes:
@@ -530,10 +547,10 @@ class TestExactProductRoutes:
         # caps (1, 1) have 3 * 3 = 9 slots: 3 by 3 terms is pairs == slots, so
         # the term loop; 4 by 3 terms is more pairs than slots, so the packing
         taken = []
-        for name in ("_looped_product", "_packed_product"):
-            def spy(a, b, caps, route=getattr(series, name), name=name):
+        for name in ("_keyed_product", "_packed_product"):
+            def spy(a, b, arg, route=getattr(series, name), name=name):
                 taken.append(name)
-                return route(a, b, caps)
+                return route(a, b, arg)
             monkeypatch.setattr(series, name, spy)
         caps = Caps.of([1, 1])
         names = ("y", "z")
@@ -541,7 +558,57 @@ class TestExactProductRoutes:
         four = three + Series.monomial((1, 1), names, caps, coeff=5)
         assert (three * three).terms == naive_mul(three, three)
         assert (four * three).terms == naive_mul(four, three)
-        assert taken == ["_looped_product", "_packed_product"]
+        assert taken == ["_keyed_product", "_packed_product"]
+
+
+@st.composite
+def windows(draw):
+    """A box or total-capped window of 0 to 5 variables, and its names."""
+    arity = draw(st.integers(0, 5))
+    limits = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+    total = draw(st.none() | st.integers(0, sum(limits)))
+    return Caps.of(limits, total), tuple("vwxyz"[:arity])
+
+
+class TestSlotKeys:
+    """The one exponent key of the kernels: a cell's slot in `_layout`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=windows())
+    def test_keys_of_the_doubled_box(self, shape):
+        caps, _ = shape
+        encode, decode, admitted, rows = _layout(caps)
+        assert len(admitted) == math.prod(2 * c + 1 for c in caps.limits)
+        for expo in itertools.product(*(range(2 * c + 1) for c in caps.limits)):
+            key = encode(expo)
+            assert admitted[key] == caps.admits(expo)
+            if caps.admits(expo):
+                assert decode(key) == expo
+        # the rows hold every admitted key once
+        assert sorted(k for start, count in rows for k in range(start, start + count)) \
+            == [k for k, flag in enumerate(admitted) if flag]
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=windows(), data=st.data())
+    def test_log_sum_multiples_stop_at_the_caps(self, shape, data):
+        # log(1 - X) = -sum of X^k / k over the k the caps admit, and no further
+        caps, names = shape
+        assume(names)  # a window of no variables has no nonconstant X
+        mono = data.draw(st.tuples(*(st.integers(0, c + 1) for c in caps.limits)).filter(any))
+        expected = {tuple(e * k for e in mono): Fraction(-1, k)
+                    for k in range(1, (caps.multiples(mono) if caps.admits(mono) else 0) + 1)}
+        assert _log_sum([((mono, -1, 1), 1)], names, caps).terms == expected
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_zero_variable_series(self, mode):
+        caps = Caps.of([])
+        three, two = Series.constant(3, (), caps, mode), Series.constant(2, (), caps, mode)
+        assert _layout(caps)[2] == bytearray(b"\x01")
+        assert (three * two).terms == {(): 6}
+        assert (three * Series.zero((), caps, mode)).is_zero()
+        assert three.inverse().terms == {(): Fraction(1, 3) if mode == EXACT else 1 / 3}
+        assert Series.zero((), caps, mode).exp() == Series.one((), caps, mode)
+        assert binomial_product([], (), caps, mode) == Series.one((), caps, mode)
 
 
 def tuple_keyed_mul(a, b):
