@@ -177,7 +177,7 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
         id=entry.id, caps=limits, mode=entry.mode,
         verdict="pass" if mismatch is None else "fail",
         expected=entry.expected, seconds=seconds,
-        lhs_terms=len(lhs.terms), rhs_terms=len(rhs.terms), note=entry.note,
+        lhs_terms=len(lhs.nums), rhs_terms=len(rhs.nums), note=entry.note,
         route=route)
     if entry.mode == APPROX:
         report.max_rel_error = max_rel_error(lhs, rhs)

@@ -14,7 +14,7 @@ from . import catalog as catalog_mod
 from . import determinants
 from .closedform import build_closed_form
 from .lattice import PartitionGrid, ProductSpec, product_series
-from .series import APPROX, Caps, EXACT, SeriesError, read_keys, read_names
+from .series import APPROX, Caps, EXACT, SeriesError, read_choice, read_keys, read_names
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -182,7 +182,6 @@ def cmd_grid(args) -> int:
 
 def cmd_expand(args) -> int:
     caps = Caps.of(_parse_caps(args.caps)) if args.caps else None
-    mode = args.mode or EXACT
     if args.entry:
         if args.mode:
             raise SeriesError("--mode applies only to --spec")
@@ -197,16 +196,20 @@ def cmd_expand(args) -> int:
             else entry.build_lhs(cap_obj)
     elif args.spec:
         def read(doc):
+            doc_mode = None
             if "region" in doc:  # the document is a product spec, which may hold caps
                 spec = ProductSpec.from_json({k: v for k, v in doc.items() if k != "caps"})
             else:
                 read_keys(doc, catalog_mod.IDENTITY_FIELDS + ("vars",), "expand document")
                 spec = ProductSpec.from_json(doc["lhs"]) if "lhs" in doc else None
-            # the document's caps are read even where --caps overrides them
-            return (spec, Caps.of(doc["caps"]) if "caps" in doc else None,
+                if "mode" in doc:
+                    doc_mode = read_choice(doc["mode"], (EXACT, APPROX), "mode")
+            # the document's caps and mode are read even where --caps and
+            # --mode override them
+            return (spec, Caps.of(doc["caps"]) if "caps" in doc else None, doc_mode,
                     None if spec else (doc["rhs"], read_names(doc["vars"], "vars")))
-        spec, doc_caps, tree = _read_document(args.spec, read)
-        caps = caps or doc_caps
+        spec, doc_caps, doc_mode, tree = _read_document(args.spec, read)
+        caps, mode = caps or doc_caps, args.mode or doc_mode or EXACT
         if caps is None:
             raise SeriesError("no caps given")
         if spec is not None:

@@ -466,7 +466,7 @@ class ProductSpec:
     def image(self, vec, mode: str):
         """(monomial exponent vector, scalar) contributed by a region vector."""
         expo = [0] * len(self.names)
-        scalar = Fraction(1) if mode == EXACT else 1.0
+        scalar = 1 if mode == EXACT else 1.0
         for v, m in zip(vec, self.mapping):
             if isinstance(m, int):
                 expo[m] += v
@@ -555,6 +555,8 @@ class ProductSpec:
         # the arity sizes the per-component lists: check it before any is built
         read_int(doc["region"]["arity"], "region.arity", 1,
                  len(read_list(doc["mapping"], "mapping")))
+        if "weight" in doc and "factor" in doc:
+            raise SeriesError("a product spec takes one of 'weight' and 'factor', not both")
         factor = WeightExpr.from_json(doc["weight"]) if "weight" in doc \
             else LocalFactorFamily.from_json(doc["factor"])
         return cls(region=LatticeRegion.from_json(doc["region"]), factor=factor,
@@ -569,7 +571,9 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
     ordering.  A state is (partial image, partial scalar, ordering key,
     running gcd, number of components equal to 1) and holds how many
     partial vectors reach it and their summed partial weight, a product of
-    per-component factors (1 for a factor family).  The key is the last
+    per-component factors (1 for a factor family).  A scalar or weight with
+    no denominator is an int, so equal factors downstream hash and add as
+    ints.  The key is the last
     component's value (all-below-last) or the previous one (strict chain).
     Outside a coprime region the gcd is clipped to 0 or 1; either way the
     origin ends at gcd 0 and drops out.  Values ascend, so a component's
@@ -583,7 +587,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
     below_last = order in (ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT)
     chain, strict = order == ORDER_STRICT_CHAIN, order == ORDER_ALL_BELOW_LAST_STRICT
     coprime, units = region.coprime, region.unit_counts is not None
-    states = {((0,) * len(spec.names), Fraction(1), -1, 0, 0): [1, 1]}
+    states = {((0,) * len(spec.names), 1, -1, 0, 0): [1, 1]}
     for step, i in enumerate((n - 1, *range(n - 1)) if below_last else range(n)):
         m, hi = mapping[i], bounds[i] if upper[i] is None else min(bounds[i], upper[i])
         values = _component_values(region.lower[i], hi, region.base_powers)
@@ -622,7 +626,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
             continue
         if not any(expo):
             spec.vectors(caps)  # raises, naming the walk's first such vector
-        cell = hist.setdefault((expo, scalar), [0, Fraction(0)])
+        cell = hist.setdefault((expo, scalar), [0, 0])
         cell[0] += count
         cell[1] += weight
     if hist and w is not None and w.needs_approx():
@@ -631,14 +635,16 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
 
 
 def _weight_factor(w: WeightExpr | None, i: int):
-    """v -> the factor component i puts into an exact weight, or None for 1."""
+    """v -> the factor component i puts into an exact weight (an int when it
+    has no denominator), or None for 1."""
     if w is None or w.powers[i] == 0 and w.phi_over != i:
         return None
 
     @functools.cache
     def factor(v):
         f = v ** w.powers[i]
-        return f * Fraction(euler_phi(v), v) if w.phi_over == i else f
+        f = f * Fraction(euler_phi(v), v) if w.phi_over == i else f
+        return f.numerator if isinstance(f, Fraction) and f.denominator == 1 else f
 
     return factor
 

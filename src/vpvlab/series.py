@@ -2,10 +2,11 @@
 
 A :class:`Series` is a sparse association from exponent vectors to nonzero
 coefficients, truncated by per-variable caps (optionally plus a total-degree
-cap).  In ``exact`` mode coefficients are `fractions.Fraction` and every
-operation is exact; ``approx`` mode stores 64-bit floats and exists only to
-host irrational weights.  A single series never mixes modes, and operations on
-two series require identical variable names, caps and mode.
+cap).  In ``exact`` mode the coefficients are rational, stored as int
+numerators over one common denominator, and every operation is exact;
+``approx`` mode stores 64-bit floats and exists only to host irrational
+weights.  A single series never mixes modes, and operations on two series
+require identical variable names, caps and mode.
 """
 
 from __future__ import annotations
@@ -246,15 +247,6 @@ def _layout(caps: Caps):
     return layout
 
 
-def _scaled(terms: Mapping[Expo, Coeff], encode, exact: bool = True):
-    """A denominator and the terms by key over it: the lcm of the exact
-    denominators and int numerators, or 1 and the approx floats."""
-    if not exact:
-        return 1, {encode(e): c for e, c in terms.items()}
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return den, {encode(e): c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
 def _keyed_product(a: dict, b: dict, admitted: bytearray) -> dict:
     """The product of two key -> coefficient dicts (see `_layout`), term by term.
 
@@ -341,47 +333,106 @@ def _packed_product(a: dict, b: dict, caps: Caps) -> dict:
     return out
 
 
+def _clean_terms(terms: Mapping[Expo, Coeff], caps: Caps, mode: str) -> Mapping:
+    """`terms` on checked exponents, the cells the caps do not admit dropped.
+
+    When every exponent is a tuple of ints inside the caps, checked column
+    by column, `terms` is taken as it is; otherwise each exponent is checked
+    on its own, each coefficient taken to its mode, and equal exponents
+    summed, dropping the zeros.
+    """
+    n, keys = len(caps.limits), list(terms)
+    if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {n} \
+            and set(map(type, itertools.chain.from_iterable(keys))) <= {int} \
+            and all(min(col) >= 0 and max(col) <= cap
+                    for col, cap in zip(zip(*keys), caps.limits)) \
+            and (caps.total is None or max(map(sum, keys), default=0) <= caps.total):
+        return terms
+    clean: dict[Expo, Coeff] = {}
+    for expo, value in terms.items():
+        expo = _checked_expo(expo, n)
+        if not caps.admits(expo):
+            continue
+        value = _as_coeff(value, mode)
+        if value != 0:
+            acc = clean.get(expo)
+            new = value if acc is None else acc + value
+            if new == 0:
+                clean.pop(expo, None)
+            else:
+                clean[expo] = new
+    return clean
+
+
 class Series:
-    """Truncated multivariate formal power series with sparse storage."""
+    """Truncated multivariate formal power series with sparse storage.
 
-    __slots__ = ("names", "caps", "mode", "terms")
+    An exact series stores one positive denominator `den` and a dict `nums`
+    of nonzero int numerators over it, with gcd(den, *nums) = 1, so equal
+    series store equal pairs; an approx series stores its floats over 1.
+    `terms`, {exponent: coefficient}, is built from them on its first read.
+    """
 
-    def __init__(self, names, caps: Caps, mode: str, terms: Mapping[Expo, Coeff],
-                 _trusted: bool = False):
-        names = tuple(names)
+    __slots__ = ("names", "caps", "mode", "den", "nums", "_terms")
+
+    def __init__(self, names, caps: Caps, mode: str, terms: Mapping[Expo, Coeff]):
         if mode not in (EXACT, APPROX):
             raise SeriesError(f"unknown mode {mode!r}")
-        if len(caps.limits) != len(names):
+        if len(caps.limits) != len(names := tuple(names)):
             raise SeriesError("caps arity does not match variable names")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "caps", caps)
-        object.__setattr__(self, "mode", mode)
-        if _trusted:
-            object.__setattr__(self, "terms", dict(terms))
-            return
-        clean: dict[Expo, Coeff] = {}
-        for expo, value in terms.items():
-            expo = _checked_expo(expo, len(names))
-            if not caps.admits(expo):
-                continue
-            value = _as_coeff(value, mode)
-            if value != 0:
-                acc = clean.get(expo)
-                new = value if acc is None else acc + value
-                if new == 0:
-                    clean.pop(expo, None)
-                else:
-                    clean[expo] = new
-        object.__setattr__(self, "terms", clean)
+        clean = _clean_terms(terms, caps, mode)
+        if mode == APPROX:
+            den, nums = 1, {e: f for e, v in clean.items() if (f := float(v))}
+        elif set(map(type, clean.values())) <= {int}:
+            den, nums = 1, {e: v for e, v in clean.items() if v}
+        else:
+            clean = {e: c for e, v in clean.items()
+                     if (c := v if type(v) in (int, Fraction) else _as_coeff(v, mode))}
+            den = math.lcm(*(c.denominator for c in clean.values()))
+            nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._init(names, caps, mode, den, nums)
+
+    def _init(self, names, caps, mode, den, nums):
+        put = object.__setattr__
+        put(self, "names", names)
+        put(self, "caps", caps)
+        put(self, "mode", mode)
+        put(self, "den", den)
+        put(self, "nums", nums)
+        put(self, "_terms", None)
+
+    @classmethod
+    def _of(cls, names: tuple, caps: Caps, mode: str, den: int, nums: dict) -> "Series":
+        """The series of nonzero `nums` over `den` > 0, unchecked: exact int
+        numerators, divided here by their gcd with `den`, or floats over 1."""
+        if den != 1 and (g := math.gcd(den, *nums.values())) != 1:
+            den //= g
+            nums = {e: v // g for e, v in nums.items()}
+        self = object.__new__(cls)
+        self._init(names, caps, mode, den, nums)
+        return self
+
+    def _with(self, den: int, nums: dict) -> "Series":
+        return Series._of(self.names, self.caps, self.mode, den, nums)
 
     def __setattr__(self, *_):
         raise AttributeError("Series is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """{exponent: coefficient}: `Fraction`s built on the first read and
+        kept, or the approx floats themselves."""
+        if self._terms is None:
+            den = self.den
+            object.__setattr__(self, "_terms", self.nums if self.mode == APPROX else
+                               {e: Fraction(v, den) for e, v in self.nums.items()})
+        return self._terms
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, names, caps: Caps, mode: str = EXACT) -> "Series":
-        return cls(names, caps, mode, {}, _trusted=True)
+        return cls(names, caps, mode, {})
 
     @classmethod
     def constant(cls, value, names, caps: Caps, mode: str = EXACT) -> "Series":
@@ -431,27 +482,32 @@ class Series:
             return self._lift(other)
         return None
 
+    def _coeff(self, expo: Expo) -> Coeff:
+        if self.mode == EXACT:
+            return Fraction(self.nums.get(expo, 0), self.den)
+        return self.nums.get(expo, 0.0)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def constant_term(self) -> Coeff:
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self.terms.get((0,) * len(self.names), zero)
+        return self._coeff((0,) * len(self.names))
 
     def __eq__(self, other):
         if isinstance(other, Series):
             return (self.names == other.names and self.caps == other.caps
-                    and self.mode == other.mode and self.terms == other.terms)
+                    and self.mode == other.mode and self.den == other.den
+                    and self.nums == other.nums)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.names, self.caps, self.mode,
-                     tuple(sorted(self.terms.items()))))
+        return hash((self.names, self.caps, self.mode, self.den,
+                     frozenset(self.nums.items())))
 
     def __repr__(self):
         shown = sorted(self.terms.items())[:6]
         body = " + ".join(f"{c}*{e}" for e, c in shown) or "0"
-        more = "" if len(self.terms) <= 6 else f" (+{len(self.terms) - 6} terms)"
+        more = "" if len(self.nums) <= 6 else f" (+{len(self.nums) - 6} terms)"
         return f"<Series[{','.join(self.names)}] {body}{more}>"
 
     # -- ring operations ----------------------------------------------------
@@ -460,20 +516,22 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, value in other.terms.items():
-            new = terms.get(expo, 0) + value
+        den = math.lcm(self.den, other.den)
+        ma, mb = den // self.den, den // other.den
+        nums = dict(self.nums) if ma == 1 else {e: v * ma for e, v in self.nums.items()}
+        get, pop = nums.get, nums.pop
+        for expo, value in other.nums.items():
+            new = get(expo, 0) + (value if mb == 1 else value * mb)
             if new == 0:
-                terms.pop(expo, None)
+                pop(expo, None)
             else:
-                terms[expo] = new
-        return Series(self.names, self.caps, self.mode, terms, _trusted=True)
+                nums[expo] = new
+        return self._with(den, nums)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(self.names, self.caps, self.mode,
-                      {e: -c for e, c in self.terms.items()}, _trusted=True)
+        return self._with(self.den, {e: -v for e, v in self.nums.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -491,14 +549,12 @@ class Series:
             return NotImplemented
         self._check_compatible(other)
         encode, decode, admitted, _ = _layout(self.caps)
-        exact = self.mode == EXACT
-        da, a = _scaled(self.terms, encode, exact)
-        db, b = _scaled(other.terms, encode, exact)
+        a = {encode(e): v for e, v in self.nums.items()}
+        b = {encode(e): v for e, v in other.nums.items()}
         # floats cannot be packed exactly: every pair is multiplied
-        out = _exact_product(a, b, self.caps) if exact else _keyed_product(a, b, admitted)
-        den = da * db
-        terms = {decode(k): Fraction(v, den) if exact else v for k, v in out.items()}
-        return Series(self.names, self.caps, self.mode, terms, _trusted=True)
+        out = _exact_product(a, b, self.caps) if self.mode == EXACT \
+            else _keyed_product(a, b, admitted)
+        return self._with(self.den * other.den, {decode(k): v for k, v in out.items()})
 
     __rmul__ = __mul__
 
@@ -506,8 +562,8 @@ class Series:
         scalar = _as_coeff(scalar, self.mode)
         if scalar == 0:
             return Series.zero(self.names, self.caps, self.mode)
-        return Series(self.names, self.caps, self.mode,
-                      {e: c * scalar for e, c in self.terms.items()}, _trusted=True)
+        p, q = (scalar.numerator, scalar.denominator) if self.mode == EXACT else (scalar, 1)
+        return self._with(self.den * q, {e: v * p for e, v in self.nums.items()})
 
     def _power_sum(self, ratio, start) -> "Series":
         """start + sum over k >= 1 of t_k, with t_0 = 1, t_k = t_(k-1)*self*ratio(k).
@@ -529,12 +585,12 @@ class Series:
         """
         caps, exact = self.caps, self.mode == EXACT
         encode, decode, admitted, _ = _layout(caps)
-        uden, u = _scaled(self.terms, encode, exact)
+        uden, u = self.den, {encode(e): v for e, v in self.nums.items()}
         step, arg, unit = (_exact_product, caps, 1) if exact else (_keyed_product, admitted, 1.0)
         oden, out = 1, ({0: start * unit} if start else {})
         tden, term = 1, {0: unit}
         max_order = caps.max_order()
-        least = min(map(sum, self.terms), default=max_order + 1)
+        least = min(map(sum, self.nums), default=max_order + 1)
         for k in range(1, max_order // least + 1):
             r = ratio(k)
             if r == 0:
@@ -562,8 +618,7 @@ class Series:
                     pop(key, None)
                 else:
                     out[key] = new
-        terms = {decode(key): Fraction(v, oden) if exact else v for key, v in out.items()}
-        return Series(self.names, caps, self.mode, terms, _trusted=True)
+        return self._with(oden, {decode(key): v for key, v in out.items()})
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -627,13 +682,13 @@ class Series:
     def derivative(self, name: str) -> "Series":
         idx = self.names.index(name)
         out: dict[Expo, Coeff] = {}
-        for expo, value in self.terms.items():
+        for expo, value in self.nums.items():
             if expo[idx] == 0:
                 continue
             new = list(expo)
             new[idx] -= 1
             out[tuple(new)] = value * expo[idx]
-        return Series(self.names, self.caps, self.mode, out, _trusted=True)
+        return self._with(self.den, out)
 
     # -- reindexing ----------------------------------------------------------
 
@@ -675,7 +730,7 @@ class Series:
                 out.pop(key, None)
             else:
                 out[key] = new
-        return Series(names, caps, self.mode, out, _trusted=True)
+        return Series(names, caps, self.mode, out)
 
     def evaluate_var(self, name: str, value) -> "Series":
         """Substitute one variable by a scalar, exactly accumulating coefficients."""
@@ -694,7 +749,7 @@ class Series:
                 out.pop(key, None)
             else:
                 out[key] = new
-        return Series(names, caps, self.mode, out, _trusted=True)
+        return Series(names, caps, self.mode, out)
 
     def coefficient(self, expo) -> Coeff:
         """Stored coefficient at `expo`; querying outside caps is an error."""
@@ -703,16 +758,14 @@ class Series:
             raise SeriesError("monomial arity mismatch")
         if not self.caps.admits(expo):
             raise SeriesError(f"monomial {expo} outside caps (unanswerable query)")
-        zero = Fraction(0) if self.mode == EXACT else 0.0
-        return self.terms.get(expo, zero)
+        return self._coeff(expo)
 
     # -- serialization ---------------------------------------------------------
 
     def to_json(self) -> dict:
         """Canonical JSON form with terms sorted lexicographically."""
         terms = []
-        for expo in sorted(self.terms):
-            coeff = self.terms[expo]
+        for expo, coeff in sorted(self.terms.items()):
             if self.mode == EXACT:
                 terms.append({"e": list(expo), "n": decimal_str(coeff.numerator),
                               "d": decimal_str(coeff.denominator)})
@@ -764,7 +817,10 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
             break
         if value := binom * power:
             terms[tuple(e * k for e in expo)] = value
-    return Series(names, caps, mode, terms, _trusted=True)
+    # the floats are the series; the Fractions, reduced as they are built,
+    # go over their lcm in the constructor
+    return Series._of(names, caps, mode, 1, terms) if mode == APPROX \
+        else Series(names, caps, mode, terms)
 
 
 def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) -> Series:
@@ -793,10 +849,9 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
         for (mono, sign, scalar), exponent in kept:
             factor = unit_binomial_pow(mono, exponent, names, caps, mode,
                                        sign=sign, scalar=scalar)
-            out = _keyed_product(out, {encode(e): c for e, c in factor.terms.items()},
+            out = _keyed_product(out, {encode(e): c for e, c in factor.nums.items()},
                                  admitted)
-        return Series(names, caps, mode, {decode(k): c for k, c in out.items()},
-                      _trusted=True)
+        return Series._of(tuple(names), caps, mode, 1, {decode(k): c for k, c in out.items()})
     if kept:
         least = min(sum(mono) for (mono, _, _), _ in kept)
         if caps.max_order() // least < len(kept):
@@ -853,7 +908,7 @@ def _log_sum(kept, names, caps: Caps) -> Series:
             while admitted[key]:
                 keys.append(key)
                 key += step
-        runs.append((Fraction(sign * scalar), Fraction(exponent), keys))
+        runs.append((sign * scalar, exponent, keys))
     top = max((len(keys) for *_, keys in runs), default=0)
     lcm_k = math.lcm(*range(1, top + 1))
     shares = [lcm_k // k for k in range(1, top + 1)]
@@ -867,9 +922,8 @@ def _log_sum(kept, names, caps: Caps) -> Series:
         for key, share in zip(keys, shares):
             power = power // q * p
             acc[key] = get(key, 0) + power * share
-    den = base * lcm_k
-    return Series(names, caps, EXACT, {decode(key): Fraction(v, den)
-                                       for key, v in acc.items() if v}, _trusted=True)
+    return Series._of(tuple(names), caps, EXACT, base * lcm_k,
+                      {decode(key): v for key, v in acc.items() if v})
 
 
 def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:
@@ -897,7 +951,7 @@ def polylog(s, mono, names, caps: Caps, mode: str = EXACT) -> Series:
     for k in range(1, kmax + 1):
         if value := _power_coeff(k, s, mode):
             terms[tuple(e * k for e in expo)] = value
-    return Series(names, caps, mode, terms, _trusted=True)
+    return Series(names, caps, mode, terms)
 
 
 def _checked_expo(expo, n: int) -> Expo:
@@ -934,18 +988,24 @@ def max_rel_error(a: Series, b: Series) -> float:
 def first_mismatch(a: Series, b: Series, tolerance: float = 0.0):
     """First (lex) monomial where the two series differ, or None.
 
-    Exact series compare bit-exactly; a nonzero tolerance applies the relative
-    criterion used for approx mode.
+    Exact series compare bit-exactly, numerator a over d_a against b over
+    d_b as a*d_b against b*d_a, and give the two coefficients as Fractions;
+    a nonzero tolerance applies the relative criterion used for approx mode.
     """
-    for expo in sorted(set(a.terms) | set(b.terms)):
-        ca = a.terms.get(expo, Fraction(0) if a.mode == EXACT else 0.0)
-        cb = b.terms.get(expo, Fraction(0) if b.mode == EXACT else 0.0)
+    x, y, da, db = a.nums, b.nums, a.den, b.den
+    exact = a.mode == EXACT
+    if exact and tolerance == 0.0 and da == db and x == y:
+        return None
+    zero = 0 if exact else 0.0
+    for expo in sorted(x.keys() | y.keys()):
+        na, nb = x.get(expo, zero), y.get(expo, zero)
         if tolerance == 0.0:
-            if ca != cb:
-                return expo, ca, cb
+            differ = na * db != nb * da
         else:
-            if abs(float(ca) - float(cb)) > tolerance * max(1.0, abs(float(ca)), abs(float(cb))):
-                return expo, ca, cb
+            fa, fb = na / da, nb / db
+            differ = abs(fa - fb) > tolerance * max(1.0, abs(fa), abs(fb))
+        if differ:
+            return (expo, Fraction(na, da), Fraction(nb, db)) if exact else (expo, na, nb)
     return None
 
 
@@ -953,5 +1013,4 @@ def to_approx(a: Series) -> Series:
     """Float copy of an exact series (for exact-vs-approx agreement checks)."""
     if a.mode == APPROX:
         return a
-    return Series(a.names, a.caps, APPROX,
-                  {e: float(c) for e, c in a.terms.items()}, _trusted=True)
+    return Series._of(a.names, a.caps, APPROX, 1, {e: float(c) for e, c in a.terms.items()})

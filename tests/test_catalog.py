@@ -133,6 +133,35 @@ class TestExpandHashes:
                     f"{entry_id} {side} differs from golden"
 
 
+def report_hashes():
+    """sha256 of every catalog entry's `verify` report at its catalog caps,
+    keyed by entry id: the report JSON as `verify` prints it, without
+    `wall_time_s` and, for approx entries, without `max_rel_error`, which
+    depends on the platform's libm."""
+    hashes = {}
+    for entry in catalog():
+        report = verify_identity(entry).to_json()
+        del report["wall_time_s"]
+        if entry.mode != EXACT:
+            report.pop("max_rel_error", None)
+        hashes[entry.id] = hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+    return hashes
+
+
+class TestReportHashes:
+    """Verdicts, mismatches and term counts stay byte-identical to
+    `golden/verify_sha256.json`."""
+
+    def test_reports_match_golden(self):
+        with open(os.path.join(GOLDEN, "verify_sha256.json"), encoding="utf-8") as f:
+            golden = json.load(f)
+        hashes = report_hashes()
+        assert len(golden) == 169 and list(hashes) == list(golden)
+        for entry_id, digest in golden.items():
+            assert hashes[entry_id] == digest, f"{entry_id} report differs from golden"
+
+
 class TestSpotValues:
     def test_13_24_passes_at_6_6(self):
         report = verify_identity(get_entry("13.24"), caps=(6, 6))

@@ -266,6 +266,36 @@ class TestExpandCommand:
         doc = json.loads(out)
         assert doc["vars"] == ["y", "z"]
 
+    def test_document_mode_and_its_override(self, tmp_path, capsys):
+        # 13.05's left side has an irrational weight: the document's "mode"
+        # expands it in approx mode, and --mode overrides the document's, as
+        # --caps overrides its caps
+        path = tmp_path / "approx.json"
+        path.write_text(json.dumps({"lhs": catalog_mod.get_entry("13.05").lhs.to_json(),
+                                    "caps": [3, 3], "mode": "approx"}))
+        code, out, err = run_cli(["expand", "--spec", str(path)], capsys)
+        assert code == 0, err
+        assert json.loads(out)["mode"] == "approx"
+        code, out, err = run_cli(["expand", "--spec", str(path), "--mode", "exact"], capsys)
+        assert code == 2 and out == ""
+        assert "irrational weight requires approx mode" in err
+        exact = tmp_path / "exact.json"
+        exact.write_text(json.dumps({"lhs": _side_1303(), "caps": [3, 3], "mode": "exact"}))
+        code, out, err = run_cli(["expand", "--spec", str(exact), "--mode", "approx"], capsys)
+        assert code == 0, err
+        assert json.loads(out)["mode"] == "approx"
+
+    def test_spec_with_weight_and_factor_is_config_error(self, tmp_path, capsys):
+        # the factor used to be dropped without a word, the weight expanded
+        side = dict(_side_1303(), factor={"family": "geometric"})
+        for doc, args in (({"lhs": side, "caps": [3, 3]}, []),
+                          (side, ["--caps", "3,3"])):
+            path = tmp_path / "both.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = run_cli(["expand", "--spec", str(path), *args], capsys)
+            assert code == 2 and out == ""
+            assert "'weight'" in err and "'factor'" in err, err
+
     def test_zero_variable_document(self, tmp_path, capsys):
         # exp(3 * 0) over no variables: one slot, the constant
         path = tmp_path / "doc.json"

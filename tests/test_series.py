@@ -11,7 +11,7 @@ from vpvlab.catalog import catalog, get_entry
 from vpvlab.lattice import ProductSpec, WeightExpr, product_series
 from vpvlab import series
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, _exact_product,
-                           _keyed_product, _layout, _log_sum, _packed_product, _scaled,
+                           _keyed_product, _layout, _log_sum, _packed_product,
                            binomial_log, binomial_product, first_mismatch, max_rel_error,
                            polylog, to_approx, unit_binomial_pow)
 
@@ -496,8 +496,8 @@ def route_products(a, b):
     each of its routes called directly: int numerators over da * db on slot
     keys, in both operand orders."""
     encode, decode, admitted, _ = _layout(a.caps)
-    da, na = _scaled(a.terms, encode)
-    db, nb = _scaled(b.terms, encode)
+    da, na = a.den, {encode(e): v for e, v in a.nums.items()}
+    db, nb = b.den, {encode(e): v for e, v in b.nums.items()}
     routes = [(_exact_product, a.caps)] + ([(_keyed_product, admitted),
                                             (_packed_product, a.caps)] if na and nb else [])
     for route, arg in routes:
@@ -1065,3 +1065,111 @@ class TestStockFactors:
                 unit_binomial_pow(mono, 2, names, caps)
             with pytest.raises(SeriesError):
                 polylog(1, mono, names, caps)
+
+
+def assert_exact_form(s, reference):
+    """`s` stores the one exact form, and its `terms` are `reference`: a
+    positive int denominator, nonzero int numerators with no common factor
+    with it, and Fraction terms built once and kept."""
+    assert type(s.den) is int and s.den > 0
+    assert all(type(v) is int and v != 0 for v in s.nums.values())
+    assert math.gcd(s.den, *s.nums.values()) == 1
+    assert s.terms is s.terms
+    assert s.terms == reference
+    assert all(type(c) is Fraction for c in s.terms.values())
+
+
+def fraction_dict(terms, caps):
+    """Reference constructor: each coefficient a Fraction, cells outside the
+    caps and zeros dropped."""
+    return {e: Fraction(c) for e, c in terms.items() if caps.admits(e) and c != 0}
+
+
+def fraction_mismatch(a, b):
+    """Reference `first_mismatch`: the lex-first cell whose Fractions differ."""
+    x, y = a.terms, b.terms
+    for expo in sorted(set(x) | set(y)):
+        ca, cb = x.get(expo, Fraction(0)), y.get(expo, Fraction(0))
+        if ca != cb:
+            return expo, ca, cb
+    return None
+
+
+@st.composite
+def series_pairs(draw, constant=SMALL_COEFFS):
+    """A `small_series` and a second series of up to 4 terms on its caps."""
+    a = draw(small_series(constant))
+    expo = st.tuples(*(st.integers(0, c) for c in a.caps.limits))
+    b = Series(a.names, a.caps, EXACT, draw(st.dictionaries(expo, SMALL_COEFFS, max_size=4)))
+    return a, b
+
+
+class TestExactRepresentation:
+    """Every exact producer returns one denominator and int numerators in
+    lowest terms, whose Fraction terms match a Fraction reference."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(f=small_series(SMALL_COEFFS), data=st.data())
+    def test_constructor(self, f, data):
+        expo = st.tuples(*(st.integers(0, c) for c in f.caps.limits))
+        for coeff in (st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70), SMALL_COEFFS):
+            terms = data.draw(st.dictionaries(expo, coeff, max_size=5))
+            assert_exact_form(Series(f.names, f.caps, EXACT, terms),
+                              fraction_dict(terms, f.caps))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=series_pairs(), r=SMALL_COEFFS | st.integers(-3, 3))
+    def test_ring_operations(self, pair, r):
+        a, b = pair
+        x, y = a.terms, b.terms
+        added = {e: x.get(e, 0) + y.get(e, 0) for e in set(x) | set(y)}
+        assert_exact_form(a + b, {e: c for e, c in added.items() if c != 0})
+        assert_exact_form(-a, {e: -c for e, c in x.items()})
+        assert_exact_form(a - b, {e: c for e, c in
+                                  ((e, x.get(e, 0) - y.get(e, 0)) for e in set(x) | set(y))
+                                  if c != 0})
+        assert_exact_form(a * b, naive_mul(a, b))
+        assert_exact_form(a.scale(r), {e: c * r for e, c in x.items() if c * r != 0})
+
+    @settings(max_examples=40, deadline=None)
+    @given(f=small_series(SMALL_COEFFS.filter(bool)), g=small_series(st.just(0)),
+           h=small_series(st.just(1)),
+           r=st.sampled_from([Fraction(1, 2), Fraction(-2, 3), 3, -2, 0]))
+    def test_series_functions(self, f, g, h, r):
+        assert_exact_form(f.inverse(), fraction_inverse(f).terms)
+        assert_exact_form(g.exp(), fraction_exp(g).terms)
+        assert_exact_form(h.log(), fraction_log(h).terms)
+        assert_exact_form(h.pow(r), fraction_pow(h, r).terms)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=factor_lists())
+    def test_binomial_log(self, case):
+        caps, names, factors = case
+        assert_exact_form(binomial_log(factors, names, caps),
+                          fraction_log_sum(factors, names, caps).terms)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=windows(), data=st.data())
+    def test_unit_binomial_pow(self, shape, data):
+        caps, names = shape
+        assume(names)
+        mono = data.draw(st.tuples(*(st.integers(0, c + 1) for c in caps.limits)).filter(any))
+        r = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-3, 4), 2, -1, 0]))
+        scalar = data.draw(st.sampled_from([1, 2, Fraction(1, 3), 0]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        expected, binom = {(0,) * len(names): Fraction(1)}, Fraction(1)
+        for k in range(1, caps.multiples(mono) + 1):
+            binom = binom * (r - (k - 1)) / k
+            if binom * scalar != 0:
+                expected[tuple(e * k for e in mono)] = binom * (sign * Fraction(scalar)) ** k
+        assert_exact_form(unit_binomial_pow(mono, r, names, caps, sign=sign, scalar=scalar),
+                          expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(pair=series_pairs())
+    def test_first_mismatch(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a), (a, a + b - b)):
+            got = first_mismatch(x, y)
+            assert got == fraction_mismatch(x, y)
+            assert got is None or all(type(c) is Fraction for c in got[1:])
