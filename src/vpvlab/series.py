@@ -383,8 +383,6 @@ class Series:
         clean = _clean_terms(terms, caps, mode)
         if mode == APPROX:
             den, nums = 1, {e: f for e, v in clean.items() if (f := float(v))}
-        elif set(map(type, clean.values())) <= {int}:
-            den, nums = 1, {e: v for e, v in clean.items() if v}
         else:
             clean = {e: c for e, v in clean.items()
                      if (c := v if type(v) in (int, Fraction) else _as_coeff(v, mode))}
