@@ -251,22 +251,38 @@ def _keyed_product(a: dict, b: dict, admitted: bytearray) -> dict:
     """The product of two key -> coefficient dicts (see `_layout`), term by term.
 
     The term loop of both modes: float coefficients, or the int numerators
-    of `_exact_product`.  A pair's summed key is its product cell's slot,
-    kept where `admitted`.  Every pair is multiplied in the order of a
-    tuple-keyed term loop: the smaller operand outside (the first on a tie),
-    and a sum that cancels to 0 leaves the dict.
+    of `_exact_product`; the keys of both operands are admitted.  A pair's
+    summed key is its product cell's slot, kept where `admitted`.  Every
+    kept pair is multiplied in the order of a tuple-keyed term loop: the
+    smaller operand outside (the first on a tie), and a sum that cancels to
+    0 leaves the dict.  Two shortcuts skip only pairs that would change
+    nothing:
+
+    - a leading outer term 1 at key 0 gives a copy of the inner operand
+      (0 + 1*c is c), less any zero;
+    - when an outer key lies above the one before it (their difference is
+      an admitted key, so the earlier cell divides the later), only the
+      inner keys the earlier key kept can pair with it, as the caps window
+      is a down-set.  Those are filtered, in inner order, rather than every
+      inner key.
     """
     if len(a) > len(b):
         a, b = b, a
-    inner = list(b.items())
+    outer = iter(a.items())
     out: dict[int, Coeff] = {}
+    if next(iter(a.items()), None) == (0, 1):
+        next(outer)
+        out = dict(b) if 0 not in b.values() else {kb: cb for kb, cb in b.items() if cb}
     get, pop = out.get, out.pop
-    for ka, ca in a.items():
-        for kb, cb in inner:
+    inner = kept = list(b)  # from key 0 every inner key is kept
+    last = 0
+    for ka, ca in outer:
+        d = ka - last
+        kept = [kb for kb in (kept if d >= 0 and admitted[d] else inner) if admitted[ka + kb]]
+        last = ka
+        for kb in kept:
             k = ka + kb
-            if not admitted[k]:
-                continue
-            new = get(k, 0) + ca * cb
+            new = get(k, 0) + ca * b[kb]
             if new == 0:
                 pop(k, None)
             else:
@@ -561,7 +577,8 @@ class Series:
         if scalar == 0:
             return Series.zero(self.names, self.caps, self.mode)
         p, q = (scalar.numerator, scalar.denominator) if self.mode == EXACT else (scalar, 1)
-        return self._with(self.den * q, {e: v * p for e, v in self.nums.items()})
+        # a float product that underflows to 0.0 leaves the series, as a sum of 0 does
+        return self._with(self.den * q, {e: w for e, v in self.nums.items() if (w := v * p)})
 
     def _power_sum(self, ratio, start) -> "Series":
         """start + sum over k >= 1 of t_k, with t_0 = 1, t_k = t_(k-1)*self*ratio(k).
@@ -597,7 +614,7 @@ class Series:
             if r != 1:
                 p, q = (r.numerator, r.denominator) if exact else (r, 1)
                 if p != 1:
-                    term = {key: v * p for key, v in term.items()}
+                    term = {key: w for key, v in term.items() if (w := v * p)}
                 tden *= q
             if exact and (g := math.gcd(tden, *term.values())) != 1:
                 tden //= g
@@ -832,33 +849,36 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
 
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
       in sorted key order, one product per factor (approx products always
-      take it, so they do not depend on the order the factors come in; the
-      approx chain keeps its running product on slot keys throughout, one
-      `_keyed_product` per factor, and decodes it once at the end);
+      take it, so they do not depend on the order the factors come in).
+      The running product stays on slot keys throughout and is decoded
+      once at the end: floats, one `_keyed_product` per factor, or int
+      numerators over one running denominator, one `_exact_product` per
+      factor with the content gcd divided out;
     - the log route (exact only): one log series, the sum over the factors
       of exponent * log(1 + s*X) = sum over k >= 1 of
       exponent * (-1)^(k+1) * (s*X)^k / k, and one `exp`, which needs at
       most max_order // (least total degree of the X) products.
     """
     kept = _kept_factors(factors, caps)
-    if mode == APPROX:
-        encode, decode, admitted, _ = _layout(caps)
-        out = {0: 1.0}  # the constant 1: the zero vector's key is 0
-        for (mono, sign, scalar), exponent in kept:
-            factor = unit_binomial_pow(mono, exponent, names, caps, mode,
-                                       sign=sign, scalar=scalar)
-            out = _keyed_product(out, {encode(e): c for e, c in factor.nums.items()},
-                                 admitted)
-        return Series._of(tuple(names), caps, mode, 1, {decode(k): c for k, c in out.items()})
-    if kept:
+    exact = mode == EXACT
+    if exact and kept:
         least = min(sum(mono) for (mono, _, _), _ in kept)
         if caps.max_order() // least < len(kept):
             return _log_sum(kept, names, caps).exp()
-    out = Series.one(names, caps, mode)
+    encode, decode, admitted, _ = _layout(caps)
+    den, out = 1, {0: 1 if exact else 1.0}  # the constant 1: the zero vector's key is 0
     for (mono, sign, scalar), exponent in kept:
-        out = out * unit_binomial_pow(mono, exponent, names, caps, mode,
-                                      sign=sign, scalar=scalar)
-    return out
+        factor = unit_binomial_pow(mono, exponent, names, caps, mode,
+                                   sign=sign, scalar=scalar)
+        f = {encode(e): c for e, c in factor.nums.items()}
+        if exact:
+            out, den = _exact_product(out, f, caps), den * factor.den
+            if (g := math.gcd(den, *out.values())) != 1:
+                den //= g
+                out = {k: v // g for k, v in out.items()}
+        else:
+            out = _keyed_product(out, f, admitted)
+    return Series._of(tuple(names), caps, mode, den, {decode(k): c for k, c in out.items()})
 
 
 def binomial_log(factors: Iterable, names, caps: Caps) -> Series:

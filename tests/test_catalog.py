@@ -133,6 +133,41 @@ class TestExpandHashes:
                     f"{entry_id} {side} differs from golden"
 
 
+# the three approx entries of the benchmark's `deep` workload, one cap step up
+APPROX_DEEP_CAPS = (("13.05", (14, 14)), ("13.14", (6, 6, 7)), ("13.15", (4, 4, 4, 5)))
+
+
+def approx_hashes():
+    """sha256 of each side's floats, `[(exponent, float.hex)]` in `nums` dict
+    order, for every approx catalog entry at its catalog caps (keyed by id)
+    and at the `APPROX_DEEP_CAPS` (keyed by id@caps).  Dict order and every
+    bit count: the pin holds on libms that round `pow` as glibc's does."""
+    cases = [(e.id, e, e.caps) for e in catalog() if e.mode != EXACT]
+    cases += [(f"{i}@{','.join(map(str, caps))}", get_entry(i), caps)
+              for i, caps in APPROX_DEEP_CAPS]
+    hashes = {}
+    for key, entry, caps in cases:
+        caps = Caps.of(caps)
+        hashes[key] = {
+            side: hashlib.sha256(json.dumps(
+                [(e, v.hex()) for e, v in build(caps).nums.items()]).encode()).hexdigest()
+            for side, build in (("lhs", entry.build_lhs), ("rhs", entry.build_rhs))}
+    return hashes
+
+
+class TestApproxHashes:
+    """Approx sides stay bit-identical, in dict order, to `golden/approx_sha256.json`."""
+
+    def test_approx_sides_match_golden(self):
+        with open(os.path.join(GOLDEN, "approx_sha256.json"), encoding="utf-8") as f:
+            golden = json.load(f)
+        hashes = approx_hashes()
+        assert len(golden) == 17 and list(hashes) == list(golden)
+        for key, sides in golden.items():
+            for side, digest in sides.items():
+                assert hashes[key][side] == digest, f"{key} {side} differs from golden"
+
+
 def report_hashes():
     """sha256 of every catalog entry's `verify` report at its catalog caps,
     keyed by entry id: the report JSON as `verify` prints it, without

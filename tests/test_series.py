@@ -92,6 +92,26 @@ class TestArithmetic:
         with pytest.raises(SeriesError):
             z.inverse()
 
+    def test_approx_scale_drops_underflowed_terms(self):
+        caps, names = Caps.of((3,)), ("x",)
+        tiny = Series(names, caps, APPROX, {(1,): 1e-200})
+        assert tiny.scale(1e-200).nums == {} and tiny.scale(1e-200).is_zero()
+        assert tiny.scale(1e-200) == Series.zero(names, caps, APPROX)
+        both = Series(names, caps, APPROX, {(1,): 1e-200, (2,): 1.0})
+        assert list((both * 1e-200).nums.items()) == [((2,), 1e-200)]
+
+    def test_power_sum_stops_at_an_underflowed_term(self, monkeypatch):
+        # (1 + 1e-160 x)^(1e-200): the first term, 1e-160 x times the ratio
+        # 1e-200, underflows to 0.0, which ends the sum after one product
+        caps, names = Caps.of((3,)), ("x",)
+        base = Series(names, caps, APPROX, {(0,): 1.0, (1,): 1e-160})
+        calls = []
+        product = series._keyed_product
+        monkeypatch.setattr(series, "_keyed_product",
+                            lambda a, b, admitted: calls.append(1) or product(a, b, admitted))
+        assert base.pow(1e-200) == Series.one(names, caps, APPROX)
+        assert len(calls) == 1
+
 
 class TestExpLog:
     def test_exp_zero(self):
@@ -711,6 +731,105 @@ class TestKeyedProduct:
         assert list(product.terms.items()) == list(out.terms.items())
 
 
+def every_pair_product(a, b, admitted):
+    """Reference `_keyed_product`: every pair of terms visited, the smaller
+    operand outside (the first on a tie), a sum that cancels to 0 popped."""
+    if len(a) > len(b):
+        a, b = b, a
+    inner = list(b.items())
+    out = {}
+    get, pop = out.get, out.pop
+    for ka, ca in a.items():
+        for kb, cb in inner:
+            k = ka + kb
+            if not admitted[k]:
+                continue
+            new = get(k, 0) + ca * cb
+            if new == 0:
+                pop(k, None)
+            else:
+                out[k] = new
+    return out
+
+
+def bits(terms):
+    """A dict's items in order, each float by `float.hex` and NaN as NaN."""
+    return [(k, type(v), "nan" if v != v else v.hex() if type(v) is float else v)
+            for k, v in terms.items()]
+
+
+# values whose sums cancel, signed zeros, NaN, infinities and subnormals
+EDGE_FLOATS = st.sampled_from([1.0, -1.0, 2.0, -2.0, 0.5, 0.0, -0.0, math.nan,
+                               math.inf, -math.inf, 5e-324, -5e-324, 2.0 ** -1030])
+EDGE_INTS = st.sampled_from([1, -1, 2, -2, 0, 3])
+
+
+@st.composite
+def keyed_operands(draw):
+    """Two key -> coefficient dicts on the admitted keys of a box or
+    total-capped window, all floats or all ints: of equal size half the
+    time, and each led by the unit term at key 0 half the time."""
+    caps, _ = draw(windows())
+    admitted = _layout(caps)[2]
+    keys = [k for k, flag in enumerate(admitted) if flag]
+    floats = draw(st.booleans())
+    coeff = EDGE_FLOATS | st.floats() if floats else EDGE_INTS | st.integers(-2 ** 70, 2 ** 70)
+    sizes = draw(st.tuples(st.integers(0, 7), st.integers(0, 7))
+                 .map(lambda s: s if s[1] % 2 else (s[0], s[0])))
+    operands = []
+    for n in sizes:
+        n = min(n, len(keys))
+        chosen = draw(st.lists(st.sampled_from(keys), min_size=n, max_size=n, unique=True))
+        lead = {}
+        if chosen and draw(st.booleans()):
+            chosen.remove(0) if 0 in chosen else chosen.pop()
+            lead = {0: 1.0 if floats else 1}
+        operands.append({**lead, **{k: draw(coeff) for k in chosen}})
+    return (*operands, admitted)
+
+
+class TestKeyedProductKernel:
+    """`_keyed_product` called directly, against the every-pair loop in dict order."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(case=keyed_operands())
+    def test_matches_every_pair_loop(self, case):
+        a, b, admitted = case
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert bits(_keyed_product(x, y, admitted)) == \
+                bits(every_pair_product(x, y, admitted))
+
+    def test_cell_popped_and_inserted_again(self):
+        # caps (3,): x^2 cancels at the second outer term and comes back at
+        # the third, now behind the constant; the leading 1 is copied
+        admitted = _layout(Caps.of((3,)))[2]
+        a = {0: 1, 1: 1, 2: 1}
+        b = {1: 1, 2: -1, 0: 5}
+        expected = [(1, 6), (0, 5), (2, 5)]
+        assert list(every_pair_product(a, b, admitted).items()) == expected
+        assert list(_keyed_product(a, b, admitted).items()) == expected
+
+    def test_pairs_outside_the_caps_are_skipped(self):
+        # 1 + x + x^2 + x^3 times the 15 cells of caps (4, 4) with total 4:
+        # the 1 is copied, and each power of x scans only the cells that the
+        # one below it kept (15, 10, 6), after one check that it lies above
+        caps = Caps.of((4, 4), 4)
+        encode, _, admitted, _ = _layout(caps)
+        cells = {encode(e): 1.0 for e in itertools.product(range(5), repeat=2)
+                 if sum(e) <= 4}
+        powers = {encode((0, k)): 1.0 for k in range(4)}
+        looked_up = []
+
+        class Counted(bytearray):
+            def __getitem__(self, k):
+                looked_up.append(k)
+                return bytearray.__getitem__(self, k)
+
+        assert bits(_keyed_product(powers, cells, Counted(admitted))) == \
+            bits(every_pair_product(powers, cells, admitted))
+        assert len(looked_up) == 3 + 15 + 10 + 6 < len(powers) * len(cells)
+
+
 def binomial_chain(factors, names, caps, mode):
     """Reference product: one `unit_binomial_pow` per factor, in arrival order."""
     out = Series.one(names, caps, mode)
@@ -828,7 +947,13 @@ class TestBinomialProduct:
         names = ("x",)
         factors = [((2 ** j,), 1, -1, -1) for j in range(7)]
         chain = binomial_chain(factors, names, caps, EXACT)
-        count = self.count_products(monkeypatch)
+        count = [0]
+        exact_product = series._exact_product
+
+        def counting(a, b, caps):
+            count[0] += 1
+            return exact_product(a, b, caps)
+        monkeypatch.setattr(series, "_exact_product", counting)
         product = binomial_product(factors, names, caps)
         assert product == chain
         assert count[0] == len(factors)
