@@ -139,8 +139,7 @@ def beta2_grid(caps: Caps) -> PartitionGrid:
     if series != distinct:
         raise AssertionError("beta2 product routes disagree")
     cap_q, cap_t = caps.limits
-    for k in range(1, cap_t + 1):
-        ak = determinants.binary_Ak(k, cap_q)
+    for k, ak in enumerate(determinants.binary_A_columns(cap_t, cap_q), 1):
         column = {e[0]: c for e, c in series.terms.items() if e[1] == k}
         if column != {e[0]: c for e, c in ak.terms.items()}:
             raise AssertionError(f"determinant route disagrees at t^{k}")

@@ -1302,10 +1302,9 @@ def _binary_entries():
 
     def beta_rhs(caps: Caps) -> Series:
         one = Series.one(("q", "t"), caps)
-        out = one
         acc = Series.zero(("q", "t"), caps)
-        for k in range(1, caps.limits[1] + 1):
-            ak = determinants.binary_Ak(k, caps.limits[0])
+        for k, ak in enumerate(determinants.binary_A_columns(caps.limits[1],
+                                                             caps.limits[0]), 1):
             lifted = Series(("q", "t"), caps, EXACT,
                             {(e[0], k): c for e, c in ak.terms.items()})
             acc = acc + lifted

@@ -10,8 +10,8 @@ from __future__ import annotations
 import contextlib
 from fractions import Fraction
 
-from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _log_sum,
-                     _power_coeff, check_power, polylog, read_choice, read_exps,
+from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _power_coeff,
+                     binomial_log, check_power, polylog, read_choice, read_exps,
                      read_keys, read_rational)
 
 
@@ -206,7 +206,7 @@ def build_log(node: dict, names, caps: Caps, _path: str = "") -> Series:
         elif op == "unit_binomial":
             expo, sign, scalar = _unit_binomial(node, names)
             if any(expo):
-                return _log_sum([((expo, sign, scalar), 1)], names, caps)
+                return binomial_log([(expo, scalar, 1, sign)], names, caps)
         elif op == "const" and read_rational(node["value"], "value") == 1:
             return Series.zero(names, caps)
     raise NoLogForm(f"no log form for this {op!r} node (at node {_path or 'root'})")

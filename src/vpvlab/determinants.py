@@ -190,6 +190,16 @@ def binary_Ak(k: int, cap_q: int | None = None, via_determinant: bool = False) -
     return _kth_coefficient(sums, k, via_determinant)
 
 
+def binary_A_columns(cap_t: int, cap_q: int) -> list:
+    """[A_1, ..., A_cap_t] from one recurrence over p_1..p_cap_t.
+
+    a_k rests on p_1..p_k and a_0..a_(k-1) alone, so each entry is
+    `binary_Ak(k, cap_q)`, with no recurrence run once per k.
+    """
+    sums = [binary_power_sum(m, cap_q) for m in range(1, cap_t + 1)]
+    return coeffs_from_power_sums(sums, cap_t)[1:] if sums else []
+
+
 def hyperpyramid_power_sum(m: int, names, caps: Caps, repeat: int = 1) -> Series:
     """p_m = prod_i ((1 - x_i^m)/(1 - x_i))^repeat for the pyramid determinants."""
     one = Series.one(names, caps)

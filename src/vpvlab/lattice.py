@@ -12,7 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import gcd, inf, isinf, prod
+from math import gcd, inf, isinf, lcm, prod
 
 from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _count,
                      binomial_log, binomial_product, check_power, decimal_str,
@@ -563,17 +563,20 @@ class ProductSpec:
                    mapping=doc["mapping"], names=doc["vars"])
 
 
-def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
-    """{(image, scalar): [count, summed weight]} over `spec.vectors(caps)`, exactly.
+def image_histogram(spec: ProductSpec, caps: Caps) -> tuple:
+    """(den, {(image, scalar): [count, weight]}) over `spec.vectors(caps)`,
+    exactly: each summed weight is the int numerator of a rational over `den`.
 
     One dynamic program over the components counts the region instead of
     walking it: the last component comes first under an all-below-last
     ordering.  A state is (partial image, partial scalar, ordering key,
     running gcd, number of components equal to 1) and holds how many
     partial vectors reach it and their summed partial weight, a product of
-    per-component factors (1 for a factor family).  A scalar or weight with
-    no denominator is an int, so equal factors downstream hash and add as
-    ints.  The key is the last
+    per-component factors (1 for a factor family).  Each component's factor
+    is read from an int table over its values (see `_weight_table`), its
+    values scaled by one denominator d_i, so the weights are ints over
+    `den`, the product of the d_i.  A scalar with no denominator is an int,
+    so equal factors downstream hash and add as ints.  The key is the last
     component's value (all-below-last) or the previous one (strict chain).
     Outside a coprime region the gcd is clipped to 0 or 1; either way the
     origin ends at gcd 0 and drops out.  Values ascend, so a component's
@@ -584,15 +587,19 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
     bounds, upper = spec.component_bounds(caps), region.upper or (None,) * n
     limits, total = caps.limits, caps.total
     w = spec.factor if isinstance(spec.factor, WeightExpr) else None
+    # an irrational weight is refused below, once a region vector is found
+    irrational = w is not None and w.needs_approx()
     below_last = order in (ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT)
     chain, strict = order == ORDER_STRICT_CHAIN, order == ORDER_ALL_BELOW_LAST_STRICT
     coprime, units = region.coprime, region.unit_counts is not None
     states = {((0,) * len(spec.names), 1, -1, 0, 0): [1, 1]}
+    den = 1
     for step, i in enumerate((n - 1, *range(n - 1)) if below_last else range(n)):
         m, hi = mapping[i], bounds[i] if upper[i] is None else min(bounds[i], upper[i])
         values = _component_values(region.lower[i], hi, region.base_powers)
         keyed, var = chain or (below_last and step == 0), isinstance(m, int)
-        factor = _weight_factor(w, i)
+        table, d = (None, 1) if irrational else _weight_table(w, i, values)
+        den *= d
         out = {}
         for (expo, scalar, key, g, ones), (count, weight) in states.items():
             top = hi
@@ -612,7 +619,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
                          v if keyed else key,
                          gcd(g, v) if coprime else 1 if g or v else 0,
                          ones + (v == 1) if units else 0)
-                part = weight if factor is None else weight * factor(v)
+                part = weight if table is None else weight * table[v]
                 cell = out.get(state)
                 if cell is None:
                     out[state] = [count, part]
@@ -629,24 +636,22 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> dict:
         cell = hist.setdefault((expo, scalar), [0, 0])
         cell[0] += count
         cell[1] += weight
-    if hist and w is not None and w.needs_approx():
+    if hist and irrational:
         raise SeriesError("irrational weight requires approx mode")
-    return hist
+    return den, hist
 
 
-def _weight_factor(w: WeightExpr | None, i: int):
-    """v -> the factor component i puts into an exact weight (an int when it
-    has no denominator), or None for 1."""
+def _weight_table(w: WeightExpr | None, i: int, values):
+    """(table, d): table maps each of `values` to the factor component i puts
+    into an exact weight times d, an int, with d the lcm of those factors'
+    denominators; (None, 1) for a factor of 1."""
     if w is None or w.powers[i] == 0 and w.phi_over != i:
-        return None
-
-    @functools.cache
-    def factor(v):
-        f = v ** w.powers[i]
-        f = f * Fraction(euler_phi(v), v) if w.phi_over == i else f
-        return f.numerator if isinstance(f, Fraction) and f.denominator == 1 else f
-
-    return factor
+        return None, 1
+    p, phi = w.powers[i].numerator, w.phi_over == i
+    factors = {v: Fraction(v ** max(p, 0) * (euler_phi(v) if phi else 1),
+                           v ** max(-p, 0) * (v if phi else 1)) for v in values}
+    d = lcm(*(f.denominator for f in factors.values()))
+    return {v: f.numerator * (d // f.denominator) for v, f in factors.items()}, d
 
 
 def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
@@ -658,7 +663,9 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     their float sums keep their order.  Weight-expression factors, and the
     closed forms of the geometric and distinct-binomial families, stream
     into `binomial_product`, which merges equal image monomials (their
-    exponents add) before the binomial expansion.  The other families, and
+    exponents add) before the binomial expansion; exact weights stream as
+    the int numerators of `image_histogram` with its one denominator, which
+    the builders divide out once.  The other families, and
     every defining sum, are multiplied once per region vector.  Exact
     results do not depend on the order of the factors.
 
@@ -686,12 +693,12 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
     streamed = weighted or not family.defining_sum and family.kind in (
         GEOMETRIC, DISTINCT_BINOMIAL)
     if mode == EXACT:
-        images = ((image, count, weight) for image, (count, weight)
-                  in image_histogram(spec, caps).items())
+        den, hist = image_histogram(spec, caps)
+        images = ((image, count, weight) for image, (count, weight) in hist.items())
     else:
-        images = ((spec.image(vec, mode), 1,
-                   family.weight(vec, mode) if weighted else 1)
-                  for vec in spec.vectors(caps))
+        den, images = 1, ((spec.image(vec, mode), 1,
+                           family.weight(vec, mode) if weighted else 1)
+                          for vec in spec.vectors(caps))
     if weighted:
         factors = (image + (weight * family.direction, family.sign)
                    for image, _, weight in images)
@@ -716,8 +723,8 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
                 out = out * factor
         return out
     if log:
-        return binomial_log(factors, names, caps)
-    return binomial_product(factors, names, caps, mode)
+        return binomial_log(factors, names, caps, den)
+    return binomial_product(factors, names, caps, mode, den)
 
 
 @functools.cache

@@ -838,14 +838,17 @@ def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
         else Series(names, caps, mode, terms)
 
 
-def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) -> Series:
-    """prod of (1 + sign*scalar*X)^exponent over (X, scalar, exponent, sign) factors.
+def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
+                     den: int = 1) -> Series:
+    """prod of (1 + sign*scalar*X)^(exponent/den) over (X, scalar, exponent, sign) factors.
 
     A geometric factor 1/(1 - X) is ``(X, 1, -1, -1)``.  Factors with the
     same (X, sign, scalar) merge as they stream in, their exponents added in
     arrival order; a merged exponent of 0, or an X the caps do not admit,
-    is dropped.  The kept factors take whichever route needs fewer packed
-    products:
+    is dropped.  Exact exponents may be int numerators over one denominator
+    `den`: they merge as ints, and `den` is divided out once per kept factor
+    on the chain, and once in all on the log route.  The kept factors take
+    whichever route needs fewer packed products:
 
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
       in sorted key order, one product per factor (approx products always
@@ -864,31 +867,31 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT) ->
     if exact and kept:
         least = min(sum(mono) for (mono, _, _), _ in kept)
         if caps.max_order() // least < len(kept):
-            return _log_sum(kept, names, caps).exp()
+            return _log_sum(kept, names, caps, den).exp()
     encode, decode, admitted, _ = _layout(caps)
-    den, out = 1, {0: 1 if exact else 1.0}  # the constant 1: the zero vector's key is 0
+    oden, out = 1, {0: 1 if exact else 1.0}  # the constant 1: the zero vector's key is 0
     for (mono, sign, scalar), exponent in kept:
-        factor = unit_binomial_pow(mono, exponent, names, caps, mode,
-                                   sign=sign, scalar=scalar)
+        factor = unit_binomial_pow(mono, exponent if den == 1 else Fraction(exponent, den),
+                                   names, caps, mode, sign=sign, scalar=scalar)
         f = {encode(e): c for e, c in factor.nums.items()}
         if exact:
-            out, den = _exact_product(out, f, caps), den * factor.den
-            if (g := math.gcd(den, *out.values())) != 1:
-                den //= g
+            out, oden = _exact_product(out, f, caps), oden * factor.den
+            if (g := math.gcd(oden, *out.values())) != 1:
+                oden //= g
                 out = {k: v // g for k, v in out.items()}
         else:
             out = _keyed_product(out, f, admitted)
-    return Series._of(tuple(names), caps, mode, den, {decode(k): c for k, c in out.items()})
+    return Series._of(tuple(names), caps, mode, oden, {decode(k): c for k, c in out.items()})
 
 
-def binomial_log(factors: Iterable, names, caps: Caps) -> Series:
+def binomial_log(factors: Iterable, names, caps: Caps, den: int = 1) -> Series:
     """log of the exact `binomial_product` of the same factors, with no `exp`.
 
     The caps window is a down-set, so truncated `exp` and `log` are inverse
     bijections there: this is the log series the log route exponentiates,
     and two such products are equal exactly when their logs are.
     """
-    return _log_sum(_kept_factors(factors, caps), names, caps)
+    return _log_sum(_kept_factors(factors, caps), names, caps, den)
 
 
 def _kept_factors(factors: Iterable, caps: Caps) -> list:
@@ -905,14 +908,16 @@ def _kept_factors(factors: Iterable, caps: Caps) -> list:
             if exponent != 0 and caps.admits(key[0])]
 
 
-def _log_sum(kept, names, caps: Caps) -> Series:
-    """sum of exponent * log(1 + sign*scalar*X) over the kept factors, exactly.
+def _log_sum(kept, names, caps: Caps, den: int) -> Series:
+    """sum of exponent/den * log(1 + sign*scalar*X) over the kept factors
+    (see `_kept_factors`: each X admitted), exactly.
 
-    The coefficient at k*X is -exponent * (-sign*scalar)^k / k.  A factor with
-    n admitted multiples and sign*scalar = p/q has them all over its exponent's
-    denominator times q^n times lcm(1..n), so the sum is summed as int
-    numerators over one denominator: lcm(1..K), K the largest n, times the lcm
-    of the factors' exponent denominators times q^n.  The terms are keyed by
+    The coefficient at k*X is -exponent/den * (-sign*scalar)^k / k.  A factor
+    with n admitted multiples and sign*scalar = p/q has them all over `den`
+    times its exponent's denominator times q^n times lcm(1..n), so the sum is
+    summed as int numerators over one denominator: lcm(1..K), K the largest
+    n, times `den`, times the lcm of the factors' exponent denominators times
+    q^n; `Series._of` reduces it once.  The terms are keyed by
     slot (see `_layout`): the key of k*X is k*encode(X) while (k-1)*X is
     admitted, as two admitted keys never carry, so the multiples of an
     admitted X run until the first key that is not `admitted`.
@@ -920,12 +925,10 @@ def _log_sum(kept, names, caps: Caps) -> Series:
     encode, decode, admitted, _ = _layout(caps)
     runs = []
     for (mono, sign, scalar), exponent in kept:
-        keys = []
-        if caps.admits(mono):
-            key = step = encode(mono)
-            while admitted[key]:
-                keys.append(key)
-                key += step
+        keys, key = [], (step := encode(mono))
+        while admitted[key]:
+            keys.append(key)
+            key += step
         runs.append((sign * scalar, exponent, keys))
     top = max((len(keys) for *_, keys in runs), default=0)
     lcm_k = math.lcm(*range(1, top + 1))
@@ -940,7 +943,7 @@ def _log_sum(kept, names, caps: Caps) -> Series:
         for key, share in zip(keys, shares):
             power = power // q * p
             acc[key] = get(key, 0) + power * share
-    return Series._of(tuple(names), caps, EXACT, base * lcm_k,
+    return Series._of(tuple(names), caps, EXACT, base * lcm_k * den,
                       {decode(key): v for key, v in acc.items() if v})
 
 

@@ -1,9 +1,11 @@
 import itertools
 from fractions import Fraction
 
-from vpvlab.determinants import (QBinomialSpec, binary_Ak, binary_power_sum,
-                                 club_diagonal_series, coeffs_from_power_sums,
-                                 determinant, diagonal_closed_forms,
+import pytest
+
+from vpvlab.determinants import (QBinomialSpec, binary_A_columns, binary_Ak,
+                                 binary_power_sum, club_diagonal_series,
+                                 coeffs_from_power_sums, determinant, diagonal_closed_forms,
                                  exact_parts_series, hessenberg_matrix,
                                  hyperpyramid_power_sum, power_sum,
                                  qbinom_coeff, spade_diagonal_partial_sum,
@@ -210,6 +212,11 @@ class TestBinaryAk:
     def test_determinant_route(self):
         for k in range(1, 7):
             assert binary_Ak(k, via_determinant=True) == binary_Ak(k)
+
+    @pytest.mark.parametrize("cap_t, cap_q", [(0, 5), (1, 1), (6, 3), (13, 13)])
+    def test_one_recurrence_gives_every_column(self, cap_t, cap_q):
+        columns = binary_A_columns(cap_t, cap_q)
+        assert columns == [binary_Ak(k, cap_q) for k in range(1, cap_t + 1)]
 
     def test_power_sum_values(self):
         # p_4 = q^4 + 2 q^2 + 4 q

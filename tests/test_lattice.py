@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vpvlab import catalog as catalog_mod
 from vpvlab import lattice as lattice_mod
@@ -557,6 +557,53 @@ def walked_histogram(spec, caps):
     return out
 
 
+def fraction_histogram(spec, caps):
+    """`image_histogram` with each int weight read as Fraction(weight, den)."""
+    den, hist = image_histogram(spec, caps)
+    assert type(den) is int and den > 0
+    assert all(type(weight) is int for _, weight in hist.values())
+    return {image: [count, Fraction(weight, den)] for image, (count, weight) in hist.items()}
+
+
+@st.composite
+def weighted_specs(draw):
+    """A `counted_specs` case with a weight factor of either sign and
+    direction: negative powers, phi_over, scalar mappings, every ordering,
+    box and total caps."""
+    spec, caps = draw(counted_specs())
+    weight = spec.factor if isinstance(spec.factor, WeightExpr) \
+        else WeightExpr(powers=(0,) * spec.region.arity)
+    weight = dataclasses.replace(weight, sign=draw(st.sampled_from([1, -1])),
+                                 direction=draw(st.sampled_from([1, -1])))
+    return dataclasses.replace(spec, factor=weight), caps
+
+
+def fraction_product(spec, caps, log):
+    """Reference exact `product_series` on Fractions: each walked vector's
+    weight a Fraction, summed per image into the factor's exponent; the
+    factors expanded one by one and multiplied, or, with `log`, each
+    factor's log summed term by term."""
+    exponents = {}
+    for vec in spec.vectors(caps):
+        image = spec.image(vec, EXACT)
+        exponents[image] = exponents.get(image, 0) \
+            + spec.factor.weight(vec, EXACT) * spec.factor.direction
+    sign, names = spec.factor.sign, spec.names
+    if not log:
+        out = Series.one(names, caps)
+        for (mono, scalar), e in exponents.items():
+            out = out * unit_binomial_pow(mono, e, names, caps, sign=sign, scalar=scalar)
+        return out
+    terms = {}
+    for (mono, scalar), e in exponents.items():
+        ratio, power, k = -sign * Fraction(scalar), -Fraction(e), 1
+        while caps.admits(key := tuple(x * k for x in mono)):
+            power *= ratio
+            terms[key] = terms.get(key, 0) + power / k
+            k += 1
+    return Series(names, caps, EXACT, terms)
+
+
 class TestImageHistogram:
     @settings(max_examples=500, deadline=None)
     @given(case=counted_specs())
@@ -568,15 +615,53 @@ class TestImageHistogram:
             with pytest.raises(RegionError, match=re.escape(str(err))):
                 image_histogram(spec, caps)
         else:
-            assert image_histogram(spec, caps) == expected
+            assert fraction_histogram(spec, caps) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=weighted_specs())
+    def test_products_match_fraction_reference(self, case):
+        # the int weights over one denominator give the same lowest terms
+        # as Fraction weights, expanded and as logs
+        spec, caps = case
+        try:
+            reference = [fraction_product(spec, caps, log) for log in (False, True)]
+        except RegionError:
+            assume(False)  # refused by the walk, or an unbounded folded component
+        for log, want in zip((False, True), reference):
+            got = product_series(spec, caps, log=log)
+            assert (got.den, got.nums) == (want.den, want.nums)
+            assert all(type(v) is int for v in got.nums.values())
 
     def test_merged_images(self):
         # 14.23 at (12, 10): 7,715 region vectors on 97 image monomials
         spec, caps = catalog_mod.get_entry("14.23").lhs, Caps.of((12, 10))
-        hist = image_histogram(spec, caps)
+        hist = fraction_histogram(spec, caps)
         assert len(hist) == 97
         assert sum(count for count, _ in hist.values()) == 7715
         assert hist == walked_histogram(spec, caps)
+
+    def test_no_fraction_per_state(self, monkeypatch):
+        # 13.40 at (3, 3, 4, 4): the weight 1/d over 17 component values and
+        # thousands of region states; every Fraction built in `lattice` and
+        # every Fraction product or sum counts, and one per value is allowed
+        spec, caps = catalog_mod.get_entry("13.40").lhs, Caps.of((3, 3, 4, 4))
+        values = sum(len(range(lo, hi + 1)) for lo, hi
+                     in zip(spec.region.lower, spec.component_bounds(caps)))
+        made = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args):
+                made.append(args)
+                return Fraction(*args)
+        monkeypatch.setattr(lattice_mod, "Fraction", Counted)
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(a, b, op=getattr(Fraction, name)):
+                made.append((a, b))
+                return op(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+        den, hist = image_histogram(spec, caps)
+        assert values == 17 and len(hist) > 100
+        assert len(made) <= values
 
 
 class TestSpecVectors:
