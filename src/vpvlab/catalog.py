@@ -55,7 +55,6 @@ class IdentityEntry:
     rhs: object  # the same kinds as lhs
     tex_anchor: str = ""
     expected: str = "pass"  # "pass" | "errata-probe"
-    tolerance: float | None = None
     note: str = ""
 
     def build_lhs(self, caps: Caps, log: bool = False) -> Series:
@@ -151,8 +150,7 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
     limits = tuple(caps) if caps is not None else tuple(entry.caps)
     cap_obj = Caps.of(limits)
     tol = tolerance if tolerance is not None else \
-        (entry.tolerance if entry.tolerance is not None else
-         (DEFAULT_TOLERANCE if entry.mode == APPROX else 0.0))
+        (DEFAULT_TOLERANCE if entry.mode == APPROX else 0.0)
     start = time.perf_counter()
     route = None
     if entry.mode == EXACT and tol == 0.0 and isinstance(entry.lhs, ProductSpec) \

@@ -217,7 +217,7 @@ def _partial_sum(node: dict, names, caps: Caps, mode: str) -> Series:
     if driver["var"] not in names:
         raise SeriesError(f"unknown driver variable {driver['var']!r}")
     didx = names.index(driver["var"])
-    kmax = caps.limits[didx] if caps.total is None else min(caps.limits[didx], caps.total)
+    kmax = caps.limits[didx]
 
     def power(b, field):  # the exponent of 1/k^b, whose k^b is built up to kmax
         b = read_rational(b, field)

@@ -236,22 +236,19 @@ def _box_dp(limits, parts, sign=1, reverse=False) -> list:
 def count_grid(box, parts, mode=UNRESTRICTED, k: int | None = None) -> dict:
     """Count vector partitions into the given nonzero parts at every cell of a box.
 
-    One dynamic program over the box (a limits tuple or a `Caps`, whose total
-    cap is ignored) returns ``{exponent tuple: int}`` for every cell, in lex
-    order. Modes: `unrestricted` (multisets), `distinct` (subsets),
-    `distinct_parity_diff` (even-size minus odd-size subsets), and
-    `exactly_k` via ``mode=('exactly', k)`` or ``mode='exactly_k'`` with the
-    `k` argument, which counts multisets of size k drawn from parts plus the
+    One dynamic program over the box (a limits tuple or a `Caps`) returns
+    ``{exponent tuple: int}`` for every cell, in lex order. Modes:
+    `unrestricted` (multisets), `distinct` (subsets), `distinct_parity_diff`
+    (even-size minus odd-size subsets), and `exactly_k` with the `k`
+    argument, which counts multisets of size k drawn from parts plus the
     zero vector, i.e. at most k nonzero parts (the convention the partition
     grids use, where the zero-vector target has one partition for every k).
     Pure integer arithmetic, so the oracle is independent of the series kernel.
     """
     limits = tuple(int(t) for t in getattr(box, "limits", box))
-    if isinstance(mode, tuple):
-        mode, k = mode
     parts = [tuple(p) for p in parts
              if all(c >= 0 for c in p) and any(c > 0 for c in p)]
-    if mode in ("exactly", EXACTLY_K):
+    if mode == EXACTLY_K:
         if k is None:
             raise ValueError("exactly-k mode needs k")
         # at most k parts: multisets counted on a trailing part-count axis
@@ -480,22 +477,17 @@ class ProductSpec:
         """Upper bounds per component so the image monomial can fit the caps.
 
         A component mapped to variable m leaves room for the lower bounds of
-        the other components mapped to m (and, under a total cap, of every
-        other component mapped to a variable).  A component mapped to no
-        variable is bounded by the region's `upper`.
+        the other components mapped to m.  A component mapped to no variable
+        is bounded by the region's `upper`.
         """
         upper = self.region.upper or (None,) * self.region.arity
         lower = self.region.lower
-        mapped = sum(lo for lo, m in zip(lower, self.mapping) if isinstance(m, int))
         bounds = []
         for i, (m, top) in enumerate(zip(self.mapping, upper)):
             if isinstance(m, int):
                 shared = sum(lo for lo, n in zip(lower, self.mapping)
                              if isinstance(n, int) and n == m)
-                limit = caps.limits[m] - shared + lower[i]
-                if caps.total is not None:
-                    limit = min(limit, caps.total - mapped + lower[i])
-                bounds.append(limit)
+                bounds.append(caps.limits[m] - shared + lower[i])
             else:
                 bounds.append(top)
         # unbounded (scalar/dropped) components are capped by an ordering
@@ -585,7 +577,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> tuple:
     region, mapping = spec.region, spec.mapping
     order, n = region.order, region.arity
     bounds, upper = spec.component_bounds(caps), region.upper or (None,) * n
-    limits, total = caps.limits, caps.total
+    limits = caps.limits
     w = spec.factor if isinstance(spec.factor, WeightExpr) else None
     # an irrational weight is refused below, once a region vector is found
     irrational = w is not None and w.needs_approx()
@@ -602,11 +594,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> tuple:
         den *= d
         out = {}
         for (expo, scalar, key, g, ones), (count, weight) in states.items():
-            top = hi
-            if var:
-                top = limits[m] - expo[m]
-                if total is not None:
-                    top = min(top, total - sum(expo))
+            top = limits[m] - expo[m] if var else hi
             if below_last and step:
                 top = min(top, key - strict)
             for v in values:

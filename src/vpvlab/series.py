@@ -1,12 +1,12 @@
 """Exact truncated multivariate formal power series.
 
 A :class:`Series` is a sparse association from exponent vectors to nonzero
-coefficients, truncated by per-variable caps (optionally plus a total-degree
-cap).  In ``exact`` mode the coefficients are rational, stored as int
-numerators over one common denominator, and every operation is exact;
-``approx`` mode stores 64-bit floats and exists only to host irrational
-weights.  A single series never mixes modes, and operations on two series
-require identical variable names, caps and mode.
+coefficients, truncated to a box of per-variable caps.  In ``exact`` mode
+the coefficients are rational, stored as int numerators over one common
+denominator, and every operation is exact; ``approx`` mode stores 64-bit
+floats and exists only to host irrational weights.  A single series never
+mixes modes, and operations on two series require identical variable
+names, caps and mode.
 """
 
 from __future__ import annotations
@@ -161,37 +161,30 @@ SLOT_BUDGET = 1 << 20
 
 @dataclass(frozen=True)
 class Caps:
-    """Truncation window: per-variable maxima plus an optional total cap."""
+    """Truncation window: the box of per-variable maxima."""
 
     limits: tuple
-    total: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "limits", read_list(self.limits, "caps", _count))
-        if self.total is not None:
-            read_int(self.total, "total cap", 0)
         if (slots := math.prod(2 * c + 1 for c in self.limits)) > SLOT_BUDGET:
             raise SeriesError(f"caps {list(self.limits)} need {decimal_str(slots)} slots, "
                               f"prod(2*cap + 1), over the budget of {SLOT_BUDGET}")
 
     def admits(self, expo: Expo) -> bool:
-        if any(e > c for e, c in zip(expo, self.limits)):
-            return False
-        return self.total is None or sum(expo) <= self.total
+        return all(e <= c for e, c in zip(expo, self.limits))
 
     def multiples(self, expo: Expo) -> int:
         """The largest k the caps admit k * expo for (expo nonzero, >= 0)."""
-        k = min(c // e for c, e in zip(self.limits, expo) if e)
-        return k if self.total is None else min(k, self.total // sum(expo))
+        return min(c // e for c, e in zip(self.limits, expo) if e)
 
     def max_order(self) -> int:
         """Largest total degree any retained term can have."""
-        box = sum(self.limits)
-        return box if self.total is None else min(box, self.total)
+        return sum(self.limits)
 
     @staticmethod
-    def of(limits: Sequence[int], total: int | None = None) -> "Caps":
-        return Caps(limits, total)
+    def of(limits: Sequence[int]) -> "Caps":
+        return Caps(limits)
 
 
 def _as_coeff(value, mode: str) -> Coeff:
@@ -202,7 +195,7 @@ def _as_coeff(value, mode: str) -> Coeff:
     return float(value)
 
 
-# Slot layouts of the caps windows, keyed by (limits, total cap).
+# Slot layouts of the caps windows, keyed by limits.
 _LAYOUTS: dict = {}
 
 
@@ -213,11 +206,10 @@ def _layout(caps: Caps):
     radix 2*cap_i + 1 and the last variable varies fastest, so adding the
     keys of two admitted cells never carries into the next variable: the sum
     is the key of the summed exponents.  `admitted` holds 1 at the slot of
-    every cell the caps admit (the total cap lives only here), and `rows`
-    lists the first key and length of each run of admitted cells that share
-    all exponents but the last.
+    every cell the caps admit, and `rows` lists, as a range of keys, each
+    run of admitted cells that share all exponents but the last.
     """
-    layout = _LAYOUTS.get(key := (caps.limits, caps.total))
+    layout = _LAYOUTS.get(caps.limits)
     if layout is None:
         *lead, last = caps.limits or (0,)  # no variables: one cell, key 0, tail ()
         tails = [(e,) for e in range(last + 1)] if caps.limits else [()]
@@ -229,12 +221,9 @@ def _layout(caps: Caps):
         admitted, rows, prefixes = bytearray(size), [], {}
         for prefix in itertools.product(*(range(cap + 1) for cap in lead)):
             start = sum(map(operator.mul, prefix, weights))
-            count = last + 1 if caps.total is None \
-                else min(last, caps.total - sum(prefix)) + 1
-            if count > 0:
-                prefixes[start] = prefix
-                admitted[start:start + count] = b"\x01" * count
-                rows.append((start, count))
+            prefixes[start] = prefix
+            admitted[start:start + last + 1] = b"\x01" * (last + 1)
+            rows.append(range(start, start + last + 1))
 
         def encode(expo):
             return sum(map(operator.mul, expo, weights))
@@ -243,7 +232,7 @@ def _layout(caps: Caps):
             e = key % radix
             return prefixes[key - e] + tails[e]
 
-        layout = _LAYOUTS[key] = (encode, decode, admitted, rows)
+        layout = _LAYOUTS[caps.limits] = (encode, decode, admitted, rows)
     return layout
 
 
@@ -336,12 +325,12 @@ def _packed_product(a: dict, b: dict, caps: Caps) -> dict:
             + int.from_bytes(zero * size, "little")).to_bytes(size * kb, "little")
     from_bytes = int.from_bytes
     out = {}
-    for start, count in rows:
-        at = start * kb
-        # `count` slots of zeros tile the row only if every slot is zero
-        if data.count(zero, at, at + count * kb) == count:
+    for row in rows:
+        at = row.start * kb
+        # len(row) slots of zeros tile the row only if every slot is zero
+        if data.count(zero, at, at + len(row) * kb) == len(row):
             continue
-        for key in range(start, start + count):
+        for key in row:
             value = from_bytes(data[at:at + kb], "little") - half
             if value:
                 out[key] = value
@@ -361,8 +350,7 @@ def _clean_terms(terms: Mapping[Expo, Coeff], caps: Caps, mode: str) -> Mapping:
     if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {n} \
             and set(map(type, itertools.chain.from_iterable(keys))) <= {int} \
             and all(min(col) >= 0 and max(col) <= cap
-                    for col, cap in zip(zip(*keys), caps.limits)) \
-            and (caps.total is None or max(map(sum, keys), default=0) <= caps.total):
+                    for col, cap in zip(zip(*keys), caps.limits)):
         return terms
     clean: dict[Expo, Coeff] = {}
     for expo, value in terms.items():
@@ -754,7 +742,7 @@ class Series:
         idx = self.names.index(name)
         value = _as_coeff(value, self.mode)
         names = self.names[:idx] + self.names[idx + 1:]
-        caps = Caps(self.caps.limits[:idx] + self.caps.limits[idx + 1:], self.caps.total)
+        caps = Caps(self.caps.limits[:idx] + self.caps.limits[idx + 1:])
         out: dict[Expo, Coeff] = {}
         for expo, coeff in self.terms.items():
             key = expo[:idx] + expo[idx + 1:]
@@ -786,19 +774,16 @@ class Series:
                               "d": decimal_str(coeff.denominator)})
             else:
                 terms.append({"e": list(expo), "v": coeff})
-        doc = {"vars": list(self.names), "caps": list(self.caps.limits),
-               "mode": self.mode, "terms": terms}
-        if self.caps.total is not None:
-            doc["total_cap"] = self.caps.total
-        return doc
+        return {"vars": list(self.names), "caps": list(self.caps.limits),
+                "mode": self.mode, "terms": terms}
 
     def dumps(self, indent=None) -> str:
         return json.dumps(self.to_json(), indent=indent)
 
     @classmethod
     def from_json(cls, doc: dict) -> "Series":
-        read_keys(doc, ("vars", "caps", "total_cap", "mode", "terms"), "series document")
-        caps = Caps.of(doc["caps"], doc.get("total_cap"))
+        read_keys(doc, ("vars", "caps", "mode", "terms"), "series document")
+        caps = Caps.of(doc["caps"])
         mode = read_choice(doc["mode"], (EXACT, APPROX), "mode")
         terms = {}
         for i, item in enumerate(doc["terms"]):

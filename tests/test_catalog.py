@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -10,11 +9,8 @@ import pytest
 
 from vpvlab import lattice
 from vpvlab.catalog import (IdentityEntry, OracleSide, catalog, catalog_ids,
-                            entry_from_json, get_entry, oracle_series,
-                            verify_identity)
-from vpvlab.lattice import (DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K,
-                            UNRESTRICTED, LatticeRegion, ProductSpec, WeightExpr,
-                            count_partitions, product_series)
+                            entry_from_json, get_entry, verify_identity)
+from vpvlab.lattice import LatticeRegion, ProductSpec, WeightExpr, product_series
 from vpvlab.series import Caps, EXACT, Series, first_mismatch
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -358,23 +354,6 @@ class TestCustomEntries:
         }
         entry = entry_from_json(doc)
         assert verify_identity(entry).passed
-
-
-class TestOracleSeries:
-    @pytest.mark.parametrize("mode,k", [(UNRESTRICTED, None), (DISTINCT, None),
-                                        (DISTINCT_PARITY_DIFF, None),
-                                        (EXACTLY_K, 2)])
-    def test_total_cap_keeps_only_admitted_cells(self, mode, k):
-        spec = ProductSpec(region=LatticeRegion(arity=2, lower=(0, 0)),
-                           factor=WeightExpr(sign=-1, direction=-1, powers=(0, 0)),
-                           names=("y", "z"))
-        series = oracle_series(spec, Caps.of((5, 5), total=6), mode, k)
-        assert series.terms and all(sum(e) <= 6 for e in series.terms)
-        parts = [p for p in itertools.product(range(6), repeat=2) if p != (0, 0)]
-        for expo in itertools.product(range(6), repeat=2):
-            if sum(expo) <= 6:
-                assert series.coefficient(expo) == \
-                    count_partitions(expo, parts, mode, k), expo
 
 
 # the entries one side of which is the counting oracle (perfbench's

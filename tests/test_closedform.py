@@ -129,7 +129,7 @@ class TestBuildLog:
     UB_Y = cf.unit_binomial({"y": 1})
     UB_YZ = cf.unit_binomial({"y": 1, "z": 2}, sign=1, scalar=Fraction(2, 3))
 
-    @pytest.mark.parametrize("caps", [Caps.of([4, 5]), Caps.of([4, 5], 6)])
+    @pytest.mark.parametrize("caps", [Caps.of([4, 5]), Caps.of([6, 2])])
     @pytest.mark.parametrize("tree", [
         UB_YZ,
         cf.unit_binomial({"y": 9}),  # outside the caps: the factor is 1

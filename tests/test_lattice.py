@@ -145,7 +145,7 @@ class TestCountPartitions:
 
     def test_club_oracle_at_most_three(self):
         assert count_exactly_k((3, 3), ALL_PARTS_8, 3) == 19
-        assert count_partitions((3, 3), ALL_PARTS_8, ("exactly", 3)) == 19
+        assert count_partitions((3, 3), ALL_PARTS_8, EXACTLY_K, 3) == 19
 
     def test_zero_target(self):
         assert count_partitions((0, 0), ALL_PARTS_8) == 1
@@ -221,11 +221,9 @@ class TestCountGrid:
         for cell in cells:
             assert counts[cell] == brute_count(cell, parts, mode, k), cell
             assert counts[cell] == count_partitions(cell, parts, mode, k), cell
-        # a Caps box is its limits box; a total cap does not trim the grid
-        assert count_grid(Caps.of(box, total=0), parts, mode, k) == counts
 
-    def test_tuple_mode_and_single_cell_views(self):
-        grid3 = count_grid((8, 8), ALL_PARTS_8, ("exactly", 3))
+    def test_exactly_k_grid_and_single_cell_views(self):
+        grid3 = count_grid((8, 8), ALL_PARTS_8, EXACTLY_K, 3)
         assert grid3[(3, 3)] == 19
         assert grid3[(7, 2)] == count_exactly_k((7, 2), ALL_PARTS_8, 3) == 40
 
@@ -367,7 +365,7 @@ class TestProductSeries:
         with pytest.raises(RegionError, match="scalar mappings"):
             product_series(scaled, caps)
 
-    @pytest.mark.parametrize("caps", [Caps.of([5, 6]), Caps.of([5, 6], 7)])
+    @pytest.mark.parametrize("caps", [Caps.of([5, 6]), Caps.of([7, 3])])
     @pytest.mark.parametrize("spec", [
         ProductSpec(region=LatticeRegion(arity=2, lower=(1, 1), coprime=True),
                     factor=WeightExpr(sign=-1, direction=-1, powers=(0, -1)),
@@ -501,7 +499,7 @@ def specs_with_caps(draw):
         index | st.sampled_from([Fraction(1, 2), Fraction(-3), None])
     mapping = tuple(draw(target) for _ in range(region.arity - 1)) + (draw(index),)
     limits = tuple(draw(st.integers(0, 6)) for _ in range(arity))
-    caps = Caps.of(limits, draw(st.none() | st.integers(0, sum(limits))))
+    caps = Caps.of(limits)
     spec = ProductSpec(region=region, factor=WeightExpr(powers=(0,) * region.arity),
                        mapping=mapping, names=tuple("xyz"[:arity]))
     return spec, caps
@@ -534,7 +532,7 @@ def counted_specs(draw):
         unit_counts=draw(st.none() | st.lists(st.integers(0, arity), min_size=1,
                                                unique=True)))
     limits = tuple(draw(st.integers(1, 6)) for _ in range(width))
-    caps = Caps.of(limits, draw(st.none() | st.integers(1, sum(limits))))
+    caps = Caps.of(limits)
     # a component that may be 0 takes no negative power and no phi
     powers = tuple(draw(st.integers(-2 if lo else 0, 2)) for lo in lower)
     phi_over = draw(st.none() | st.sampled_from(
@@ -569,7 +567,7 @@ def fraction_histogram(spec, caps):
 def weighted_specs(draw):
     """A `counted_specs` case with a weight factor of either sign and
     direction: negative powers, phi_over, scalar mappings, every ordering,
-    box and total caps."""
+    box caps."""
     spec, caps = draw(counted_specs())
     weight = spec.factor if isinstance(spec.factor, WeightExpr) \
         else WeightExpr(powers=(0,) * spec.region.arity)

@@ -52,11 +52,6 @@ class TestConstruction:
         with pytest.raises(SeriesError):
             Series.from_terms([((1, 0), 0.5)], ("y", "z"), Caps.of([4, 4]))
 
-    def test_total_degree_cap(self):
-        caps = Caps.of([4, 4], total=3)
-        s = Series.from_terms([((2, 2), 1), ((2, 1), 1)], ("y", "z"), caps)
-        assert (2, 2) not in s.terms and (2, 1) in s.terms
-
 
 class TestArithmetic:
     def test_two_term_product(self):
@@ -278,8 +273,7 @@ class TestPolylog:
 
     def test_negative_orders_match_closed_forms(self):
         cases = [((1,), Caps.of([8])), ((1, 2), Caps.of([5, 9])),
-                 ((1, 1, 1), Caps.of([4, 4, 4], total=9)),
-                 ((0, 2), Caps.of([3, 11], total=8))]
+                 ((1, 1, 1), Caps.of([4, 4, 4])), ((0, 2), Caps.of([3, 11]))]
         for mono, caps in cases:
             names = tuple("xyz"[-len(mono):])
             one = Series.one(names, caps)
@@ -409,14 +403,14 @@ class TestSerialization:
             Series.from_json(doc)
 
     @pytest.mark.parametrize("where, key, obj", [
-        ("doc", "total", "series document"), ("term", "v", "terms[0]"),
-        ("term", "x", "terms[0]")])
+        ("doc", "total", "series document"), ("doc", "total_cap", "series document"),
+        ("term", "v", "terms[0]"), ("term", "x", "terms[0]")])
     def test_unknown_keys_are_refused(self, where, key, obj):
-        # a misspelt total cap would read as no total cap; an exact term's
-        # float value would be dropped
-        doc = {"vars": ["z"], "caps": [3], "total_cap": 2, "mode": "exact",
+        # the caps window is a box: a total cap, spelt either way, would
+        # otherwise be dropped without a word; so would an exact term's float
+        doc = {"vars": ["z"], "caps": [3], "mode": "exact",
                "terms": [{"e": [1], "n": "2", "d": "1"}]}
-        assert Series.from_json(doc).caps == Caps.of([3], 2)
+        assert Series.from_json(doc).caps == Caps.of([3])
         (doc if where == "doc" else doc["terms"][0])[key] = 1
         with pytest.raises(SeriesError, match=f"unknown key {key!r} in {re.escape(obj)}"):
             Series.from_json(doc)
@@ -465,8 +459,7 @@ DENOMINATORS = st.sampled_from([1, 1, 2, 3, 4, 6, 7, 12, 2 ** 40 + 1])
 def caps_and_names(draw):
     arity = draw(st.integers(1, 5))
     limits = tuple(draw(st.integers(0, 6)) for _ in range(arity))
-    total = draw(st.none() | st.integers(0, sum(limits)))
-    return Caps.of(limits, total), tuple("vwxyz"[:arity])
+    return Caps.of(limits), tuple("vwxyz"[:arity])
 
 
 @st.composite
@@ -504,7 +497,7 @@ class TestPackedProduct:
         assert (a * b).terms == naive_mul(a, b) == {(0,) * len(names): r}
 
     def test_truncated_to_zero(self):
-        caps = Caps.of([3, 2], total=4)
+        caps = Caps.of([3, 2])
         x = Series.monomial((3, 0), ("y", "z"), caps, coeff=Fraction(-5, 3))
         y = Series.monomial((1, 1), ("y", "z"), caps, coeff=7)
         assert (x * y).is_zero()
@@ -552,7 +545,7 @@ class TestExactProductRoutes:
             assert product == {(0,) * len(names): r}
 
     def test_wide_numerators_and_truncation(self):
-        caps = Caps.of([3, 2], total=4)
+        caps = Caps.of([3, 2])
         names = ("y", "z")
         a = Series(names, caps, EXACT, {(0, 0): 2 ** 70 + 1, (1, 1): -(2 ** 70),
                                         (3, 0): Fraction(-5, 3)})
@@ -583,11 +576,10 @@ class TestExactProductRoutes:
 
 @st.composite
 def windows(draw):
-    """A box or total-capped window of 0 to 5 variables, and its names."""
+    """A box window of 0 to 5 variables, and its names."""
     arity = draw(st.integers(0, 5))
     limits = tuple(draw(st.integers(0, 3)) for _ in range(arity))
-    total = draw(st.none() | st.integers(0, sum(limits)))
-    return Caps.of(limits, total), tuple("vwxyz"[:arity])
+    return Caps.of(limits), tuple("vwxyz"[:arity])
 
 
 class TestSlotKeys:
@@ -605,7 +597,7 @@ class TestSlotKeys:
             if caps.admits(expo):
                 assert decode(key) == expo
         # the rows hold every admitted key once
-        assert sorted(k for start, count in rows for k in range(start, start + count)) \
+        assert sorted(k for row in rows for k in row) \
             == [k for k, flag in enumerate(admitted) if flag]
 
     @settings(max_examples=60, deadline=None)
@@ -691,7 +683,7 @@ class TestKeyedProduct:
         assert (a * b).terms == tuple_keyed_mul(a, b) == {(0,) * len(names): r}
 
     def test_empty_and_truncated_operands(self):
-        caps = Caps.of([3, 2], total=4)
+        caps = Caps.of([3, 2])
         x = Series.monomial((3, 0), ("y", "z"), caps, APPROX, coeff=-1.5)
         y = Series.monomial((1, 1), ("y", "z"), caps, APPROX, coeff=7.0)
         zero = Series.zero(("y", "z"), caps, APPROX)
@@ -700,10 +692,9 @@ class TestKeyedProduct:
 
     def test_field_top_bits(self):
         # a cap of 2^k - 1 or 2^k puts the sum of two exponents at a field's
-        # limit: every cell of the box and none past it or the total cap
-        for limits, total in (((1, 3, 4), None), ((7, 8), None), ((0, 15, 16), 20),
-                              ((4,), 0)):
-            caps = Caps.of(limits, total)
+        # limit: every cell of the box and none past it
+        for limits in ((1, 3, 4), (7, 8), (0, 15, 16), (4,)):
+            caps = Caps.of(limits)
             names = "abcde"[:len(limits)]
             box = {e: 1.0 for e in itertools.product(*(range(c + 1) for c in limits))}
             full = Series(names, caps, APPROX, box)
@@ -713,7 +704,7 @@ class TestKeyedProduct:
     def test_chain_accumulator_changes_sides(self):
         # the running product is outside while it is shorter than the factor
         # (3 against 3 terms is a tie, which keeps it outside), then inside
-        caps = Caps.of([7, 2], total=8)
+        caps = Caps.of([7, 2])
         names = ("x", "y")
         # in sorted order, the order the builder multiplies them in
         factors = [((0, 1), 1.5, 0.5, 1), ((1, 0), 1.0, 2.0, 1),
@@ -766,9 +757,9 @@ EDGE_INTS = st.sampled_from([1, -1, 2, -2, 0, 3])
 
 @st.composite
 def keyed_operands(draw):
-    """Two key -> coefficient dicts on the admitted keys of a box or
-    total-capped window, all floats or all ints: of equal size half the
-    time, and each led by the unit term at key 0 half the time."""
+    """Two key -> coefficient dicts on the admitted keys of a box window,
+    all floats or all ints: of equal size half the time, and each led by
+    the unit term at key 0 half the time."""
     caps, _ = draw(windows())
     admitted = _layout(caps)[2]
     keys = [k for k, flag in enumerate(admitted) if flag]
@@ -810,13 +801,12 @@ class TestKeyedProductKernel:
         assert list(_keyed_product(a, b, admitted).items()) == expected
 
     def test_pairs_outside_the_caps_are_skipped(self):
-        # 1 + x + x^2 + x^3 times the 15 cells of caps (4, 4) with total 4:
-        # the 1 is copied, and each power of x scans only the cells that the
-        # one below it kept (15, 10, 6), after one check that it lies above
-        caps = Caps.of((4, 4), 4)
+        # 1 + z + z^2 + z^3 times the 25 cells of caps (4, 4): the 1 is
+        # copied, and each power of z scans only the cells that the one below
+        # it kept (25, 20, 15), after one check that it lies above
+        caps = Caps.of((4, 4))
         encode, _, admitted, _ = _layout(caps)
-        cells = {encode(e): 1.0 for e in itertools.product(range(5), repeat=2)
-                 if sum(e) <= 4}
+        cells = {encode(e): 1.0 for e in itertools.product(range(5), repeat=2)}
         powers = {encode((0, k)): 1.0 for k in range(4)}
         looked_up = []
 
@@ -827,7 +817,7 @@ class TestKeyedProductKernel:
 
         assert bits(_keyed_product(powers, cells, Counted(admitted))) == \
             bits(every_pair_product(powers, cells, admitted))
-        assert len(looked_up) == 3 + 15 + 10 + 6 < len(powers) * len(cells)
+        assert len(looked_up) == 3 + 25 + 20 + 15 < len(powers) * len(cells)
 
 
 def binomial_chain(factors, names, caps, mode):
@@ -864,8 +854,7 @@ def factor_lists(draw, mode=EXACT):
     """Caps, names and factors drawn from a small pool of monomials, so that
     monomials repeat, some exponents cancel and some monomials exceed the caps."""
     arity = draw(st.integers(1, 3))
-    caps = Caps.of(tuple(draw(st.integers(0, 4)) for _ in range(arity)),
-                   draw(st.none() | st.integers(0, 6)))
+    caps = Caps.of(tuple(draw(st.integers(0, 4)) for _ in range(arity)))
     names = tuple("xyz"[:arity])
     mono = st.tuples(*(st.integers(0, c + 1) for c in caps.limits)).filter(any)
     pool = draw(st.lists(mono, min_size=1, max_size=3))
@@ -1010,11 +999,11 @@ SMALL_COEFFS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3]
 
 @st.composite
 def small_series(draw, constant, mode=EXACT):
-    """A 1-3 variable series under box or total caps with the given constant
+    """A 1-3 variable series under box caps with the given constant
     term and a few random terms of positive degree."""
     arity = draw(st.integers(1, 3))
     limits = tuple(draw(st.integers(0, 3)) for _ in range(arity))
-    caps = Caps.of(limits, draw(st.none() | st.integers(0, sum(limits))))
+    caps = Caps.of(limits)
     expo = st.tuples(*(st.integers(0, c) for c in limits)).filter(any)
     coeff = SMALL_COEFFS if mode == EXACT else \
         st.floats(-2, 2, allow_nan=False, allow_infinity=False)
@@ -1167,7 +1156,7 @@ class TestStockFactors:
     """`unit_binomial_pow` and `polylog` build their series trusted."""
 
     def test_zero_coefficients_are_dropped(self):
-        caps = Caps.of([4, 3], total=5)
+        caps = Caps.of([4, 3])
         names = ("y", "z")
         for mode in (EXACT, APPROX):
             one = Series.one(names, caps, mode)
