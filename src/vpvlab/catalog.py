@@ -28,7 +28,7 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
 from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
                      binomial_product, decimal_str, first_mismatch, max_rel_error,
-                     read_choice, read_keys, read_str)
+                     read_choice, read_keys, read_str, work_budget)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -133,8 +133,9 @@ def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Se
     return Series(spec.names, caps, EXACT, count_grid(caps, parts, mode, k))
 
 
+@work_budget()
 def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = None) -> IdentityCheckReport:
-    """Compare both sides coefficient by coefficient.
+    """Compare both sides coefficient by coefficient, within one work budget.
 
     An exact entry with a product left side and a tree or product right
     side, compared with no tolerance, compares their logs (the "log" route):

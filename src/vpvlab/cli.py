@@ -14,7 +14,8 @@ from . import catalog as catalog_mod
 from . import determinants
 from .closedform import build_closed_form
 from .lattice import PartitionGrid, ProductSpec, product_series
-from .series import APPROX, Caps, EXACT, SeriesError, read_choice, read_keys, read_names
+from .series import (APPROX, Caps, EXACT, SeriesError, read_choice, read_keys, read_names,
+                     work_budget)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -155,6 +156,7 @@ _GRID_BUILDERS = {
 }
 
 
+@work_budget()
 def cmd_grid(args) -> int:
     caps = Caps.of(_parse_caps(args.caps)) if args.caps else None
     if args.spec:
@@ -180,6 +182,7 @@ def cmd_grid(args) -> int:
     return EXIT_OK
 
 
+@work_budget()
 def cmd_expand(args) -> int:
     caps = Caps.of(_parse_caps(args.caps)) if args.caps else None
     if args.entry:

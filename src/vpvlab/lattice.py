@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import gcd, inf, isinf, lcm, prod
 
-from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _count,
-                     binomial_log, binomial_product, check_power, decimal_str,
+from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _bits_of_lcm,
+                     _charge, _count, _loop_cost, binomial_log, binomial_product,
+                     check_power, decimal_str,
                      read_choice, read_int, read_keys, read_list, read_names,
                      read_rational, unit_binomial_pow)
 
@@ -590,7 +591,7 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> tuple:
         m, hi = mapping[i], bounds[i] if upper[i] is None else min(bounds[i], upper[i])
         values = _component_values(region.lower[i], hi, region.base_powers)
         keyed, var = chain or (below_last and step == 0), isinstance(m, int)
-        table, d = (None, 1) if irrational else _weight_table(w, i, values)
+        table, d = (None, 1) if irrational else _weight_table(w, i, values, caps)
         den *= d
         out = {}
         for (expo, scalar, key, g, ones), (count, weight) in states.items():
@@ -629,13 +630,23 @@ def image_histogram(spec: ProductSpec, caps: Caps) -> tuple:
     return den, hist
 
 
-def _weight_table(w: WeightExpr | None, i: int, values):
+def _weight_table(w: WeightExpr | None, i: int, values, caps: Caps):
     """(table, d): table maps each of `values` to the factor component i puts
     into an exact weight times d, an int, with d the lcm of those factors'
-    denominators; (None, 1) for a factor of 1."""
+    denominators; (None, 1) for a factor of 1.
+
+    The denominators divide v^(max(-p, 0) + phi), so d divides lcm(1..v)
+    to that power, v the largest value: the table's ints are charged to the
+    work budget at that width, three passes over them (the totients, the
+    lcm, the numerators), before any is built.
+    """
     if w is None or w.powers[i] == 0 and w.phi_over != i:
         return None, 1
     p, phi = w.powers[i].numerator, w.phi_over == i
+    if values:
+        top = values[-1]
+        bits = (max(-p, 0) + phi) * _bits_of_lcm(top) + max(p, 0) * top.bit_length()
+        _charge(3 * _loop_cost(len(values), bits, 1), caps, "an exact weight table")
     factors = {v: Fraction(v ** max(p, 0) * (euler_phi(v) if phi else 1),
                            v ** max(-p, 0) * (v if phi else 1)) for v in values}
     d = lcm(*(f.denominator for f in factors.values()))

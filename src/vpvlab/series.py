@@ -153,9 +153,10 @@ def decimal_str(n: int) -> str:
 
 
 # The most slots, prod(2*cap_i + 1), a caps window's layout (see `_layout`) may
-# have; they size every per-cell table and packed operand.  Measured in-process,
-# 13.02 takes 0.8 s at (200, 200) (160,801 slots) and 7.7 s with a 246 MB peak at
-# (511, 511); the catalog's largest window has 50,625 slots (11b31).
+# have; they size every per-cell table and packed operand, so this bounds
+# memory, and `WORK_BUDGET` bounds time.  Measured in-process, 13.02 takes 0.8 s
+# at (200, 200) (160,801 slots) and 7.7 s with a 246 MB peak at (511, 511); the
+# catalog's largest window has 50,625 slots (11b31).
 SLOT_BUDGET = 1 << 20
 
 
@@ -236,6 +237,147 @@ def _layout(caps: Caps):
     return layout
 
 
+# -- cost model -----------------------------------------------------------------
+#
+# Every route choice, and the work budget, reads one model of what the kernels
+# cost, in estimated ns, from sizes known before any arithmetic: term counts,
+# numerator widths, the layout's slots and the rooms of its cells.  The
+# constants were fitted on both routes of 1,868 distinct exact products and of
+# 136 distinct exact `binomial_product` calls (both sides of every exact
+# catalog entry and `deep` item, and 7.25a and 12.04 at (24, 24) and (32, 32)),
+# timed on a 2-vCPU VM under Python 3.11.7.  Picking by the estimate cost
+# 4.6 ms over the faster route each time (of 285 ms) on the products, and
+# 1.8 ms (of 168 ms) on the calls.
+
+FILTER_NS = 10  # a pair of terms the term loop tests against the caps
+PAIR_NS = 190  # a pair it keeps: one multiply of one-digit ints and one add
+DIGIT_NS = 3  # each further 30-bit digit product of such a multiply
+TERM_NS = 1250  # a term packed into a big integer, and its share of the read-back
+KARATSUBA_NS = 0.26  # the packed multiply: times (bytes of an operand)^1.585
+CALL_NS = 1000  # a kernel product called, whatever its size
+STEP_NS = 600  # a term of a power sum's running term: ratio, gcd, merge into the sum
+GCD_NS = 20  # a term of the chain's running product, tested for a common factor
+EXPAND_NS = 10000  # a term of a chain factor expanded by `unit_binomial_pow`
+
+# The most estimated work, in ns, one verify, expand or grid may run: a minute.
+# Through the CLI, 14.05 verifies at (3000,) in 0.7 s and at (10000,) in 12 s,
+# and 13.02 at (240, 240) and 7.25a at (32, 32) in under a second; at
+# (500000,) 14.05's weight table alone is estimated at 113 s.
+WORK_BUDGET = 60 * 10 ** 9
+
+_spent = [None]  # the work charged in the open `work_budget`, or None
+
+
+@contextlib.contextmanager
+def work_budget():
+    """Refuse, with SeriesError, the route whose estimate takes the work run
+    inside this block past `WORK_BUDGET`; an inner block adds to the outer's."""
+    if _spent[0] is not None:
+        yield
+        return
+    _spent[0] = 0
+    try:
+        yield
+    finally:
+        _spent[0] = None
+
+
+def _charge(cost: float, caps: Caps, what: str, spend: bool = True):
+    """Add `cost` to the open budget, or with `spend` False only check that it
+    fits; past `WORK_BUDGET`, refuse before the work starts."""
+    if _spent[0] is not None:
+        if (total := _spent[0] + cost) > WORK_BUDGET:
+            raise SeriesError(f"{what} at caps {list(caps.limits)} needs an estimated "
+                              f"{decimal_str(round(cost / 10 ** 9))} s of work, taking the "
+                              f"run to {decimal_str(round(total / 10 ** 9))} s, over the "
+                              f"budget of {WORK_BUDGET // 10 ** 9} s")
+        if spend:
+            _spent[0] += cost
+
+
+_ROOMS: dict = {}
+
+
+def _rooms(caps: Caps) -> list:
+    """The room of each slot of the caps' layout: at an admitted cell e,
+    prod(cap_i - e_i + 1), the admitted cells c with c + e admitted; 0 where
+    the caps do not admit e.  The rows of `_layout` run over the leading
+    components in `itertools.product` order, each row over the last one."""
+    rooms = _ROOMS.get(caps.limits)
+    if rooms is None:
+        *lead, last = caps.limits or (0,)
+        ramp = range(last + 1, 0, -1)
+        rooms = _ROOMS[caps.limits] = [0] * len(_layout(caps)[2])
+        shares = map(math.prod, itertools.product(*(range(cap + 1, 0, -1) for cap in lead)))
+        for row, share in zip(_layout(caps)[3], shares):
+            rooms[row.start:row.stop] = [share * r for r in ramp]
+    return rooms
+
+
+_TAILS: dict = {}
+
+
+def _degree_tails(caps: Caps) -> tuple:
+    """(cells_from, rooms_from): per total degree d, the admitted cells of
+    degree d or more and the sum of their rooms (see `_rooms`)."""
+    tails = _TAILS.get(caps.limits)
+    if tails is None:
+        cells, rooms = [1], [1]
+        for cap in caps.limits:  # convolve with the cap's counts and rooms
+            window = [(max(0, d - cap), min(d, len(cells) - 1) + 1)
+                      for d in range(len(cells) + cap)]
+            cells = [sum(cells[lo:hi]) for lo, hi in window]
+            rooms = [sum(map(operator.mul, rooms[lo:hi], range(lo - d + cap + 1, cap + 2)))
+                     for d, (lo, hi) in enumerate(window)]
+        tails = _TAILS[caps.limits] = tuple(list(itertools.accumulate(x[::-1]))[::-1] + [0]
+                                            for x in (cells, rooms))
+    return tails
+
+
+def _box(caps: Caps, low) -> tuple:
+    """(cells, rooms): the admitted cells at least `low` in each component, and
+    the sum of their rooms."""
+    cells, rooms = 1, 1
+    for cap, least in zip(caps.limits, low):
+        n = max(cap - least + 1, 0)  # with rooms 1 .. n
+        cells, rooms = cells * n, rooms * n * (n + 1) // 2
+    return cells, rooms
+
+
+def _bits_of_lcm(k: int) -> int:
+    """An upper bound on the bits of lcm(1..k): psi(k) / log 2 < 1.04 k / log 2."""
+    return 3 * k // 2 + 1
+
+
+def _loop_cost(pairs: float, wa: int, wb: int) -> float:
+    """ns of `pairs` multiply-adds of wa-bit by wb-bit ints in a Python loop: a
+    digit product per two 30-bit digits, or Karatsuba's share of them past 70
+    digits (CPython's cutoff)."""
+    short, long = sorted(((wa + 29) // 30 or 1, (wb + 29) // 30 or 1))
+    digits = long * (short if short <= 70 else 70 * (short / 70) ** 0.585)
+    return pairs * (PAIR_NS + DIGIT_NS * (digits - 1))
+
+
+def _pairs(na: int, nb: int, room_a: float, room_b: float, cells: int) -> float:
+    """The pairs the caps admit of na by nb terms with rooms summing to room_a
+    and room_b, of `cells` admitted cells: the geometric mean of nb * room_a
+    and na * room_b over cells, each operand's pairs with the other spread
+    evenly over the window."""
+    return min(na * nb, math.sqrt(room_a * nb * room_b * na) / cells)
+
+
+def _product_cost(na: int, nb: int, kept: float, wa: int, wb: int, slots: int) -> tuple:
+    """(loop, packed): estimated ns of an exact product of na by nb terms,
+    `kept` of whose pairs the caps admit, with numerators of up to wa and wb
+    bits, on a layout of `slots`.  `_keyed_product` tests every pair and
+    multiplies the kept ones; `_packed_product` packs every term and
+    multiplies two integers of a byte slot per key up to the last admitted
+    one, the middle slot."""
+    loop = CALL_NS + FILTER_NS * na * nb + _loop_cost(kept, wa, wb)
+    kb = (wa + wb + min(na, nb).bit_length() + 8) // 8
+    return loop, CALL_NS + TERM_NS * (na + nb) + KARATSUBA_NS * ((slots + 1) // 2 * kb) ** 1.585
+
+
 def _keyed_product(a: dict, b: dict, admitted: bytearray) -> dict:
     """The product of two key -> coefficient dicts (see `_layout`), term by term.
 
@@ -282,16 +424,35 @@ def _keyed_product(a: dict, b: dict, admitted: bytearray) -> dict:
 def _exact_product(a: dict, b: dict, caps: Caps) -> dict:
     """The product of two key -> int numerator dicts, cut to the caps.
 
-    While the pairs of terms are no more than the slots of the layout,
-    prod(2*cap_i + 1), `_keyed_product` multiplies them pair by pair; denser
-    operands take `_packed_product`, which pays for every slot.
+    It takes `_keyed_product`, pair by pair, or `_packed_product`, which
+    pays for every slot of the layout, whichever `_product_cost` estimates
+    cheaper from the operands' term counts, rooms and widths, and charges
+    that estimate to the work budget.  Few pairs, no more than
+    TERM_NS / (FILTER_NS + PAIR_NS) per term, take the term loop with no
+    estimate: there the loop costs less than packing the terms would, and
+    little more than the operands cost to build.
     """
     if not a or not b:
         return {}
-    admitted = _layout(caps)[2]
-    if len(a) * len(b) <= len(admitted):
-        return _keyed_product(a, b, admitted)
-    return _packed_product(a, b, caps)
+    na, nb = len(a), len(b)
+    if na * nb * (FILTER_NS + PAIR_NS) > TERM_NS * (na + nb):
+        rooms = _rooms(caps)
+        kept = _pairs(na, nb, sum(map(rooms.__getitem__, a)), sum(map(rooms.__getitem__, b)),
+                      rooms[0])
+        loop, packed = _product_cost(na, nb, kept, max(map(abs, a.values())).bit_length(),
+                                     max(map(abs, b.values())).bit_length(), len(rooms))
+        _charge(min(loop, packed), caps, "an exact product")
+        if packed < loop:
+            return _packed_product(a, b, caps)
+    return _keyed_product(a, b, _layout(caps)[2])
+
+
+def _float_product(a: dict, b: dict, caps: Caps) -> dict:
+    """`_keyed_product` of two key -> float dicts, charged to the work budget
+    as the term loop's estimate with every pair kept."""
+    admitted, pairs = _layout(caps)[2], len(a) * len(b)
+    _charge(_product_cost(len(a), len(b), pairs, 1, 1, len(admitted))[0], caps, "a float product")
+    return _keyed_product(a, b, admitted)
 
 
 def _pack(terms: dict, size: int, kb: int) -> int:
@@ -550,12 +711,11 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        encode, decode, admitted, _ = _layout(self.caps)
+        encode, decode, _, _ = _layout(self.caps)
         a = {encode(e): v for e, v in self.nums.items()}
         b = {encode(e): v for e, v in other.nums.items()}
         # floats cannot be packed exactly: every pair is multiplied
-        out = _exact_product(a, b, self.caps) if self.mode == EXACT \
-            else _keyed_product(a, b, admitted)
+        out = (_exact_product if self.mode == EXACT else _float_product)(a, b, self.caps)
         return self._with(self.den * other.den, {decode(k): v for k, v in out.items()})
 
     __rmul__ = __mul__
@@ -583,13 +743,13 @@ class Series:
         the numerators by p and the denominator by q, and the content gcd is
         divided out; the sum is kept over the lcm of the terms'
         denominators.  Approx coefficients are floats over 1, and a step is
-        one `_keyed_product` and a multiply by the ratio: the float
+        one `_float_product` and a multiply by the ratio: the float
         operations of the tuple-keyed loop, in its order.
         """
         caps, exact = self.caps, self.mode == EXACT
-        encode, decode, admitted, _ = _layout(caps)
+        encode, decode, _, _ = _layout(caps)
         uden, u = self.den, {encode(e): v for e, v in self.nums.items()}
-        step, arg, unit = (_exact_product, caps, 1) if exact else (_keyed_product, admitted, 1.0)
+        step, unit = (_exact_product, 1) if exact else (_float_product, 1.0)
         oden, out = 1, ({0: start * unit} if start else {})
         tden, term = 1, {0: unit}
         max_order = caps.max_order()
@@ -598,7 +758,7 @@ class Series:
             r = ratio(k)
             if r == 0:
                 break
-            term, tden = step(term, u, arg), tden * uden
+            term, tden = step(term, u, caps), tden * uden
             if r != 1:
                 p, q = (r.numerator, r.denominator) if exact else (r, 1)
                 if p != 1:
@@ -833,27 +993,34 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
     is dropped.  Exact exponents may be int numerators over one denominator
     `den`: they merge as ints, and `den` is divided out once per kept factor
     on the chain, and once in all on the log route.  The kept factors take
-    whichever route needs fewer packed products:
+    whichever route `_route_costs` estimates cheaper (approx products
+    always take the chain, so they do not depend on the order the factors
+    come in):
 
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
-      in sorted key order, one product per factor (approx products always
-      take it, so they do not depend on the order the factors come in).
-      The running product stays on slot keys throughout and is decoded
-      once at the end: floats, one `_keyed_product` per factor, or int
-      numerators over one running denominator, one `_exact_product` per
-      factor with the content gcd divided out;
+      in sorted key order, one product per factor.  The running product
+      stays on slot keys throughout and is decoded once at the end: floats,
+      one `_float_product` per factor, or int numerators over one running
+      denominator, one `_exact_product` per factor with the content gcd
+      divided out;
     - the log route (exact only): one log series, the sum over the factors
       of exponent * log(1 + s*X) = sum over k >= 1 of
       exponent * (-1)^(k+1) * (s*X)^k / k, and one `exp`, which needs at
       most max_order // (least total degree of the X) products.
+
+    The chain's numerators stay small ints while every exponent is an int
+    over `den` 1 and every scalar an int, but the `exp` of the log route
+    carries lcm(1..K)^k * k! denominators; the log route wins with many
+    factors of fractional exponent, each with few multiples.
     """
     kept = _kept_factors(factors, caps)
     exact = mode == EXACT
     if exact and kept:
-        least = min(sum(mono) for (mono, _, _), _ in kept)
-        if caps.max_order() // least < len(kept):
+        chain, log = _route_costs(kept, caps, den)
+        _charge(min(chain, log), caps, "a product of factors", spend=False)
+        if log < chain:
             return _log_sum(kept, names, caps, den).exp()
-    encode, decode, admitted, _ = _layout(caps)
+    encode, decode, _, _ = _layout(caps)
     oden, out = 1, {0: 1 if exact else 1.0}  # the constant 1: the zero vector's key is 0
     for (mono, sign, scalar), exponent in kept:
         factor = unit_binomial_pow(mono, exponent if den == 1 else Fraction(exponent, den),
@@ -865,8 +1032,95 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
                 oden //= g
                 out = {k: v // g for k, v in out.items()}
         else:
-            out = _keyed_product(out, f, admitted)
+            out = _float_product(out, f, caps)
     return Series._of(tuple(names), caps, mode, oden, {decode(k): c for k, c in out.items()})
+
+
+def _route_costs(kept, caps: Caps, den: int) -> list:
+    """[chain, log]: estimated ns of `binomial_product`'s exact routes over the
+    kept factors, from their admitted multiples, raced by `_race`.
+
+    Every nonzero cell a product of the factors reaches lies in the box from
+    low, the least X_i of the factors in each component i, to the caps.  The
+    chain's numerators are taken as one 30-bit digit while it stays integral
+    (every exponent an int over `den` 1, every scalar an int), and otherwise
+    as twice as wide as the log series'.
+    """
+    encode, rooms = _layout(caps)[0], _rooms(caps)
+    monos = [mono for (mono, _, _), _ in kept]
+    counts = list(map(caps.multiples, monos))
+    rays = [(m, sum(rooms[step:step * m + 1:step]))  # the rooms of X .. m*X
+            for m, step in zip(counts, map(encode, monos))]
+    base = max(e.denominator.bit_length() + m * s.denominator.bit_length()
+               for ((_, _, s), e), m in zip(kept, counts))
+    width = max(abs(e.numerator).bit_length() for _, e in kept) + base + den.bit_length()
+    integral = den == 1 and all(e.denominator == 1 == s.denominator for (_, _, s), e in kept)
+    low = tuple(map(min, *monos)) if len(monos) > 1 else monos[0]
+    wide = width + _bits_of_lcm(max(counts))  # of the log series' numerators
+    box = _box(caps, low)
+    log = _power_sum_costs(_log_sum_cost(sum(counts), width, max(counts)),
+                           min(sum(counts), box[0]), sum(room for _, room in rays), wide,
+                           low, min(map(sum, monos)), caps)
+    return _race(_chain_costs(rays, box, 30 if integral else 2 * wide, rooms), log)
+
+
+def _race(*routes) -> list:
+    """The estimates of the routes, each an iterator of its running cost,
+    advanced the cheapest so far first until that one has ended: its total,
+    and for each other route a lower bound above it."""
+    costs, ended = [0.0] * len(routes), [False] * len(routes)
+    while not ended[i := costs.index(min(costs))]:
+        try:
+            costs[i] = next(routes[i])
+        except StopIteration:
+            ended[i] = True
+    return costs
+
+
+def _chain_costs(rays, box: tuple, width: int, rooms: list):
+    """Running estimated ns of the chain over factors of (m multiples, their
+    rooms) in `rays`: each expanded to m + 1 terms and multiplied into the
+    running product, whose terms spread evenly over `box` (cells, rooms) and
+    grow to the larger one-sided count of `_pairs`, at most (m + 1)-fold."""
+    cost, n, room, cells = 0.0, 1, rooms[0], rooms[0]
+    for m, ray in rays:
+        ray += cells  # and the factor's constant term
+        cost += min(_product_cost(n, m + 1, _pairs(n, m + 1, room, ray, cells), width, width,
+                                  len(rooms))) + GCD_NS * n + EXPAND_NS * (m + 1)
+        yield cost
+        n = min(n * (m + 1), box[0] + 1, round(max(n * ray, (m + 1) * room) / cells))
+        room = cells + box[1] * (n - 1) / box[0]
+
+
+def _log_sum_cost(terms: int, width: int, top: int) -> float:
+    """Estimated ns of `_log_sum` over `terms` multiples, at most `top` per
+    factor, with exponents `width` bits wide over the common denominator."""
+    return _loop_cost(terms, width, _bits_of_lcm(top)) + STEP_NS * terms
+
+
+def _power_sum_costs(cost: float, terms: int, room: float, width: int, low, least: int,
+                     caps: Caps):
+    """Running estimated ns, from `cost`, of `Series._power_sum` of `terms`
+    terms with rooms summing to `room`, numerators of `width` bits, least
+    total degree `least`, and each cell at least `low`: the k-th term fills
+    the box from k * low, or the cells of degree k * least or more if fewer,
+    up to terms^k cells, with numerators twice as wide as the series'.  The
+    box lies among those cells when least is the total of low."""
+    rooms = _rooms(caps)
+    tails = _degree_tails(caps) if least > sum(low) else None
+    n, n_room, n_width = 1, rooms[0], 1
+    yield cost
+    for k in range(1, caps.max_order() // least + 1):
+        cost += min(_product_cost(n, terms, _pairs(n, terms, n_room, room, rooms[0]), n_width,
+                                  width, len(rooms))) + STEP_NS * n
+        yield cost
+        cells, box_rooms = _box(caps, [k * x for x in low])
+        if tails and tails[0][k * least] < cells:
+            cells, box_rooms = tails[0][k * least], tails[1][k * least]
+        n = min(cells, n * terms)
+        if not n:
+            break
+        n_room, n_width = box_rooms * n / cells, 2 * width
 
 
 def binomial_log(factors: Iterable, names, caps: Caps, den: int = 1) -> Series:
@@ -916,9 +1170,12 @@ def _log_sum(kept, names, caps: Caps, den: int) -> Series:
             key += step
         runs.append((sign * scalar, exponent, keys))
     top = max((len(keys) for *_, keys in runs), default=0)
+    base = math.lcm(*(e.denominator * s.denominator ** len(keys) for s, e, keys in runs))
+    _, exps, keys = zip(*runs) if runs else ((), (), ())
+    width = max(map(abs, map(operator.attrgetter("numerator"), exps)), default=0).bit_length()
+    _charge(_log_sum_cost(sum(map(len, keys)), width + base.bit_length(), top), caps, "a log sum")
     lcm_k = math.lcm(*range(1, top + 1))
     shares = [lcm_k // k for k in range(1, top + 1)]
-    base = math.lcm(*(e.denominator * s.denominator ** len(keys) for s, e, keys in runs))
     acc: dict[int, int] = {}
     get = acc.get
     for s, e, keys in runs:

@@ -851,6 +851,33 @@ class TestSlotBudget:
             Caps.of([512, 512])
 
 
+class TestWorkBudget:
+    """A run whose routes are estimated past `series.WORK_BUDGET` is refused
+    before the work: exit 2, naming the estimate.  At (500000,) 14.05's exact
+    weight table holds 500,000 ints of some 750,000 bits each."""
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--id", "14.05", "--caps", "500000"],
+        ["expand", "--entry", "14.05", "--caps", "500000"],
+        ["grid", "--spec", "SPEC", "--caps", "500000"]], ids=["verify", "expand", "grid"])
+    def test_refused_with_the_estimate(self, args, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(catalog_mod.get_entry("14.05").lhs.to_json()))
+        code, out, err = run_cli([str(path) if a == "SPEC" else a for a in args], capsys)
+        assert code == 2 and out == "", err
+        assert err.startswith("error: an exact weight table at caps [500000] needs an "
+                              "estimated 113 s of work, taking the run to 113 s, over the budget of 60 s"), err
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--id", "14.05", "--caps", "3000"],
+        ["verify", "--id", "7.25a", "--caps", "32,32"],
+        ["expand", "--entry", "12.04", "--caps", "32,32"]], ids=["14.05", "7.25a", "12.04"])
+    def test_admitted(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == 0 and err == "", err
+        assert json.loads(out).get("verdict", "pass") == "pass"
+
+
 # (document, command, key, object): one key that its object's row of the
 # README field table does not list; the run exits 2 naming the key and object
 UNIT = {"op": "const", "value": "1"}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vpvlab.catalog import catalog, get_entry
+from vpvlab.determinants import diagonal_closed_forms, exact_parts_series
 from vpvlab.lattice import ProductSpec, WeightExpr, product_series
 from vpvlab import series
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, _exact_product,
@@ -557,8 +558,8 @@ class TestExactProductRoutes:
             _exact_product({(1, 0): 1}, {}, caps)
 
     def test_route_rule(self, monkeypatch):
-        # caps (1, 1) have 3 * 3 = 9 slots: 3 by 3 terms is pairs == slots, so
-        # the term loop; 4 by 3 terms is more pairs than slots, so the packing
+        # each product takes the route `_product_cost` estimates cheaper: few
+        # pairs per term the term loop, two dense operands at (12, 12) the packing
         taken = []
         for name in ("_keyed_product", "_packed_product"):
             def spy(a, b, arg, route=getattr(series, name), name=name):
@@ -571,7 +572,18 @@ class TestExactProductRoutes:
         four = three + Series.monomial((1, 1), names, caps, coeff=5)
         assert (three * three).terms == naive_mul(three, three)
         assert (four * three).terms == naive_mul(four, three)
-        assert taken == ["_keyed_product", "_packed_product"]
+        box = Caps.of([12, 12])
+        dense = Series(names, box, EXACT, {(i, j): Fraction(i - 2 * j, j + 1)
+                                           for i in range(13) for j in range(13)})
+        assert (dense * dense).terms == naive_mul(dense, dense)
+        assert taken == ["_keyed_product", "_keyed_product", "_packed_product"]
+        rooms = series._rooms(box)
+        keys = [_layout(box)[0](e) for e in dense.nums]
+        room = sum(rooms[k] for k in keys)
+        width = max(abs(v) for v in dense.nums.values()).bit_length()
+        loop, packed = series._product_cost(169, 169, series._pairs(169, 169, room, room, rooms[0]),
+                                            width, width, len(rooms))
+        assert packed < loop
 
 
 @st.composite
@@ -917,7 +929,8 @@ class TestBinomialProduct:
 
     def test_many_low_degree_factors_take_the_log_route(self, monkeypatch):
         # 13.26-shaped: every monomial of degree 1..4 under the caps, with
-        # exponent 1/degree, so one exp beats one product per factor
+        # exponent 1/degree, so one exp is estimated cheaper than a product
+        # per factor
         caps = Caps.of([2, 2, 2, 3])
         names = ("w", "x", "y", "z")
         monos = [m for m in itertools.product(*(range(c + 1) for c in caps.limits))
@@ -925,22 +938,86 @@ class TestBinomialProduct:
         factors = [(m, 1, Fraction(1, sum(m)), -1) for m in monos]
         factors += [((1, 0, 0, 1), 2, Fraction(-1, 3), 1)]
         assert len(factors) >= 50
-        chain = binomial_chain(factors, names, caps, EXACT)
+        chain, log = series._route_costs(series._kept_factors(factors, caps), caps, 1)
+        assert log < chain
+        reference = binomial_chain(factors, names, caps, EXACT)
         count = self.count_products(monkeypatch)
         product = binomial_product(factors, names, caps)
-        assert product == chain
+        assert product == reference
         assert 0 < count[0] <= caps.max_order() // min(map(sum, monos)) < len(factors)
 
     def test_few_factors_at_high_order_take_the_chain(self, monkeypatch):
-        # 11.08-shaped: 1/(1 - x^(2^j)) for j < 7 at caps (64,)
+        # 11.08-shaped: 1/(1 - x^(2^j)) for j < 7 at caps (64,), integral, so
+        # the chain is estimated cheaper than an exp of 64 products
         caps = Caps.of([64])
         names = ("x",)
         factors = [((2 ** j,), 1, -1, -1) for j in range(7)]
-        chain = binomial_chain(factors, names, caps, EXACT)
+        chain, log = series._route_costs(series._kept_factors(factors, caps), caps, 1)
+        assert chain < log
+        reference = binomial_chain(factors, names, caps, EXACT)
         count = self.count_products(monkeypatch)
         product = binomial_product(factors, names, caps)
-        assert product == chain
+        assert product == reference
         assert count[0] == len(factors)
+
+    @staticmethod
+    def routes_taken(monkeypatch, build):
+        """(kept factors, exact products, log sums) of each `binomial_product`
+        that `build()` runs."""
+        calls = []
+        kept_factors, exact_product, log_sum = \
+            series._kept_factors, series._exact_product, series._log_sum
+
+        def kept(factors, caps):
+            out = kept_factors(factors, caps)
+            calls.append([len(out), 0, 0])
+            return out
+
+        def product(a, b, caps):
+            calls[-1][1] += 1
+            return exact_product(a, b, caps)
+
+        def logs(*args):
+            calls[-1][2] += 1
+            return log_sum(*args)
+        monkeypatch.setattr(series, "_kept_factors", kept)
+        monkeypatch.setattr(series, "_exact_product", product)
+        monkeypatch.setattr(series, "_log_sum", logs)
+        build()
+        return calls
+
+    @pytest.mark.parametrize("caps", [(12, 12), (16, 16), (24, 24)])
+    @pytest.mark.parametrize("entry", ["7.24", "7.25a", "12.04"])
+    def test_integral_binary_products_take_the_chain(self, monkeypatch, entry, caps):
+        # integer exponents and scalars: one product per kept factor, no log sum
+        e = get_entry(entry)
+        window = Caps.of(caps)
+        for build in (e.build_lhs, e.build_rhs):
+            calls = self.routes_taken(monkeypatch, lambda: build(window))
+            assert calls and all(products == kept and logs == 0
+                                 for kept, products, logs in calls), calls
+
+    @pytest.mark.parametrize("entry", ["13.26", "16.57c"])
+    def test_fractional_products_take_the_log_route(self, monkeypatch, entry):
+        # many factors of fractional exponent (13.26 at its caps), and the
+        # one-variable fractional product 16.57c at (10,): one log sum each
+        e = get_entry(entry)
+        calls = self.routes_taken(monkeypatch, lambda: e.build_lhs(Caps.of(e.caps)))
+        assert calls and all(logs == 1 for _, _, logs in calls), calls
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dense_grids_still_pack(self, monkeypatch, k):
+        # spade2 (k = 2) and club2 (k = 3) at (30, 30): dense by dense products
+        packed = []
+        packed_product = series._packed_product
+
+        def spy(a, b, caps):
+            packed.append(len(a) * len(b))
+            return packed_product(a, b, caps)
+        monkeypatch.setattr(series, "_packed_product", spy)
+        out = exact_parts_series(k, 2, Caps.of((30, 30)), ("y", "z"))
+        assert packed and max(packed) == 961 * 961
+        assert out.coefficient((30, 30)) == diagonal_closed_forms(30)[k - 2]
 
     def test_same_monomial_with_other_sign_or_scalar_stays_apart(self):
         caps = Caps.of([6])
@@ -950,6 +1027,38 @@ class TestBinomialProduct:
         out = binomial_product([((1,), 1, 1, 1), ((1,), 1, 1, -1), ((1,), 3, 1, 1)],
                                names, caps)
         assert out == (one + x) * (one - x) * (one + x.scale(3))
+
+
+class TestWorkBudget:
+    """Inside `work_budget`, the route whose estimate takes the block's work
+    past `WORK_BUDGET` is refused before it runs; outside, nothing is."""
+
+    def test_refused_inside_a_block_only(self, monkeypatch):
+        caps = Caps.of([12, 12])
+        names = ("y", "z")
+        dense = Series(names, caps, EXACT, {(i, j): i + j + 1 for i in range(13) for j in range(13)})
+        expected = naive_mul(dense, dense)
+        monkeypatch.setattr(series, "WORK_BUDGET", 10 ** 5)  # 0.1 ms
+        assert (dense * dense).terms == expected
+        with series.work_budget():
+            with pytest.raises(SeriesError, match=r"an exact product at caps \[12, 12\] needs "
+                                                  r"an estimated 0 s of work, taking the run to 0 s, over the budget"):
+                dense * dense
+            assert series._spent == [0]
+        assert series._spent == [None]
+
+    def test_blocks_share_the_outer_sum(self, monkeypatch):
+        caps = Caps.of([12, 12])
+        monkeypatch.setattr(series, "WORK_BUDGET", 10)
+        with series.work_budget():
+            series._charge(6, caps, "one route")
+            with series.work_budget():
+                series._charge(4, caps, "another", spend=False)
+                with pytest.raises(SeriesError, match="another at caps"):
+                    series._charge(5, caps, "another")
+                series._charge(4, caps, "another")
+            assert series._spent == [10]
+        assert series._spent == [None]
 
 
 def walked_side(spec, caps):
