@@ -26,9 +26,9 @@ from .lattice import (LatticeRegion, ProductSpec, WeightExpr, LocalFactorFamily,
                       ORDER_ALL_BELOW_LAST, ORDER_ALL_BELOW_LAST_STRICT,
                       ORDER_STRICT_CHAIN, count_grid, product_series,
                       DISTINCT, DISTINCT_PARITY_DIFF, EXACTLY_K, UNRESTRICTED)
-from .series import (APPROX, Caps, EXACT, NoLogForm, Series, SeriesError,
-                     binomial_product, decimal_str, first_mismatch, max_rel_error,
-                     read_choice, read_keys, read_str, work_budget)
+from .series import (APPROX, COUNT_NS, Caps, EXACT, NoLogForm, Series, SeriesError,
+                     _charge, _layout, binomial_product, decimal_str, first_mismatch,
+                     max_rel_error, read_choice, read_keys, read_str, work_budget)
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -118,7 +118,8 @@ class IdentityCheckReport:
 
 
 def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Series:
-    """Coefficient-by-coefficient counting series for a product's part system."""
+    """Coefficient-by-coefficient counting series for a product's part system;
+    its DP is charged to the work budget here, so `count_grid` stays pure."""
     parts = []
     seen = set()
     for vec in spec.vectors(caps):
@@ -129,8 +130,13 @@ def oracle_series(spec: ProductSpec, caps: Caps, mode: str, k: int | None) -> Se
             raise SeriesError("oracle route needs distinct part monomials")
         seen.add(expo)
         parts.append(expo)
-    # one DP over the caps box; Series keeps the nonzero cells the caps admit
-    return Series(spec.names, caps, EXACT, count_grid(caps, parts, mode, k))
+    cells = math.prod(c + 1 for c in caps.limits) * (k + 1 if mode == EXACTLY_K else 1)
+    _charge(COUNT_NS * cells * len(parts), caps, "the counting oracle")
+    # one DP over the caps box, in lex order: the admitted keys row by row
+    grid = count_grid(caps, parts, mode, k)
+    keys = itertools.chain.from_iterable(_layout(caps)[3])
+    return Series._of(tuple(spec.names), caps, EXACT, 1,
+                      {key: v for key, v in zip(keys, grid.values()) if v})
 
 
 @work_budget()
@@ -144,9 +150,9 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
     exactly when their logs are.  If lhs = exp(B + D) and rhs = exp(B), then
     lhs - rhs = exp(B)(exp(D) - 1), whose lex-first term is D's, as lex
     order is a monomial order; so the lex-first mismatch of the logs is that
-    of the sides, and both sides are expanded on the box below it to report
-    their coefficients there.  Every other entry, and one with a side that
-    has no log form, expands both sides.
+    of the sides, and each side's coefficient there is read from its log
+    (see `_coefficient_of_exp`).  Every other entry, and one with a side
+    that has no log form, expands both sides.
     """
     limits = tuple(caps) if caps is not None else tuple(entry.caps)
     cap_obj = Caps.of(limits)
@@ -168,15 +174,13 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
     mismatch = first_mismatch(lhs, rhs, tol)
     if route is not None and mismatch is not None:
         expo = mismatch[0]
-        box = Caps.of(expo)
-        mismatch = (expo, entry.build_lhs(box).coefficient(expo),
-                    entry.build_rhs(box).coefficient(expo))
+        mismatch = (expo, _coefficient_of_exp(lhs, expo), _coefficient_of_exp(rhs, expo))
     seconds = time.perf_counter() - start
     report = IdentityCheckReport(
         id=entry.id, caps=limits, mode=entry.mode,
         verdict="pass" if mismatch is None else "fail",
         expected=entry.expected, seconds=seconds,
-        lhs_terms=len(lhs.nums), rhs_terms=len(rhs.nums), note=entry.note,
+        lhs_terms=len(lhs.by_slot), rhs_terms=len(rhs.by_slot), note=entry.note,
         route=route)
     if entry.mode == APPROX:
         report.max_rel_error = max_rel_error(lhs, rhs)
@@ -184,6 +188,14 @@ def verify_identity(entry: IdentityEntry, caps=None, tolerance: float | None = N
         expo, a, b = mismatch
         report.mismatch = {"e": list(expo), "lhs": _coeff_str(a), "rhs": _coeff_str(b)}
     return report
+
+
+def _coefficient_of_exp(log: Series, expo) -> Fraction:
+    """The coefficient at `expo` of exp(log): that of the exp of the log cut
+    to the box below `expo`, a down-set, so the cut commutes with `exp`."""
+    box = Caps.of(expo)
+    cut = Series(log.names, box, EXACT, {e: v for e, v in log.nums.items() if box.admits(e)})
+    return cut.scale(Fraction(1, log.den)).exp().coefficient(expo)
 
 
 def _coeff_str(c):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .series import (Caps, EXACT, NoLogForm, Series, SeriesError, _power_coeff,
                      binomial_log, check_power, polylog, read_choice, read_exps,
-                     read_keys, read_rational)
+                     read_keys, read_rational, unit_binomial_pow)
 
 
 class ExprError(SeriesError):
@@ -136,7 +136,9 @@ def build_closed_form(node: dict, names, caps: Caps, mode: str = EXACT,
             return Series.monomial(expo, names, caps, mode)
         if op == "unit_binomial":
             expo, sign, scalar = _unit_binomial(node, names)
-            return Series(names, caps, mode, {(0,) * len(names): 1, expo: sign * scalar})
+            if any(expo):
+                return unit_binomial_pow(expo, 1, names, caps, mode, sign, scalar)
+            return Series.constant(1 + sign * scalar, names, caps, mode)
         if op == "add":
             out = Series.zero(names, caps, mode)
             for i, arg in enumerate(node["args"]):

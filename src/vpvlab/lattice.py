@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, inf, isinf, lcm, prod
 
 from .series import (APPROX, EXACT, Caps, NoLogForm, Series, SeriesError, _bits_of_lcm,
-                     _charge, _count, _loop_cost, binomial_log, binomial_product,
+                     _charge, _count, _layout, _loop_cost, binomial_log, binomial_product,
                      check_power, decimal_str,
                      read_choice, read_int, read_keys, read_list, read_names,
                      read_rational, unit_binomial_pow)
@@ -707,13 +707,13 @@ def product_series(spec: ProductSpec, caps: Caps, mode: str = EXACT,
         factors = ((_unscaled(image), 1, count * exponent, sign)
                    for image, count, _ in images)
     elif log:
-        terms: dict = {}
+        encode, values = _layout(caps)[0], {}
         for image, count, _ in images:
-            mono = _unscaled(image)
-            for k, c in enumerate(_factor_log(family, caps.multiples(mono)), 1):
-                key = tuple(e * k for e in mono)
-                terms[key] = terms.get(key, 0) + count * c
-        return Series(names, caps, EXACT, terms)
+            mono = _unscaled(image)  # the key of each admitted k*X is k*encode(X)
+            for key, c in zip(itertools.count(encode(mono), encode(mono)),
+                              _factor_log(family, caps.multiples(mono))):
+                values[key] = values.get(key, 0) + count * c
+        return Series._keyed(names, caps, EXACT, values)
     else:
         out = Series.one(names, caps, mode)
         for image, count, _ in images:

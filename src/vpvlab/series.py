@@ -11,6 +11,7 @@ names, caps and mode.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import json
@@ -173,7 +174,7 @@ class Caps:
                               f"prod(2*cap + 1), over the budget of {SLOT_BUDGET}")
 
     def admits(self, expo: Expo) -> bool:
-        return all(e <= c for e, c in zip(expo, self.limits))
+        return all(map(operator.le, expo, self.limits))
 
     def multiples(self, expo: Expo) -> int:
         """The largest k the caps admit k * expo for (expo nonzero, >= 0)."""
@@ -258,6 +259,7 @@ CALL_NS = 1000  # a kernel product called, whatever its size
 STEP_NS = 600  # a term of a power sum's running term: ratio, gcd, merge into the sum
 GCD_NS = 20  # a term of the chain's running product, tested for a common factor
 EXPAND_NS = 10000  # a term of a chain factor expanded by `unit_binomial_pow`
+COUNT_NS = 40  # a cell of the counting oracle's box, per part (8.01 at (60, 60))
 
 # The most estimated work, in ns, one verify, expand or grid may run: a minute.
 # Through the CLI, 14.05 verifies at (3000,) in 0.7 s and at (10000,) in 12 s,
@@ -326,8 +328,11 @@ def _degree_tails(caps: Caps) -> tuple:
         for cap in caps.limits:  # convolve with the cap's counts and rooms
             window = [(max(0, d - cap), min(d, len(cells) - 1) + 1)
                       for d in range(len(cells) + cap)]
-            cells = [sum(cells[lo:hi]) for lo, hi in window]
-            rooms = [sum(map(operator.mul, rooms[lo:hi], range(lo - d + cap + 1, cap + 2)))
+            # window sums of cells[j] and rooms[j] * (j - d + cap + 1) from prefix sums
+            sums = [list(itertools.accumulate(x, initial=0))
+                    for x in (cells, rooms, map(operator.mul, rooms, itertools.count()))]
+            cells = [sums[0][hi] - sums[0][lo] for lo, hi in window]
+            rooms = [sums[2][hi] - sums[2][lo] + (cap + 1 - d) * (sums[1][hi] - sums[1][lo])
                      for d, (lo, hi) in enumerate(window)]
         tails = _TAILS[caps.limits] = tuple(list(itertools.accumulate(x[::-1]))[::-1] + [0]
                                             for x in (cells, rooms))
@@ -499,107 +504,139 @@ def _packed_product(a: dict, b: dict, caps: Caps) -> dict:
     return out
 
 
-def _clean_terms(terms: Mapping[Expo, Coeff], caps: Caps, mode: str) -> Mapping:
-    """`terms` on checked exponents, the cells the caps do not admit dropped.
+def _reduced(den: int, nums: dict) -> tuple:
+    """(den, nums) divided by their gcd, the one exact form; floats stay over 1."""
+    if den != 1 and (g := math.gcd(den, *nums.values())) != 1:
+        return den // g, {k: v // g for k, v in nums.items()}
+    return den, nums
 
-    When every exponent is a tuple of ints inside the caps, checked column
-    by column, `terms` is taken as it is; otherwise each exponent is checked
-    on its own, each coefficient taken to its mode, and equal exponents
-    summed, dropping the zeros.
-    """
-    n, keys = len(caps.limits), list(terms)
-    if set(map(type, keys)) <= {tuple} and set(map(len, keys)) <= {n} \
-            and set(map(type, itertools.chain.from_iterable(keys))) <= {int} \
-            and all(min(col) >= 0 and max(col) <= cap
-                    for col, cap in zip(zip(*keys), caps.limits)):
-        return terms
-    clean: dict[Expo, Coeff] = {}
-    for expo, value in terms.items():
+
+def _sum(da: int, a: dict, db: int, b: dict) -> tuple:
+    """(den, nums) of a over da plus b over db, over lcm(da, db), in the
+    order of a then b; a sum that cancels to 0 leaves the dict."""
+    den = math.lcm(da, db)
+    ma, mb = den // da, den // db
+    out = dict(a) if ma == 1 else {k: v * ma for k, v in a.items()}
+    get, pop = out.get, out.pop
+    for key, value in b.items():
+        new = get(key, 0) + (value if mb == 1 else value * mb)
+        if new == 0:
+            pop(key, None)
+        else:
+            out[key] = new
+    return den, out
+
+
+def _shape(names, caps: Caps, mode: str) -> tuple:
+    """The names as a tuple, checked against the mode and the caps' arity."""
+    if mode not in (EXACT, APPROX):
+        raise SeriesError(f"unknown mode {mode!r}")
+    if len(caps.limits) != len(names := tuple(names)):
+        raise SeriesError("caps arity does not match variable names")
+    return names
+
+
+def _clean_terms(terms: Iterable, caps: Caps, mode: str) -> dict:
+    """(exponent, coefficient) pairs on slot keys: each exponent checked, the
+    cells the caps do not admit dropped, each coefficient taken to its mode,
+    and equal exponents summed, a sum that cancels to 0 dropped."""
+    n, encode, clean = len(caps.limits), _layout(caps)[0], {}
+    for expo, value in terms:
         expo = _checked_expo(expo, n)
-        if not caps.admits(expo):
-            continue
-        value = _as_coeff(value, mode)
-        if value != 0:
-            acc = clean.get(expo)
-            new = value if acc is None else acc + value
-            if new == 0:
-                clean.pop(expo, None)
+        if caps.admits(expo) and (value := _as_coeff(value, mode)) != 0:
+            key = encode(expo)
+            if (new := clean.get(key, 0) + value) == 0:
+                clean.pop(key)
             else:
-                clean[expo] = new
+                clean[key] = new
     return clean
 
 
 class Series:
     """Truncated multivariate formal power series with sparse storage.
 
-    An exact series stores one positive denominator `den` and a dict `nums`
-    of nonzero int numerators over it, with gcd(den, *nums) = 1, so equal
-    series store equal pairs; an approx series stores its floats over 1.
-    `terms`, {exponent: coefficient}, is built from them on its first read.
+    An exact series stores one positive denominator `den` and a dict
+    `by_slot` of nonzero int numerators over it, keyed by slot (see
+    `_layout`), with gcd(den, *numerators) = 1, so equal series store equal
+    pairs; an approx series stores its floats over 1.  `nums` and `terms`
+    (the coefficients) are decoded to exponent tuples on their first read.
     """
 
-    __slots__ = ("names", "caps", "mode", "den", "nums", "_terms")
+    __slots__ = ("names", "caps", "mode", "den", "by_slot", "_nums", "_terms")
 
     def __init__(self, names, caps: Caps, mode: str, terms: Mapping[Expo, Coeff]):
-        if mode not in (EXACT, APPROX):
-            raise SeriesError(f"unknown mode {mode!r}")
-        if len(caps.limits) != len(names := tuple(names)):
-            raise SeriesError("caps arity does not match variable names")
-        clean = _clean_terms(terms, caps, mode)
-        if mode == APPROX:
-            den, nums = 1, {e: f for e, v in clean.items() if (f := float(v))}
-        else:
-            clean = {e: c for e, v in clean.items()
-                     if (c := v if type(v) in (int, Fraction) else _as_coeff(v, mode))}
-            den = math.lcm(*(c.denominator for c in clean.values()))
-            nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._init(names, caps, mode, den, nums)
+        names = _shape(names, caps, mode)
+        new = Series._keyed(names, caps, mode, _clean_terms(terms.items(), caps, mode))
+        self._init(names, caps, mode, new.den, new.by_slot)
 
-    def _init(self, names, caps, mode, den, nums):
+    def _init(self, names, caps, mode, den, by_slot):
         put = object.__setattr__
         put(self, "names", names)
         put(self, "caps", caps)
         put(self, "mode", mode)
         put(self, "den", den)
-        put(self, "nums", nums)
+        put(self, "by_slot", by_slot)
+        put(self, "_nums", None)
         put(self, "_terms", None)
 
     @classmethod
-    def _of(cls, names: tuple, caps: Caps, mode: str, den: int, nums: dict) -> "Series":
-        """The series of nonzero `nums` over `den` > 0, unchecked: exact int
-        numerators, divided here by their gcd with `den`, or floats over 1."""
-        if den != 1 and (g := math.gcd(den, *nums.values())) != 1:
-            den //= g
-            nums = {e: v // g for e, v in nums.items()}
+    def _of(cls, names: tuple, caps: Caps, mode: str, den: int, by_slot: dict) -> "Series":
+        """The series of nonzero numerators on slot keys over `den` > 0,
+        unchecked: exact ints, divided here by their gcd with `den`, or
+        floats over 1."""
+        den, by_slot = _reduced(den, by_slot)
         self = object.__new__(cls)
-        self._init(names, caps, mode, den, nums)
+        self._init(names, caps, mode, den, by_slot)
         return self
 
-    def _with(self, den: int, nums: dict) -> "Series":
-        return Series._of(self.names, self.caps, self.mode, den, nums)
+    @classmethod
+    def _keyed(cls, names, caps: Caps, mode: str, values: dict) -> "Series":
+        """The series of coefficients on admitted slot keys, zeros dropped:
+        floats over 1, or int numerators over the lcm of the denominators."""
+        names = _shape(names, caps, mode)
+        if mode == APPROX:
+            den, by_slot = 1, {k: f for k, v in values.items() if (f := float(v))}
+        else:
+            values = {k: c for k, v in values.items()
+                      if (c := v if type(v) in (int, Fraction) else _as_coeff(v, mode))}
+            den = math.lcm(*(c.denominator for c in values.values()))
+            by_slot = {k: c.numerator * (den // c.denominator) for k, c in values.items()}
+        self = object.__new__(cls)
+        self._init(names, caps, mode, den, by_slot)
+        return self
+
+    def _with(self, den: int, by_slot: dict) -> "Series":
+        return Series._of(self.names, self.caps, self.mode, den, by_slot)
 
     def __setattr__(self, *_):
         raise AttributeError("Series is immutable")
+
+    @property
+    def nums(self) -> dict:
+        """{exponent: numerator}, decoded from `by_slot` on the first read and kept."""
+        if self._nums is None:
+            decode = _layout(self.caps)[1]
+            object.__setattr__(self, "_nums", {decode(k): v for k, v in self.by_slot.items()})
+        return self._nums
 
     @property
     def terms(self) -> dict:
         """{exponent: coefficient}: `Fraction`s built on the first read and
         kept, or the approx floats themselves."""
         if self._terms is None:
-            den = self.den
             object.__setattr__(self, "_terms", self.nums if self.mode == APPROX else
-                               {e: Fraction(v, den) for e, v in self.nums.items()})
+                               {e: Fraction(v, self.den) for e, v in self.nums.items()})
         return self._terms
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls, names, caps: Caps, mode: str = EXACT) -> "Series":
-        return cls(names, caps, mode, {})
+        return cls._keyed(names, caps, mode, {})
 
     @classmethod
     def constant(cls, value, names, caps: Caps, mode: str = EXACT) -> "Series":
-        return cls(names, caps, mode, {(0,) * len(tuple(names)): value})
+        return cls._keyed(names, caps, mode, {0: value})
 
     @classmethod
     def one(cls, names, caps: Caps, mode: str = EXACT) -> "Series":
@@ -607,7 +644,9 @@ class Series:
 
     @classmethod
     def monomial(cls, expo, names, caps: Caps, mode: str = EXACT, coeff=1) -> "Series":
-        return cls(names, caps, mode, {tuple(expo): coeff})
+        expo = _checked_expo(expo, len(caps.limits))
+        return cls._keyed(names, caps, mode,
+                          {_layout(caps)[0](expo): coeff} if caps.admits(expo) else {})
 
     @classmethod
     def variable(cls, name: str, names, caps: Caps, mode: str = EXACT) -> "Series":
@@ -620,10 +659,7 @@ class Series:
     @classmethod
     def from_terms(cls, terms: Iterable, names, caps: Caps, mode: str = EXACT) -> "Series":
         """Normalize a (monomial, coefficient) list into a Series."""
-        acc: dict[Expo, Coeff] = {}
-        for expo, value in terms:
-            acc[tuple(expo)] = acc.get(tuple(expo), 0) + value
-        return cls(names, caps, mode, acc)
+        return cls._keyed(names, caps, mode, _clean_terms(terms, caps, mode))
 
     # -- helpers -----------------------------------------------------------
 
@@ -634,43 +670,40 @@ class Series:
                 or self.mode != other.mode):
             raise SeriesError("incompatible series (names/caps/mode differ)")
 
-    def _lift(self, scalar) -> "Series":
-        return Series.constant(scalar, self.names, self.caps, self.mode)
-
     def _coerce(self, other):
         if isinstance(other, Series):
             self._check_compatible(other)
             return other
         if isinstance(other, (int, Fraction)) or (self.mode == APPROX and isinstance(other, float)):
-            return self._lift(other)
+            return Series.constant(other, self.names, self.caps, self.mode)
         return None
 
-    def _coeff(self, expo: Expo) -> Coeff:
+    def _coeff(self, key: int) -> Coeff:
         if self.mode == EXACT:
-            return Fraction(self.nums.get(expo, 0), self.den)
-        return self.nums.get(expo, 0.0)
+            return Fraction(self.by_slot.get(key, 0), self.den)
+        return self.by_slot.get(key, 0.0)
 
     def is_zero(self) -> bool:
-        return not self.nums
+        return not self.by_slot
 
     def constant_term(self) -> Coeff:
-        return self._coeff((0,) * len(self.names))
+        return self._coeff(0)  # the zero vector's key
 
     def __eq__(self, other):
         if isinstance(other, Series):
             return (self.names == other.names and self.caps == other.caps
                     and self.mode == other.mode and self.den == other.den
-                    and self.nums == other.nums)
+                    and self.by_slot == other.by_slot)
         return NotImplemented
 
     def __hash__(self):
         return hash((self.names, self.caps, self.mode, self.den,
-                     frozenset(self.nums.items())))
+                     frozenset(self.by_slot.items())))
 
     def __repr__(self):
         shown = sorted(self.terms.items())[:6]
         body = " + ".join(f"{c}*{e}" for e, c in shown) or "0"
-        more = "" if len(self.nums) <= 6 else f" (+{len(self.nums) - 6} terms)"
+        more = "" if len(self.by_slot) <= 6 else f" (+{len(self.by_slot) - 6} terms)"
         return f"<Series[{','.join(self.names)}] {body}{more}>"
 
     # -- ring operations ----------------------------------------------------
@@ -679,22 +712,12 @@ class Series:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        den = math.lcm(self.den, other.den)
-        ma, mb = den // self.den, den // other.den
-        nums = dict(self.nums) if ma == 1 else {e: v * ma for e, v in self.nums.items()}
-        get, pop = nums.get, nums.pop
-        for expo, value in other.nums.items():
-            new = get(expo, 0) + (value if mb == 1 else value * mb)
-            if new == 0:
-                pop(expo, None)
-            else:
-                nums[expo] = new
-        return self._with(den, nums)
+        return self._with(*_sum(self.den, self.by_slot, other.den, other.by_slot))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._with(self.den, {e: -v for e, v in self.nums.items()})
+        return self._with(self.den, {k: -v for k, v in self.by_slot.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -711,12 +734,10 @@ class Series:
         if not isinstance(other, Series):
             return NotImplemented
         self._check_compatible(other)
-        encode, decode, _, _ = _layout(self.caps)
-        a = {encode(e): v for e, v in self.nums.items()}
-        b = {encode(e): v for e, v in other.nums.items()}
         # floats cannot be packed exactly: every pair is multiplied
-        out = (_exact_product if self.mode == EXACT else _float_product)(a, b, self.caps)
-        return self._with(self.den * other.den, {decode(k): v for k, v in out.items()})
+        out = (_exact_product if self.mode == EXACT else _float_product)(
+            self.by_slot, other.by_slot, self.caps)
+        return self._with(self.den * other.den, out)
 
     __rmul__ = __mul__
 
@@ -726,7 +747,7 @@ class Series:
             return Series.zero(self.names, self.caps, self.mode)
         p, q = (scalar.numerator, scalar.denominator) if self.mode == EXACT else (scalar, 1)
         # a float product that underflows to 0.0 leaves the series, as a sum of 0 does
-        return self._with(self.den * q, {e: w for e, v in self.nums.items() if (w := v * p)})
+        return self._with(self.den * q, {k: w for k, v in self.by_slot.items() if (w := v * p)})
 
     def _power_sum(self, ratio, start) -> "Series":
         """start + sum over k >= 1 of t_k, with t_0 = 1, t_k = t_(k-1)*self*ratio(k).
@@ -747,13 +768,12 @@ class Series:
         operations of the tuple-keyed loop, in its order.
         """
         caps, exact = self.caps, self.mode == EXACT
-        encode, decode, _, _ = _layout(caps)
-        uden, u = self.den, {encode(e): v for e, v in self.nums.items()}
+        uden, u = self.den, self.by_slot
         step, unit = (_exact_product, 1) if exact else (_float_product, 1.0)
         oden, out = 1, ({0: start * unit} if start else {})
         tden, term = 1, {0: unit}
         max_order = caps.max_order()
-        least = min(map(sum, self.nums), default=max_order + 1)
+        least = min(map(sum, map(_layout(caps)[1], u)), default=max_order + 1)
         for k in range(1, max_order // least + 1):
             r = ratio(k)
             if r == 0:
@@ -764,24 +784,11 @@ class Series:
                 if p != 1:
                     term = {key: w for key, v in term.items() if (w := v * p)}
                 tden *= q
-            if exact and (g := math.gcd(tden, *term.values())) != 1:
-                tden //= g
-                term = {key: v // g for key, v in term.items()}
+            tden, term = _reduced(tden, term)
             if not term:
                 break
-            den = math.lcm(oden, tden)
-            if den != oden:
-                out = {key: v * (den // oden) for key, v in out.items()}
-                oden = den
-            m = den // tden
-            get, pop = out.get, out.pop
-            for key, v in term.items():
-                new = get(key, 0) + (v if m == 1 else v * m)
-                if new == 0:
-                    pop(key, None)
-                else:
-                    out[key] = new
-        return self._with(oden, {decode(key): v for key, v in out.items()})
+            oden, out = _sum(oden, out, tden, term)
+        return self._with(oden, out)
 
     def inverse(self) -> "Series":
         """Multiplicative inverse; requires a nonzero constant term."""
@@ -844,14 +851,10 @@ class Series:
 
     def derivative(self, name: str) -> "Series":
         idx = self.names.index(name)
-        out: dict[Expo, Coeff] = {}
-        for expo, value in self.nums.items():
-            if expo[idx] == 0:
-                continue
-            new = list(expo)
-            new[idx] -= 1
-            out[tuple(new)] = value * expo[idx]
-        return self._with(self.den, out)
+        encode, decode, _, _ = _layout(self.caps)
+        step = encode(tuple(int(i == idx) for i in range(len(self.names))))
+        return self._with(self.den, {k - step: v * e for k, v in self.by_slot.items()
+                                     if (e := decode(k)[idx])})
 
     # -- reindexing ----------------------------------------------------------
 
@@ -875,25 +878,16 @@ class Series:
                     raise SeriesError(f"unknown target variable {target!r}")
                 expo[names.index(target)] += int(power)
             images.append((_as_coeff(scalar, self.mode), tuple(expo)))
-        out: dict[Expo, Coeff] = {}
-        for expo, value in self.terms.items():
+        terms = []
+        for expo, coeff in self.terms.items():
             new_expo = [0] * len(names)
-            coeff = value
             for e, (scalar, image) in zip(expo, images):
-                if e == 0:
-                    continue
-                coeff = coeff * scalar ** e
-                for i, p in enumerate(image):
-                    new_expo[i] += p * e
-            key = tuple(new_expo)
-            if not caps.admits(key) or coeff == 0:
-                continue
-            new = out.get(key, 0) + coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return Series(names, caps, self.mode, out)
+                if e:
+                    coeff = coeff * scalar ** e
+                    for i, p in enumerate(image):
+                        new_expo[i] += p * e
+            terms.append((new_expo, coeff))
+        return Series.from_terms(terms, names, caps, self.mode)
 
     def evaluate_var(self, name: str, value) -> "Series":
         """Substitute one variable by a scalar, exactly accumulating coefficients."""
@@ -903,16 +897,8 @@ class Series:
         value = _as_coeff(value, self.mode)
         names = self.names[:idx] + self.names[idx + 1:]
         caps = Caps(self.caps.limits[:idx] + self.caps.limits[idx + 1:])
-        out: dict[Expo, Coeff] = {}
-        for expo, coeff in self.terms.items():
-            key = expo[:idx] + expo[idx + 1:]
-            coeff = coeff * value ** expo[idx]
-            new = out.get(key, 0) + coeff
-            if new == 0:
-                out.pop(key, None)
-            else:
-                out[key] = new
-        return Series(names, caps, self.mode, out)
+        return Series.from_terms(((e[:idx] + e[idx + 1:], c * value ** e[idx])
+                                  for e, c in self.terms.items()), names, caps, self.mode)
 
     def coefficient(self, expo) -> Coeff:
         """Stored coefficient at `expo`; querying outside caps is an error."""
@@ -921,7 +907,7 @@ class Series:
             raise SeriesError("monomial arity mismatch")
         if not self.caps.admits(expo):
             raise SeriesError(f"monomial {expo} outside caps (unanswerable query)")
-        return self._coeff(expo)
+        return self._coeff(_layout(self.caps)[0](expo))
 
     # -- serialization ---------------------------------------------------------
 
@@ -963,24 +949,33 @@ class Series:
 def unit_binomial_pow(mono, exponent, names, caps: Caps, mode: str = EXACT,
                       sign=1, scalar=1) -> Series:
     """(1 + sign*scalar*X)^exponent expanded directly by the binomial series."""
-    names = tuple(names)
+    names = _shape(names, caps, mode)
     expo = _factor_monomial(mono, names, "unit binomial needs a nonconstant monomial")
     scalar = _as_coeff(sign * scalar if mode == EXACT else float(sign) * scalar, mode)
     r = _as_coeff(exponent, mode)
-    terms: dict[Expo, Coeff] = {(0,) * len(names): _as_coeff(1, mode)}
-    binom = _as_coeff(1, mode)
-    power = _as_coeff(1, mode)
-    for k in range(1, caps.multiples(expo) + 1):
-        binom = binom * (r - (k - 1)) / k
-        power = power * scalar
-        if binom == 0:
+    step, multiples = _layout(caps)[0](expo), caps.multiples(expo)
+    if mode == APPROX:
+        values, binom, power = {0: 1.0}, 1.0, 1.0
+        for k in range(1, multiples + 1):
+            binom = binom * (r - (k - 1)) / k
+            power = power * scalar
+            if binom == 0:
+                break
+            if value := binom * power:
+                values[k * step] = value
+        return Series._keyed(names, caps, mode, values)
+    # binom(p/q, k) (a/b)^k as reduced ints n/d, the form a `Fraction` keeps
+    (p, q), (a, b), n, d = r.as_integer_ratio(), scalar.as_integer_ratio(), 1, 1
+    terms = [(0, 1, 1)]
+    for k in range(1, multiples + 1):
+        if not (n := n * (p - (k - 1) * q) * a):
             break
-        if value := binom * power:
-            terms[tuple(e * k for e in expo)] = value
-    # the floats are the series; the Fractions, reduced as they are built,
-    # go over their lcm in the constructor
-    return Series._of(names, caps, mode, 1, terms) if mode == APPROX \
-        else Series(names, caps, mode, terms)
+        d *= k * q * b
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
+        terms.append((k * step, n, d))
+    den = math.lcm(*(d for _, _, d in terms))
+    return Series._of(names, caps, mode, den, {key: n * (den // d) for key, n, d in terms})
 
 
 def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
@@ -998,8 +993,7 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
     come in):
 
     - the chain: each factor expanded by `unit_binomial_pow` and multiplied
-      in sorted key order, one product per factor.  The running product
-      stays on slot keys throughout and is decoded once at the end: floats,
+      in sorted key order, one product per factor, on slot keys: floats,
       one `_float_product` per factor, or int numerators over one running
       denominator, one `_exact_product` per factor with the content gcd
       divided out;
@@ -1020,20 +1014,13 @@ def binomial_product(factors: Iterable, names, caps: Caps, mode: str = EXACT,
         _charge(min(chain, log), caps, "a product of factors", spend=False)
         if log < chain:
             return _log_sum(kept, names, caps, den).exp()
-    encode, decode, _, _ = _layout(caps)
     oden, out = 1, {0: 1 if exact else 1.0}  # the constant 1: the zero vector's key is 0
+    step = _exact_product if exact else _float_product
     for (mono, sign, scalar), exponent in kept:
         factor = unit_binomial_pow(mono, exponent if den == 1 else Fraction(exponent, den),
                                    names, caps, mode, sign=sign, scalar=scalar)
-        f = {encode(e): c for e, c in factor.nums.items()}
-        if exact:
-            out, oden = _exact_product(out, f, caps), oden * factor.den
-            if (g := math.gcd(oden, *out.values())) != 1:
-                oden //= g
-                out = {k: v // g for k, v in out.items()}
-        else:
-            out = _float_product(out, f, caps)
-    return Series._of(tuple(names), caps, mode, oden, {decode(k): c for k, c in out.items()})
+        oden, out = _reduced(oden * factor.den, step(out, factor.by_slot, caps))
+    return Series._of(tuple(names), caps, mode, oden, out)
 
 
 def _route_costs(kept, caps: Caps, den: int) -> list:
@@ -1081,15 +1068,25 @@ def _chain_costs(rays, box: tuple, width: int, rooms: list):
     """Running estimated ns of the chain over factors of (m multiples, their
     rooms) in `rays`: each expanded to m + 1 terms and multiplied into the
     running product, whose terms spread evenly over `box` (cells, rooms) and
-    grow to the larger one-sided count of `_pairs`, at most (m + 1)-fold."""
-    cost, n, room, cells = 0.0, 1, rooms[0], rooms[0]
+    grow to the larger one-sided count of `_pairs`, at most (m + 1)-fold.
+    Once the product fills its box it stays full, so the later factors are
+    priced once per distinct (m, rooms)."""
+    cells, full = rooms[0], box[0] + 1
+
+    def step(n, room, m, ray):  # ray: the factor's rooms and its constant term's
+        return min(_product_cost(n, m + 1, _pairs(n, m + 1, room, ray, cells), width, width,
+                                 len(rooms))) + GCD_NS * n + EXPAND_NS * (m + 1)
+    cost, n, room = 0.0, 1, cells
+    rays = iter(rays)
     for m, ray in rays:
-        ray += cells  # and the factor's constant term
-        cost += min(_product_cost(n, m + 1, _pairs(n, m + 1, room, ray, cells), width, width,
-                                  len(rooms))) + GCD_NS * n + EXPAND_NS * (m + 1)
+        cost += step(n, room, m, ray + cells)
         yield cost
-        n = min(n * (m + 1), box[0] + 1, round(max(n * ray, (m + 1) * room) / cells))
+        n = min(n * (m + 1), full, round(max(n * (ray + cells), (m + 1) * room) / cells))
         room = cells + box[1] * (n - 1) / box[0]
+        if n == full:
+            for (m, ray), count in collections.Counter(rays).items():
+                cost += count * step(n, room, m, ray + cells)
+                yield cost
 
 
 def _log_sum_cost(terms: int, width: int, top: int) -> float:
@@ -1161,7 +1158,7 @@ def _log_sum(kept, names, caps: Caps, den: int) -> Series:
     admitted, as two admitted keys never carry, so the multiples of an
     admitted X run until the first key that is not `admitted`.
     """
-    encode, decode, admitted, _ = _layout(caps)
+    encode, _, admitted, _ = _layout(caps)
     runs = []
     for (mono, sign, scalar), exponent in kept:
         keys, key = [], (step := encode(mono))
@@ -1186,7 +1183,7 @@ def _log_sum(kept, names, caps: Caps, den: int) -> Series:
             power = power // q * p
             acc[key] = get(key, 0) + power * share
     return Series._of(tuple(names), caps, EXACT, base * lcm_k * den,
-                      {decode(key): v for key, v in acc.items() if v})
+                      {key: v for key, v in acc.items() if v})
 
 
 def _power_coeff(j: int, b: Fraction, mode: str) -> Coeff:
@@ -1208,13 +1205,10 @@ def polylog(s, mono, names, caps: Caps, mode: str = EXACT) -> Series:
     """
     names = tuple(names)
     expo = _factor_monomial(mono, names, "polylog needs a nonconstant argument")
-    s, kmax = Fraction(s), caps.multiples(expo)
+    s, kmax, step = Fraction(s), caps.multiples(expo), _layout(caps)[0](expo)
     check_power(kmax, s, "polylog s")
-    terms: dict[Expo, Coeff] = {}
-    for k in range(1, kmax + 1):
-        if value := _power_coeff(k, s, mode):
-            terms[tuple(e * k for e in expo)] = value
-    return Series(names, caps, mode, terms)
+    return Series._keyed(names, caps, mode, {k * step: _power_coeff(k, s, mode)
+                                             for k in range(1, kmax + 1)})
 
 
 def _checked_expo(expo, n: int) -> Expo:
@@ -1240,9 +1234,9 @@ def _factor_monomial(mono, names, constant_error: str) -> Expo:
 def max_rel_error(a: Series, b: Series) -> float:
     """max over monomials of |a-b| / max(1, |a|, |b|)."""
     worst = 0.0
-    for expo in set(a.terms) | set(b.terms):
-        ca = float(a.terms.get(expo, 0))
-        cb = float(b.terms.get(expo, 0))
+    for key in a.by_slot.keys() | b.by_slot.keys():
+        ca = a.by_slot.get(key, 0) / a.den
+        cb = b.by_slot.get(key, 0) / b.den
         err = abs(ca - cb) / max(1.0, abs(ca), abs(cb))
         worst = max(worst, err)
     return worst
@@ -1254,20 +1248,22 @@ def first_mismatch(a: Series, b: Series, tolerance: float = 0.0):
     Exact series compare bit-exactly, numerator a over d_a against b over
     d_b as a*d_b against b*d_a, and give the two coefficients as Fractions;
     a nonzero tolerance applies the relative criterion used for approx mode.
+    Slot order is lex order on admitted cells: only the key reported is decoded.
     """
-    x, y, da, db = a.nums, b.nums, a.den, b.den
+    x, y, da, db = a.by_slot, b.by_slot, a.den, b.den
     exact = a.mode == EXACT
     if exact and tolerance == 0.0 and da == db and x == y:
         return None
     zero = 0 if exact else 0.0
-    for expo in sorted(x.keys() | y.keys()):
-        na, nb = x.get(expo, zero), y.get(expo, zero)
+    for key in sorted(x.keys() | y.keys()):
+        na, nb = x.get(key, zero), y.get(key, zero)
         if tolerance == 0.0:
             differ = na * db != nb * da
         else:
             fa, fb = na / da, nb / db
             differ = abs(fa - fb) > tolerance * max(1.0, abs(fa), abs(fb))
         if differ:
+            expo = _layout(a.caps)[1](key)
             return (expo, Fraction(na, da), Fraction(nb, db)) if exact else (expo, na, nb)
     return None
 
@@ -1276,4 +1272,4 @@ def to_approx(a: Series) -> Series:
     """Float copy of an exact series (for exact-vs-approx agreement checks)."""
     if a.mode == APPROX:
         return a
-    return Series._of(a.names, a.caps, APPROX, 1, {e: float(c) for e, c in a.terms.items()})
+    return Series._of(a.names, a.caps, APPROX, 1, {k: v / a.den for k, v in a.by_slot.items()})

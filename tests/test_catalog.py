@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from vpvlab import lattice
-from vpvlab.catalog import (IdentityEntry, OracleSide, catalog, catalog_ids,
-                            entry_from_json, get_entry, verify_identity)
+from vpvlab.catalog import (IdentityEntry, OracleSide, _coefficient_of_exp, catalog,
+                            catalog_ids, entry_from_json, get_entry, verify_identity)
 from vpvlab.lattice import LatticeRegion, ProductSpec, WeightExpr, product_series
 from vpvlab.series import Caps, EXACT, Series, first_mismatch
 
@@ -259,6 +259,22 @@ class TestLogRoute:
         report = verify_identity(get_entry("12.05-printed"))
         assert report.route == "log"
         assert report.mismatch == {"e": [1, 1, 2], "lhs": "0/1", "rhs": "1/1"}
+
+    def test_mismatch_coefficients_are_read_from_the_logs(self):
+        """On every log-route probe, the coefficients a failing report gives
+        are those of the sides expanded on the box below the mismatch."""
+        probes = 0
+        for entry in catalog():
+            if entry.expected == "pass" or verify_identity(entry).route != "log":
+                continue
+            caps = Caps.of(entry.caps)
+            lhs, rhs = entry.build_lhs(caps, log=True), entry.build_rhs(caps, log=True)
+            expo = first_mismatch(lhs, rhs)[0]
+            box = Caps.of(expo)
+            assert _coefficient_of_exp(lhs, expo) == entry.build_lhs(box).coefficient(expo)
+            assert _coefficient_of_exp(rhs, expo) == entry.build_rhs(box).coefficient(expo)
+            probes += 1
+        assert probes == 15
 
     def test_tree_without_log_form_is_expanded(self):
         entry = get_entry("13.02")

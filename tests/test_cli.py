@@ -868,6 +868,14 @@ class TestWorkBudget:
         assert err.startswith("error: an exact weight table at caps [500000] needs an "
                               "estimated 113 s of work, taking the run to 113 s, over the budget of 60 s"), err
 
+    def test_counting_oracle_refused_with_the_estimate(self, capsys):
+        # 8.01's left side counts partitions into 90,600 parts over 181,202
+        # cells (the box times k + 1): refused before its DP starts
+        code, out, err = run_cli(["verify", "--id", "8.01", "--caps", "300,300"], capsys)
+        assert code == 2 and out == "", err
+        assert err.startswith("error: the counting oracle at caps [300, 300] needs an "
+                              "estimated 657 s of work"), err
+
     @pytest.mark.parametrize("args", [
         ["verify", "--id", "14.05", "--caps", "3000"],
         ["verify", "--id", "7.25a", "--caps", "32,32"],

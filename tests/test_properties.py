@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from vpvlab.lattice import count_partitions
-from vpvlab.series import Caps, EXACT, Series, first_mismatch, polylog
+from vpvlab.series import APPROX, Caps, EXACT, Series, first_mismatch, polylog
 
 NAMES = ("y", "z")
 CAPS = Caps.of([6, 6])
@@ -76,6 +76,48 @@ class TestLogDomain:
         else:
             assert expanded[0] == in_logs[0]
             assert expanded[1] - expanded[2] == in_logs[1] - in_logs[2]
+
+
+@st.composite
+def keyed_cases(draw):
+    """Two series of either mode under random box caps, a unit series and
+    a series with zero constant term built from them, and a scalar."""
+    mode = draw(st.sampled_from([EXACT, APPROX]))
+    limits = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    caps, names = Caps.of(limits), ("x", "y", "z")[:len(limits)]
+    coeff = coefficients() if mode == EXACT else \
+        st.floats(-3, 3, allow_nan=False, allow_infinity=False)
+    terms = st.dictionaries(st.tuples(*(st.integers(0, c) for c in limits)), coeff, max_size=6)
+    a, b = (Series(names, caps, mode, draw(terms)) for _ in range(2))
+    g = a - a.constant_term()
+    scalar = draw(coefficients().filter(bool))
+    return a, b, 1 + g, g, scalar if mode == EXACT else float(scalar)
+
+
+def rebuilt(s):
+    """`s` rebuilt from its exponent tuples through the public constructor."""
+    return Series(s.names, s.caps, s.mode, s.terms)
+
+
+class TestSlotKeyedResults:
+    """Every operation hands back the series the public constructor builds
+    from its exponent tuples: the same denominator, and slot keys that are
+    admitted, nonzero and in the order of the decoded terms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(keyed_cases())
+    def test_operations_agree_with_the_constructor(self, case):
+        a, b, u, g, scalar = case
+        results = [a + b, a - b, a * b, -a, a.scale(scalar), u.inverse(), g.exp(),
+                   u.log(), u.pow(Fraction(-3, 2) if a.mode == EXACT else -1.5), u.pow(2),
+                   u.pow(g)]
+        for result in results:
+            again = rebuilt(result)
+            assert again == result and hash(again) == hash(result)
+            assert list(again.by_slot.items()) == list(result.by_slot.items())
+            assert list(again.terms.items()) == list(result.terms.items())
+        # and the operations on the rebuilt operands give the same series
+        assert rebuilt(a) * rebuilt(b) == a * b and rebuilt(u).log() == u.log()
 
 
 class TestRingAxioms:

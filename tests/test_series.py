@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from vpvlab.catalog import catalog, get_entry
+from vpvlab.catalog import OracleSide, catalog, get_entry, oracle_series
+from vpvlab.closedform import build_closed_form
 from vpvlab.determinants import diagonal_closed_forms, exact_parts_series
-from vpvlab.lattice import ProductSpec, WeightExpr, product_series
-from vpvlab import series
+from vpvlab.lattice import ProductSpec, WeightExpr, count_grid, product_series
+from vpvlab import lattice, series
 from vpvlab.series import (APPROX, Caps, EXACT, Series, SeriesError, _exact_product,
                            _keyed_product, _layout, _packed_product,
                            binomial_log, binomial_product, first_mismatch, max_rel_error,
@@ -1391,3 +1392,106 @@ class TestExactRepresentation:
             got = first_mismatch(x, y)
             assert got == fraction_mismatch(x, y)
             assert got is None or all(type(c) is Fraction for c in got[1:])
+
+
+def assert_built_as_tuples(got, terms):
+    """`got` is the series the public constructor builds from the tuple-keyed
+    `terms`: the same denominator, and `by_slot`, `nums` and `terms` equal to
+    the constructor's in value, type and dict order."""
+    want = Series(got.names, got.caps, got.mode, terms)
+    assert got.den == want.den
+    for view in ("by_slot", "nums", "terms"):
+        assert bits(getattr(got, view)) == bits(getattr(want, view)), view
+
+
+class TestKeyedProducers:
+    """Each producer that hands `Series` slot keys, against the series the
+    tuple-keyed constructor builds from the same coefficients."""
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_constructors(self, mode):
+        names, caps = ("y", "z"), Caps.of([3, 2])
+        assert_built_as_tuples(Series.zero(names, caps, mode), {})
+        for value in (0, 1, Fraction(-7, 3)):
+            assert_built_as_tuples(Series.constant(value, names, caps, mode), {(0, 0): value})
+        assert_built_as_tuples(Series.one(names, caps, mode), {(0, 0): 1})
+        for expo in ((2, 1), (0, 0), (4, 0), (1, 3)):
+            assert_built_as_tuples(Series.monomial(expo, names, caps, mode, Fraction(5, 2)),
+                                   {expo: Fraction(5, 2)})
+        with pytest.raises(SeriesError):
+            Series.monomial((1, -1), names, caps, mode)
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    @settings(max_examples=60, deadline=None)
+    @given(shape=windows(), data=st.data())
+    def test_stock_factors(self, mode, shape, data):
+        caps, names = shape
+        assume(names)
+        mono = data.draw(st.tuples(*(st.integers(0, c + 1) for c in caps.limits)).filter(any))
+        multiples = caps.multiples(mono)
+        r = data.draw(st.sampled_from([Fraction(1, 2), Fraction(-3, 4), 2, -1]))
+        scalar = data.draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+        sign = data.draw(st.sampled_from([1, -1]))
+        one = Fraction(1) if mode == EXACT else 1.0
+        s = sign * scalar if mode == EXACT else float(sign) * scalar
+        terms, binom, power = {(0,) * len(names): one}, one, one
+        for k in range(1, multiples + 1):
+            binom, power = binom * ((r if mode == EXACT else float(r)) - (k - 1)) / k, power * s
+            if binom == 0:
+                break
+            terms[tuple(e * k for e in mono)] = binom * power
+        assert_built_as_tuples(
+            unit_binomial_pow(mono, r, names, caps, mode, sign=sign, scalar=scalar), terms)
+        s = data.draw(st.sampled_from([2, 0, -1] + [Fraction(1, 2)] * (mode == APPROX)))
+        assert_built_as_tuples(
+            polylog(s, mono, names, caps, mode),
+            {tuple(e * k for e in mono): series._power_coeff(k, Fraction(s), mode)
+             for k in range(1, multiples + 1)})
+
+    @pytest.mark.parametrize("mode", [EXACT, APPROX])
+    def test_unit_binomial_node(self, mode):
+        names, caps = ("y", "z"), Caps.of([3, 2])
+        for exps, sign, scalar in (({"y": 1}, -1, 1), ({"y": 1, "z": 2}, 1, "2/3"),
+                                   ({"z": 3}, -1, 5), ({}, 1, "1/4")):
+            node = {"op": "unit_binomial", "exps": exps, "sign": sign, "scalar": scalar}
+            expo = tuple(exps.get(n, 0) for n in names)
+            value = sign * Fraction(scalar)
+            terms = {expo: 1 + value} if not any(expo) else {(0, 0): 1, expo: value}
+            assert_built_as_tuples(build_closed_form(node, names, caps, mode), terms)
+
+    @pytest.mark.parametrize("entry_id", ["8.07.02", "8.07.03", "8.07.04", "8.07.01"])
+    def test_family_log(self, entry_id):
+        # the product log of a family that is not streamed: each image's
+        # one-variable log spread over the powers of its monomial
+        entry, caps = get_entry(entry_id), Caps.of((6, 6))
+        for spec in (entry.lhs, entry.rhs):
+            if not isinstance(spec, ProductSpec):
+                continue
+            terms = {}
+            for (image, _), (count, _) in lattice.image_histogram(spec, caps)[1].items():
+                for k, c in enumerate(lattice._factor_log(spec.factor,
+                                                          caps.multiples(image)), 1):
+                    key = tuple(e * k for e in image)
+                    terms[key] = terms.get(key, 0) + count * c
+            assert_built_as_tuples(product_series(spec, caps, EXACT, log=True), terms)
+
+    def test_oracle_series(self):
+        # every oracle side of the catalog: `count_grid` lists the box in lex order
+        sides = [(e.rhs, Caps.of(e.caps)) for e in catalog() if isinstance(e.rhs, OracleSide)]
+        assert len(sides) == 19
+        for side, caps in sides:
+            parts = [side.spec.image(v, EXACT)[0] for v in side.spec.vectors(caps)]
+            assert_built_as_tuples(oracle_series(side.spec, caps, side.mode, side.k),
+                                   count_grid(caps, parts, side.mode, side.k))
+
+    def test_slot_order_is_lex_order_on_every_catalog_shape(self):
+        # `first_mismatch` and `oracle_series` rest on it: the admitted keys,
+        # row by row, are the cells in lex order, and increase
+        shapes = {e.caps for e in catalog()} | {(), (0,), (3, 0, 2)}
+        for limits in shapes:
+            caps = Caps.of(limits)
+            encode, decode, _, rows = _layout(caps)
+            cells = list(itertools.product(*(range(c + 1) for c in limits)))
+            keys = [k for row in rows for k in row]
+            assert keys == list(map(encode, cells)) == sorted(set(keys)), limits
+            assert list(map(decode, keys)) == cells
